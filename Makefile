@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-service bench-dist bench-search bench-guard figs exhibits fuzz cover clean check serve
+.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-service bench-dist bench-search bench-guard benchsuite-check figs exhibits fuzz cover clean check serve
 
 all: build vet test
 
@@ -18,13 +18,21 @@ test:
 # Tier-1 plus the race-sensitive packages (the service, the async job
 # subsystem, the context-aware exploration core, the pooled sweep
 # engines and the guided search) under the race detector, plus short
-# fuzz passes over the external-trace parser and the genome repair.
-check: build vet test
+# fuzz passes over the external-trace parser and the genome repair,
+# plus the benchmark suite's own module.
+check: build vet test benchsuite-check
 	$(GO) test -race ./internal/service ./internal/jobs ./internal/core ./internal/cachesim ./internal/extrace ./internal/search
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseDin -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseBinaryV2 -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseIndexFooter -fuzztime 5s
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzGenome -fuzztime 5s
+
+# The benchmark suite is a nested module (benchsuite/go.mod) that
+# compiles against the service, trace-reader and core APIs; root
+# `go test ./...` never builds it, so an API change that breaks the
+# benchmark surfaces here.
+benchsuite-check:
+	cd benchsuite && $(GO) vet ./... && $(GO) test ./...
 
 # Run the memexplored HTTP service (see docs/SERVICE.md).
 serve:
@@ -51,10 +59,9 @@ bench-sweep:
 bench-trace:
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreDinTrace|BenchmarkExploreTraceSampled' -benchmem -count 3 . | tee BENCH_trace.out
 
-# The zero-copy ingestion levers in isolation: mmap vs buffered decode of
-# the same on-disk mxt v2 artifact, and index-guided chunk skipping vs
-# full decode at R=0.01; appends to BENCH_trace.out for curation into
-# BENCH_trace.json.
+# The ingestion levers in isolation: buffered decode of an on-disk mxt
+# v2 artifact, and index-guided chunk skipping vs full decode at R=0.01;
+# appends to BENCH_trace.out for curation into BENCH_trace.json.
 bench-ingest:
 	$(GO) test -run '^$$' -bench BenchmarkIngest -benchmem -count 3 . | tee -a BENCH_trace.out
 
@@ -94,7 +101,6 @@ exhibits:
 fuzz:
 	$(GO) test ./internal/loopir -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/loopir -fuzz FuzzParseExpr -fuzztime 30s
-	$(GO) test ./internal/trace -fuzz FuzzReadDin -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseDin -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseBinaryV2 -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseIndexFooter -fuzztime 30s

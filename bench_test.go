@@ -483,10 +483,8 @@ func BenchmarkSearch(b *testing.B) {
 // summaries can prove dead under sampling; the compute segments mostly
 // cannot be skipped, so the indexed sweep still decodes real work:
 //
-//   - decode/bufio    — streaming chunk decode through bufio (the
-//     non-seekable transport: gzip, stdin, HTTP bodies)
-//   - decode/mmap     — the same artifact memory-mapped, columns decoded
-//     in place (the *os.File fast path)
+//   - decode/bufio    — streaming chunk decode through bufio, the one
+//     transport (files, gzip, stdin and HTTP bodies alike)
 //   - sweep/full@sample=0.01    — full sweep, R=0.01 sampling, on an
 //     index-less artifact: every chunk decoded, then filtered
 //   - sweep/indexed@sample=0.01 — the same sweep on the indexed
@@ -550,9 +548,8 @@ func BenchmarkIngest(b *testing.B) {
 	writeV2(barePath, extrace.V2WriterOptions{NoIndex: true})
 
 	// drain measures pure decode throughput: open, stream every record,
-	// no simulation. wrap shapes the transport (identity = *os.File =
-	// mmap; nonSeekable forces the bufio path).
-	drain := func(b *testing.B, path string, wrap func(io.Reader) io.Reader, wantMmap bool) {
+	// no simulation.
+	drain := func(b *testing.B, path string) {
 		b.Helper()
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -567,7 +564,7 @@ func BenchmarkIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rd := extrace.NewReader(wrap(f), extrace.Options{})
+			rd := extrace.NewReader(f, extrace.Options{})
 			buf := make([]memexplore.TraceRef, 4096)
 			for {
 				_, err := rd.Read(buf)
@@ -583,15 +580,12 @@ func BenchmarkIngest(b *testing.B) {
 			f.Close()
 		}
 		b.StopTimer()
-		if st.Records != records || st.Mmap != wantMmap {
-			b.Fatalf("drained %d records (mmap=%v), want %d (mmap=%v)", st.Records, st.Mmap, records, wantMmap)
+		if st.Records != records {
+			b.Fatalf("drained %d records, want %d", st.Records, records)
 		}
 		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	}
-	identity := func(r io.Reader) io.Reader { return r }
-	asStream := func(r io.Reader) io.Reader { return struct{ io.Reader }{r} }
-	b.Run("decode/bufio", func(b *testing.B) { drain(b, indexedPath, asStream, false) })
-	b.Run("decode/mmap", func(b *testing.B) { drain(b, indexedPath, identity, true) })
+	b.Run("decode/bufio", func(b *testing.B) { drain(b, indexedPath) })
 
 	// sweep measures the full ExploreTrace at R=0.01 — the indexed
 	// artifact skips dead chunks, the index-less control decodes all of

@@ -1,7 +1,8 @@
 // Command cachesim is a Dinero-style trace-driven cache simulator. It
-// reads a din-format trace from a file (or stdin), or generates the trace
-// of a named benchmark kernel, and reports hit/miss statistics with 3C
-// miss classification.
+// reads an external trace — din text or mxt binary, gzip-compressed or
+// not, through the same reader as the sweep engines — from a file (or
+// stdin), or generates the trace of a named benchmark kernel, and
+// reports hit/miss statistics with 3C miss classification.
 //
 // Usage:
 //
@@ -13,12 +14,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"memexplore"
 	"memexplore/internal/cachesim"
+	"memexplore/internal/extrace"
 	"memexplore/internal/trace"
 )
 
@@ -30,7 +33,7 @@ func main() {
 		repl      = flag.String("repl", "lru", "replacement policy: lru, fifo, random")
 		wthrough  = flag.Bool("write-through", false, "write-through instead of write-back")
 		noalloc   = flag.Bool("no-write-allocate", false, "do not allocate on write misses")
-		traceFile = flag.String("trace", "", "din-format trace file ('-' for stdin)")
+		traceFile = flag.String("trace", "", "din or mxt trace file, optionally gzipped ('-' for stdin)")
 		kernel    = flag.String("kernel", "", "generate the trace of this benchmark kernel instead")
 		nestFile  = flag.String("file", "", "generate the trace of a kernel parsed from this nest file")
 		tiling    = flag.Int("tiling", 1, "tile the kernel's loops with this size")
@@ -100,6 +103,26 @@ func main() {
 	fmt.Printf("write-throughs  %d\n", st.WriteThroughs)
 }
 
+// readTrace collects an external trace into memory for the simulator.
+func readTrace(r io.Reader) (*trace.Trace, error) {
+	rd := extrace.NewReader(r, extrace.Options{})
+	defer rd.Close()
+	tr := trace.New(1024)
+	buf := make([]trace.Ref, 4096)
+	for {
+		n, err := rd.Read(buf)
+		for _, ref := range buf[:n] {
+			tr.Append(ref)
+		}
+		if err == io.EOF {
+			return tr, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
 func loadTrace(traceFile, kernel, nestFile string, tiling int, optimized bool, lineBytes, sizeBytes int) (*trace.Trace, error) {
 	given := 0
 	for _, s := range []string{traceFile, kernel, nestFile} {
@@ -124,7 +147,7 @@ func loadTrace(traceFile, kernel, nestFile string, tiling int, optimized bool, l
 			}
 			defer f.Close()
 		}
-		return trace.ReadDinAuto(f)
+		return readTrace(f)
 	case kernel != "":
 		var err error
 		n, err = memexplore.Kernel(kernel)

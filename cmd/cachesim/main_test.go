@@ -32,14 +32,15 @@ func TestLoadTraceKernel(t *testing.T) {
 func TestLoadTraceDin(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/t.din"
-	if err := os.WriteFile(path, []byte("0 10\n1 20\n"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("0 10\n1 20 4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := loadTrace(path, "", "", 1, false, 8, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 || tr.At(0).Addr != 0x10 {
+	// The optional third din field is the access size.
+	if tr.Len() != 2 || tr.At(0).Addr != 0x10 || tr.At(1).Size != 4 {
 		t.Errorf("din trace = %+v", tr.Refs())
 	}
 }

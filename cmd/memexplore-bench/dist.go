@@ -94,7 +94,6 @@ type DistLeg struct {
 func runReplica(jobsDir, peers string) {
 	svc := service.MustNew(service.Config{
 		MaxConcurrentSweeps: 2,
-		MaxConcurrentJobs:   2,
 		MaxBodyBytes:        256 << 20,
 		JobsDir:             jobsDir,
 		Peers:               splitList(peers),

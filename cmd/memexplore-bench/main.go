@@ -40,7 +40,6 @@ func main() {
 		requests = flag.Int("requests", 64, "synchronous requests to issue")
 		jobCount = flag.Int("job-count", 16, "async jobs to submit and await")
 		sweeps   = flag.Int("sweeps", 4, "in-process server: max concurrent sweeps")
-		jobSlots = flag.Int("jobs", 2, "in-process server: max concurrently running jobs")
 		out      = flag.String("out", "BENCH_service.json", "write the JSON report here ('-' for stdout only)")
 		smoke    = flag.Bool("smoke", false, "tiny CI run: few requests, small sweep space")
 
@@ -77,10 +76,7 @@ func main() {
 
 	base := *addr
 	if base == "" {
-		svc := service.MustNew(service.Config{
-			MaxConcurrentSweeps: *sweeps,
-			MaxConcurrentJobs:   *jobSlots,
-		})
+		svc := service.MustNew(service.Config{MaxConcurrentSweeps: *sweeps})
 		ts := httptest.NewServer(svc)
 		defer ts.Close()
 		base = ts.URL

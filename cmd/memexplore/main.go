@@ -388,9 +388,6 @@ func runTrace(path string, opts memexplore.Options, ing memexplore.TraceIngestOp
 		return err
 	}
 	fmt.Printf("trace %s: %s\n", path, st)
-	if st.Mmap {
-		fmt.Printf("ingest: memory-mapped %d bytes (zero-copy decode)\n", st.BytesRead)
-	}
 	if st.ChunksSkipped > 0 {
 		fmt.Printf("ingest: index skipped %d chunks (%d records) without decoding\n",
 			st.ChunksSkipped, st.RecordsSkipped)
@@ -452,8 +449,8 @@ func runTrace(path string, opts memexplore.Options, ing memexplore.TraceIngestOp
 
 // runConvert transcodes a trace into the columnar mxt v2 format —
 // the fast path for traces that will be swept repeatedly. An output
-// name ending in .gz is gzip-compressed (which forfeits the mmap fast
-// path and up-front index skipping on later sweeps). A non-zero
+// name ending in .gz is gzip-compressed (which forfeits up-front index
+// skipping on later sweeps). A non-zero
 // -sample-rate bakes transcode-time spatial sampling into the artifact,
 // recorded in its index footer so sweeps rescale automatically.
 func runConvert(inPath, outPath string, ing memexplore.TraceIngestOptions, wo memexplore.TraceWriterOptions) error {

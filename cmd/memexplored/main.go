@@ -1,6 +1,6 @@
 // Command memexplored serves the MemExplore sweep as a long-running
 // HTTP/JSON API: POST /v1/explore and /v1/aggregate run (or recall from
-// the result cache) design-space sweeps, POST /v1/jobs runs them
+// the result tier) design-space sweeps, POST /v1/jobs runs them
 // asynchronously with progress polling and SSE streaming under
 // /v1/jobs/{id}, GET /v1/kernels lists the registry, /healthz and
 // /debug/vars expose liveness and counters. See docs/SERVICE.md for the
@@ -8,9 +8,12 @@
 //
 // Usage:
 //
-//	memexplored [-addr :8080] [-sweeps 4] [-workers 0] [-cache 128] [-max-body 8388608]
-//	            [-jobs 2] [-job-ttl 15m] [-job-cache 256] [-jobs-dir DIR]
-//	            [-peers URL,URL] [-drain 30s] [-pprof]
+//	memexplored [-addr :8080] [-sweeps 4] [-workers 0] [-cache 256] [-max-body 8388608]
+//	            [-job-ttl 15m] [-jobs-dir DIR] [-peers URL,URL] [-drain 30s] [-pprof]
+//
+// -sweeps bounds every sweep the daemon runs, synchronous requests and
+// async jobs alike; -cache bounds the in-memory store of job records and
+// recalled results.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: new sweeps and job
 // submissions are rejected with 503 while in-flight work drains for up
@@ -52,14 +55,12 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 	fs := flag.NewFlagSet("memexplored", flag.ContinueOnError)
 	fs.SetOutput(logw)
 	addr := fs.String("addr", ":8080", "listen address")
-	sweeps := fs.Int("sweeps", 4, "max concurrent sweeps (worker pool size)")
+	sweeps := fs.Int("sweeps", 4, "max concurrent sweeps, sync requests and jobs alike (slot pool size)")
 	workers := fs.Int("workers", 0, "goroutines per sweep (0 = GOMAXPROCS)")
-	cacheN := fs.Int("cache", 128, "result-cache capacity in entries (negative disables)")
+	cacheN := fs.Int("cache", 256, "in-memory store capacity in entries: job records and recalled results (negative disables recall)")
 	maxBody := fs.Int64("max-body", 0, "request-body size limit in bytes (0 = 8 MiB default)")
-	jobSlots := fs.Int("jobs", 2, "max concurrently running async jobs")
-	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "how long finished job records stay readable (in-memory store)")
-	jobCap := fs.Int("job-cache", 256, "in-memory job store capacity in records")
-	jobsDir := fs.String("jobs-dir", "", "store job records as files under this directory (shared result tier; overrides -job-cache, -job-ttl becomes the cleanup TTL)")
+	jobTTL := fs.Duration("job-ttl", 15*time.Minute, "how long finished job records and results stay readable (in-memory store)")
+	jobsDir := fs.String("jobs-dir", "", "store job records and results as files under this directory (shared result tier; overrides -cache's capacity, -job-ttl becomes the cleanup TTL)")
 	peers := fs.String("peers", "", "comma-separated base URLs of sibling replicas for distributed sweeps (e.g. http://host:8081,http://host:8082)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiling handlers under /debug/pprof/")
@@ -71,9 +72,7 @@ func run(ctx context.Context, args []string, logw io.Writer, ready chan<- string
 		SweepWorkers:        *workers,
 		CacheEntries:        *cacheN,
 		MaxBodyBytes:        *maxBody,
-		MaxConcurrentJobs:   *jobSlots,
 		JobTTL:              *jobTTL,
-		JobCapacity:         *jobCap,
 		JobsDir:             *jobsDir,
 		Peers:               splitPeers(*peers),
 	}

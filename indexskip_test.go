@@ -73,14 +73,13 @@ func encodeV2(t *testing.T, refs []memexplore.TraceRef, wo extrace.V2WriterOptio
 
 // normalizeSkipStats zeroes the IngestStats fields that legitimately
 // differ between an index-skipping run and a full decode: the skip
-// counters themselves, the transport (mmap vs stream) and the byte count
-// (the index-less artifact is shorter; skipping reads fewer bytes).
+// counters themselves and the byte count (the index-less artifact is
+// shorter).
 // Everything else — records, kinds, footprint, stride profile — must be
 // bit-identical.
 func normalizeSkipStats(st *memexplore.TraceIngestStats) {
 	st.ChunksSkipped = 0
 	st.RecordsSkipped = 0
-	st.Mmap = false
 	st.BytesRead = 0
 }
 
@@ -167,10 +166,10 @@ func TestIndexSkipBitIdentical(t *testing.T) {
 	}
 }
 
-// TestIndexSkipBitIdenticalMmap repeats the low-rate leg through the
-// mmap fast path: the indexed artifact on disk, opened as *os.File, must
-// map the file, skip chunks, and still match the streamed full decode.
-func TestIndexSkipBitIdenticalMmap(t *testing.T) {
+// TestIndexSkipBitIdenticalFile repeats the low-rate leg through an
+// on-disk file: the indexed artifact, opened as *os.File, must preload
+// its index, skip chunks, and still match the streamed full decode.
+func TestIndexSkipBitIdenticalFile(t *testing.T) {
 	refs := synthPhaseLocalRefs(43, 100_000)
 	indexed := encodeV2(t, refs, extrace.V2WriterOptions{})
 	bare := encodeV2(t, refs, extrace.V2WriterOptions{NoIndex: true})
@@ -191,25 +190,22 @@ func TestIndexSkipBitIdenticalMmap(t *testing.T) {
 
 	msIdx, stIdx, err := memexplore.ExploreTrace(f, opts, memexplore.TraceIngestOptions{})
 	if err != nil {
-		t.Fatalf("mmap sweep: %v", err)
+		t.Fatalf("file sweep: %v", err)
 	}
 	msFull, stFull, err := memexplore.ExploreTrace(bytes.NewReader(bare), opts, memexplore.TraceIngestOptions{})
 	if err != nil {
 		t.Fatalf("full-decode sweep: %v", err)
 	}
-	if !stIdx.Mmap {
-		t.Error("on-disk indexed artifact did not take the mmap path")
-	}
 	if stIdx.ChunksSkipped == 0 {
-		t.Error("mmap run skipped no chunks")
+		t.Error("file run skipped no chunks")
 	}
 	if !reflect.DeepEqual(msIdx, msFull) {
-		t.Error("Metrics diverge between mmap indexed-skip and streamed full decode")
+		t.Error("Metrics diverge between file indexed-skip and streamed full decode")
 	}
 	normalizeSkipStats(&stIdx)
 	normalizeSkipStats(&stFull)
 	if !reflect.DeepEqual(stIdx, stFull) {
-		t.Errorf("IngestStats diverge between mmap indexed-skip and streamed full decode\nindexed: %+v\nfull:    %+v", stIdx, stFull)
+		t.Errorf("IngestStats diverge between file indexed-skip and streamed full decode\nindexed: %+v\nfull:    %+v", stIdx, stFull)
 	}
 }
 

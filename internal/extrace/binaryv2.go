@@ -40,8 +40,7 @@ const binaryV2Magic = "MXTB02\r\n"
 // every address, one unpack loop spreads the kinds, and a single scan
 // validates kind labels — no per-record function calls, so a whole chunk
 // lands in the caller's pooled slab in one readChunk. The bytes come
-// through a v2input: directly out of a memory-mapped region on the
-// zero-copy fast path, or a bufio window otherwise. Clean EOF is only
+// through a streamInput's bufio window. Clean EOF is only
 // legal at a chunk boundary. A CRC mismatch or an undecodable column is
 // chunk-level damage: fatal normally, or — because the frame length is
 // still trusted — skippable as n rejects under Options.SkipMalformed. A
@@ -87,7 +86,7 @@ func SampleThreshold(rate float64) uint64 {
 
 // binV2Decoder streams the v2 columnar format chunk-at-a-time.
 type binV2Decoder struct {
-	in   v2input
+	in   *streamInput
 	opts Options
 	acc  *accumulator
 	off  int64 // decompressed byte offset of the next chunk start

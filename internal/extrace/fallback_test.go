@@ -14,8 +14,8 @@ import (
 
 // fallbackRefs builds a multi-chunk phase-local trace so the index has
 // several entries and a chunk policy would have something to skip — the
-// point of these tests is that on non-mmappable transports it cleanly
-// does not.
+// point of the fallback tests is that on transports without an up-front
+// index it cleanly does not.
 func fallbackRefs() []trace.Ref {
 	refs := make([]trace.Ref, 3*v2ChunkRecords+100)
 	for i := range refs {
@@ -29,11 +29,11 @@ func fallbackRefs() []trace.Ref {
 // whether the policy machinery was armed at all on a given transport.
 func skipEverything(e *ChunkIndexEntry) ChunkVerdict { return ChunkSkipDrop }
 
-// TestMmapFallbackGzip: a gzipped v2 artifact opened as *os.File must
-// not take the mmap path (the file bytes are not the v2 stream), must
-// stream-decode through the gzip layer, and must still surface the index
-// at end of stream — while an attached chunk policy stays dormant (the
-// index is only discovered at EOF, too late to skip).
+// TestMmapFallbackGzip: a gzipped v2 artifact opened as *os.File (whose
+// bytes are not the v2 stream) must stream-decode through the gzip
+// layer and still surface the index at end of stream — while an
+// attached chunk policy stays dormant (the index is only discovered at
+// EOF, too late to skip).
 func TestMmapFallbackGzip(t *testing.T) {
 	in := fallbackRefs()
 	var plain bytes.Buffer
@@ -61,9 +61,6 @@ func TestMmapFallbackGzip(t *testing.T) {
 		t.Fatalf("gzip fallback decoded %d records, want %d bit-exact", len(got), len(in))
 	}
 	st := r.Stats()
-	if st.Mmap {
-		t.Error("gzipped file took the mmap path")
-	}
 	if !st.Gzip || st.Format != "binaryv2" {
 		t.Errorf("format = %q gzip=%v, want binaryv2/true", st.Format, st.Gzip)
 	}
@@ -84,7 +81,7 @@ func (n nonSeekable) Read(p []byte) (int, error) { return n.r.Read(p) }
 
 // TestMmapFallbackNonSeekable: a bare io.Reader (no ReaderAt, no Seeker,
 // no Stat) must stream-decode an indexed v2 artifact identically, with
-// no mmap, no skipping, and the index recovered at EOF.
+// no skipping, and the index recovered at EOF.
 func TestMmapFallbackNonSeekable(t *testing.T) {
 	in := fallbackRefs()
 	var buf bytes.Buffer
@@ -99,8 +96,8 @@ func TestMmapFallbackNonSeekable(t *testing.T) {
 		t.Fatalf("non-seekable fallback decoded %d records, want %d bit-exact", len(got), len(in))
 	}
 	st := r.Stats()
-	if st.Mmap || st.ChunksSkipped != 0 {
-		t.Errorf("non-seekable transport: mmap=%v skipped=%d, want false/0", st.Mmap, st.ChunksSkipped)
+	if st.ChunksSkipped != 0 {
+		t.Errorf("non-seekable transport skipped %d chunks, want 0", st.ChunksSkipped)
 	}
 	if st.BytesRead != int64(buf.Len()) {
 		t.Errorf("BytesRead = %d, want %d", st.BytesRead, buf.Len())
@@ -110,13 +107,10 @@ func TestMmapFallbackNonSeekable(t *testing.T) {
 	}
 }
 
-// TestMmapFastPathFile: the positive control — the same artifact as a
-// plain on-disk file must map, skip under the policy, and report mmap in
-// its stats with BytesRead equal to the mapped size.
-func TestMmapFastPathFile(t *testing.T) {
-	if !mmapAvailable {
-		t.Skip("mmap not available on this platform")
-	}
+// TestIndexedFileSkips: the positive control — the same artifact as a
+// plain on-disk file preloads its index through io.ReaderAt, skips under
+// the policy, and reports every file byte read, skipped chunks included.
+func TestIndexedFileSkips(t *testing.T) {
 	in := fallbackRefs()
 	var buf bytes.Buffer
 	if _, err := WriteBinaryV2(&buf, trace.FromRefs(in).Reader()); err != nil {
@@ -136,19 +130,16 @@ func TestMmapFastPathFile(t *testing.T) {
 	r.SetChunkPolicy(skipEverything)
 	got := readAll(t, r)
 	if len(got) != 0 {
-		t.Fatalf("skip-everything policy on a mapped indexed file decoded %d records, want 0", len(got))
+		t.Fatalf("skip-everything policy on an indexed file decoded %d records, want 0", len(got))
 	}
 	st := r.Stats()
-	if !st.Mmap {
-		t.Error("plain on-disk v2 artifact did not take the mmap path")
-	}
 	if st.ChunksSkipped == 0 || st.Records != int64(len(in)) {
 		t.Errorf("skipped=%d records=%d, want >0 skipped and %d records accounted", st.ChunksSkipped, st.Records, len(in))
 	}
 	if st.BytesRead != int64(buf.Len()) {
-		t.Errorf("BytesRead = %d, want mapped size %d", st.BytesRead, buf.Len())
+		t.Errorf("BytesRead = %d, want file size %d", st.BytesRead, buf.Len())
 	}
 	if err := r.Close(); err != nil {
-		t.Fatalf("Close (munmap): %v", err)
+		t.Fatalf("Close: %v", err)
 	}
 }

@@ -2,11 +2,9 @@ package extrace
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
-	"os"
 
 	"memexplore/internal/trace"
 )
@@ -55,12 +53,8 @@ type Reader struct {
 	acc  *accumulator
 
 	// policy, when set before the first Read, lets the v2 decoder skip
-	// whole indexed chunks (see SetChunkPolicy). mmapped/unmap track the
-	// zero-copy fast path: the whole file mapped read-only, decoded in
-	// place.
+	// whole indexed chunks (see SetChunkPolicy).
 	policy ChunkPolicy
-	mmap   []byte
-	unmap  func() error
 
 	format  string
 	gzipped bool
@@ -82,29 +76,6 @@ func NewReader(r io.Reader, opts Options) *Reader {
 // start peeks at the stream and picks the decompressor and decoder.
 func (r *Reader) start() error {
 	r.started = true
-	// Zero-copy fast path: an uncompressed mxt v2 regular file is
-	// memory-mapped whole and decoded in place. Detection goes through
-	// ReadAt, which never moves the file offset, so every fallback (gzip
-	// file, din file, mmap failure, unsupported platform) drops cleanly
-	// into the streaming path below with the stream untouched.
-	if f, ok := r.raw.r.(*os.File); ok && mmapAvailable {
-		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() > int64(len(binaryV2Magic)) {
-			var magic [len(binaryV2Magic)]byte
-			if _, err := f.ReadAt(magic[:], 0); err == nil && string(magic[:]) == binaryV2Magic {
-				if data, unmap, err := mmapFile(f, fi.Size()); err == nil {
-					r.format = "binaryv2"
-					r.mmap = data
-					r.unmap = unmap
-					dec := &binV2Decoder{in: &memInput{data: data, pos: len(binaryV2Magic)},
-						opts: r.opts, acc: r.acc, off: int64(len(binaryV2Magic))}
-					dec.idx = probeIndex(bytes.NewReader(data), int64(len(data)))
-					r.attachPolicy(dec)
-					r.cdec = dec
-					return nil
-				}
-			}
-		}
-	}
 	br := bufio.NewReaderSize(r.raw, 32*1024)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
@@ -125,10 +96,10 @@ func (r *Reader) start() error {
 		br.Discard(len(binaryV2Magic))
 		r.format = "binaryv2"
 		dec := &binV2Decoder{in: &streamInput{br: br}, opts: r.opts, acc: r.acc, off: int64(len(binaryV2Magic))}
-		// A seekable, uncompressed source (bytes.Reader, a file on a
-		// platform without mmap) can still preload the index with one
-		// ReadAt from the tail and skip chunks by discarding; gzip and
-		// pipes only discover the footer when the stream reaches it.
+		// A seekable, uncompressed source (a file, a bytes.Reader)
+		// preloads the index with one ReadAt from the tail and skips
+		// chunks by discarding; gzip and pipes only discover the footer
+		// when the stream reaches it.
 		if !r.gzipped {
 			if ra, ok := r.raw.r.(io.ReaderAt); ok {
 				if size, err := seekableSize(r.raw.r); err == nil {
@@ -285,10 +256,6 @@ func (r *Reader) Stats() IngestStats {
 	st.Format = r.format
 	st.Gzip = r.gzipped
 	st.BytesRead = r.raw.n
-	if r.mmap != nil {
-		st.Mmap = true
-		st.BytesRead = int64(len(r.mmap))
-	}
 	if d, ok := r.cdec.(*binV2Decoder); ok {
 		if r.err == io.EOF && d.skip.Chunks > 0 && d.idx != nil && d.idx.HasProfile {
 			d.idx.applyProfile(&st)
@@ -302,21 +269,13 @@ func (r *Reader) Stats() IngestStats {
 	return st
 }
 
-// Close releases the decompressor and the memory mapping, if any. It
-// does not close the underlying reader, which the caller owns.
+// Close releases the decompressor, if any. It does not close the
+// underlying reader, which the caller owns.
 func (r *Reader) Close() error {
-	var err error
 	if r.gz != nil {
-		err = r.gz.Close()
+		return r.gz.Close()
 	}
-	if r.unmap != nil {
-		if uerr := r.unmap(); err == nil {
-			err = uerr
-		}
-		r.unmap = nil
-		r.mmap = nil
-	}
-	return err
+	return nil
 }
 
 // --- textual din decoding ---------------------------------------------

@@ -29,7 +29,7 @@ func readAll(t *testing.T, r *Reader) []trace.Ref {
 }
 
 func TestReadDinBasic(t *testing.T) {
-	src := "# header comment\n\n0 10\n1 ff 4\n2 0xDEADbeef\n0 0\n"
+	src := "# header comment\n\n \t# indented comment\n  \t\n0 10\n1 ff 4\n2 0xDEADbeef\n0 0\n"
 	r := NewReader(strings.NewReader(src), Options{})
 	got := readAll(t, r)
 	want := []trace.Ref{

@@ -22,13 +22,8 @@ type IngestStats struct {
 	// Rejects counts malformed records skipped under Options.SkipMalformed.
 	Rejects int64 `json:"rejects"`
 	// BytesRead counts the wire bytes consumed from the underlying reader
-	// (compressed bytes for gzip input). On the mmap fast path it is the
-	// mapped file size — the whole file is the reader's working set
-	// whether or not every chunk was decoded.
+	// (compressed bytes for gzip input), skipped chunks included.
 	BytesRead int64 `json:"bytes_read"`
-	// Mmap reports that the stream was ingested through the zero-copy
-	// memory-mapped fast path.
-	Mmap bool `json:"mmap,omitempty"`
 
 	// ChunksSkipped / RecordsSkipped count whole mxt v2 chunks (and the
 	// records inside them) stepped over via the MXTI01 index instead of

@@ -5,63 +5,19 @@ import (
 	"io"
 )
 
-// v2input abstracts where the v2 chunk decoder's bytes come from: a
-// bufio-buffered stream (the portable path, and always the path for
-// gzip and non-seekable sources) or a memory-mapped file region (the
-// zero-copy fast path). The decoder is written against this interface
-// so both sources share one decode loop.
-type v2input interface {
-	// next returns the next n bytes of the stream without copying when
-	// the source allows it. The returned slice is valid only until the
-	// following next/skip call. At a clean end of stream it returns
-	// (nil, io.EOF); a short tail returns the partial bytes together
-	// with io.ErrUnexpectedEOF so the caller can inspect what is there
-	// (the index footer is recognized from a partial header read).
-	next(n int) ([]byte, error)
-	// skip discards n bytes, used to step over indexed chunks without
-	// decoding them.
-	skip(n int64) error
-}
-
-// memInput serves a fully in-memory byte region — the mmap fast path.
-// Every next() is a subslice of data: zero copies between the file and
-// the decode loops.
-type memInput struct {
-	data []byte
-	pos  int
-}
-
-func (m *memInput) next(n int) ([]byte, error) {
-	if m.pos >= len(m.data) {
-		return nil, io.EOF
-	}
-	if rem := len(m.data) - m.pos; rem < n {
-		p := m.data[m.pos:]
-		m.pos = len(m.data)
-		return p, io.ErrUnexpectedEOF
-	}
-	p := m.data[m.pos : m.pos+n]
-	m.pos += n
-	return p, nil
-}
-
-func (m *memInput) skip(n int64) error {
-	if rem := int64(len(m.data) - m.pos); rem < n {
-		m.pos = len(m.data)
-		return io.ErrUnexpectedEOF
-	}
-	m.pos += int(n)
-	return nil
-}
-
-// streamInput serves a bufio-buffered stream, copying each request into
-// a reusable scratch buffer — the portable fallback with exactly the
-// allocation behavior of the pre-mmap decoder.
+// streamInput is where the v2 chunk decoder's bytes come from: a
+// bufio-buffered stream, served from the buffer window where a request
+// fits and copied into a reusable scratch buffer where it does not.
 type streamInput struct {
 	br      *bufio.Reader
 	scratch []byte
 }
 
+// next returns the next n bytes of the stream. The returned slice is
+// valid only until the following next/skip call. At a clean end of
+// stream it returns (nil, io.EOF); a short tail returns the partial
+// bytes together with io.ErrUnexpectedEOF so the caller can inspect what
+// is there (the index footer is recognized from a partial header read).
 func (s *streamInput) next(n int) ([]byte, error) {
 	// Serve straight out of the bufio window when the request fits —
 	// no copy; chunk payloads larger than the buffer fall back to one
@@ -84,6 +40,8 @@ func (s *streamInput) next(n int) ([]byte, error) {
 	return p[:m], err
 }
 
+// skip discards n bytes, stepping over an indexed chunk without
+// decoding it.
 func (s *streamInput) skip(n int64) error {
 	for n > 0 {
 		step := n

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// ErrDraining is returned by Submit once Drain has started.
-var ErrDraining = errors.New("jobs: runner is draining, not accepting new jobs")
+// ErrDraining is returned by Submit and Do once Drain has started.
+var ErrDraining = errors.New("jobs: runner is draining, not accepting new work")
 
 // Fn is the body of a job: it runs the sweep under ctx, reports
 // progress through rep, and returns the finished response body (the
@@ -23,16 +22,19 @@ type Fn func(ctx context.Context, rep *Reporter) (result []byte, err error)
 type MapError func(error) Failure
 
 // Hooks are optional observability callbacks (any may be nil): gauge
-// deltas for the queued/running states and counters for the terminal
-// ones. They run on runner goroutines and must be cheap.
+// deltas for the queued/running job states and the occupied slots,
+// counters for the terminal job states and for result-tier lookups.
+// They run on caller and runner goroutines and must be cheap.
 type Hooks struct {
-	Submitted  func()
-	Queued     func(delta int64)
-	Running    func(delta int64)
-	Completed  func()
-	Failed     func()
-	Canceled   func()
-	ResultHits func() // submissions answered from the shared result tier
+	Submitted func()
+	Queued    func(delta int64)
+	Running   func(delta int64)
+	Completed func()
+	Failed    func()
+	Canceled  func()
+	Slots     func(delta int64) // slots taken (+1) and released (-1), jobs and Do alike
+	CacheHit  func()            // content-keyed lookups the result tier answered
+	CacheMiss func()            // content-keyed lookups that had to run
 }
 
 func (h Hooks) submitted()      { call0(h.Submitted) }
@@ -41,7 +43,9 @@ func (h Hooks) running(d int64) { call1(h.Running, d) }
 func (h Hooks) completed()      { call0(h.Completed) }
 func (h Hooks) failed()         { call0(h.Failed) }
 func (h Hooks) canceled()       { call0(h.Canceled) }
-func (h Hooks) resultHit()      { call0(h.ResultHits) }
+func (h Hooks) slots(d int64)   { call1(h.Slots, d) }
+func (h Hooks) hit()            { call0(h.CacheHit) }
+func (h Hooks) miss()           { call0(h.CacheMiss) }
 func call0(f func()) {
 	if f != nil {
 		f()
@@ -53,22 +57,27 @@ func call1(f func(int64), d int64) {
 	}
 }
 
-// Runner owns the live jobs of one process: a bounded slot pool caps
-// how many run at once (the rest wait in queued state), Cancel aborts a
-// job through its context, and Drain waits for every accepted job to
-// reach a terminal state. Terminal records are persisted to the Store
-// and — when the job carries a content key — published to the shared
-// result tier, where later submissions with the same key recall them
-// without re-running the sweep.
+// Runner is the one place a process's sweeps wait for capacity, are
+// recalled from the result tier, and are drained. A bounded slot pool
+// caps how many sweeps run at once — async jobs (Submit) and
+// synchronous calls (Do) alike; queued jobs wait in queued state.
+// Cancel aborts a job through its context, and Drain waits for every
+// accepted job and call to finish. Terminal job records are persisted
+// to the Store, and results carrying a content key are published to the
+// shared result tier, where later submissions and calls with the same
+// key recall them without re-running the sweep.
 type Runner struct {
-	store    Store
-	slots    chan struct{}
-	mapErr   MapError
-	hooks    Hooks
-	draining atomic.Bool
+	store  Store
+	slots  chan struct{}
+	mapErr MapError
+	hooks  Hooks
 
-	mu   sync.Mutex
-	live map[string]*task
+	// mu guards live and draining. admit and Drain both take it, so a
+	// call is either admitted before Drain starts waiting (and waited
+	// for) or rejected with ErrDraining — never added to wg afterwards.
+	mu       sync.Mutex
+	live     map[string]*task
+	draining bool
 
 	wg sync.WaitGroup
 }
@@ -102,7 +111,7 @@ func (t *task) snapshot() (Record, int64, <-chan struct{}) {
 	return t.rec.Clone(), t.seq, t.updated
 }
 
-// NewRunner builds a runner executing at most slots jobs concurrently
+// NewRunner builds a runner executing at most slots sweeps concurrently
 // (≤ 0 means 2) over the given store. mapErr may be nil (failures then
 // carry the "internal" code with the raw error text).
 func NewRunner(store Store, slots int, mapErr MapError, hooks Hooks) *Runner {
@@ -123,30 +132,119 @@ func NewRunner(store Store, slots int, mapErr MapError, hooks Hooks) *Runner {
 	}
 }
 
+// admit joins one call to the drain group, or fails with ErrDraining
+// once Drain has started. The caller owes a wg.Done.
+func (r *Runner) admit() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.draining {
+		return ErrDraining
+	}
+	r.wg.Add(1)
+	return nil
+}
+
+// recall looks contentKey up in the result tier and counts the lookup
+// as a hit or a miss; an empty key is no lookup.
+func (r *Runner) recall(contentKey string) (Record, bool) {
+	if contentKey == "" {
+		return Record{}, false
+	}
+	if hit, ok, err := r.store.Get(contentKey); err == nil && ok && hit.State == StateDone {
+		r.hooks.hit()
+		return hit, true
+	}
+	r.hooks.miss()
+	return Record{}, false
+}
+
+// slotKey marks a context whose holder occupies one of a runner's slots.
+type slotKey struct{}
+
+// acquire waits for a free slot, or for ctx to end (then an error
+// wrapping ctx.Err()). On success it returns the context marked as
+// holding the slot and the function that releases it.
+func (r *Runner) acquire(ctx context.Context) (context.Context, func(), error) {
+	select {
+	case r.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, nil, fmt.Errorf("jobs: waiting for a slot: %w", ctx.Err())
+	}
+	r.hooks.slots(+1)
+	return context.WithValue(ctx, slotKey{}, r), func() {
+		<-r.slots
+		r.hooks.slots(-1)
+	}, nil
+}
+
+// Do runs fn synchronously on one of the runner's slots — the pool
+// Submit's jobs run on — and returns its result body. When contentKey
+// is non-empty and the result tier holds a completed result under it,
+// that body comes back with cached set and fn never runs; a fresh
+// result is published under the key. Do writes no job record. It fails
+// with ErrDraining once Drain has started, and with an error wrapping
+// ctx.Err() if ctx ends while it waits for a slot.
+//
+// Called with a context that already holds one of r's slots — a job
+// body, or the fn of another Do — Do runs fn on that slot instead of
+// waiting for a second one, so no sweep ever waits for a slot while it
+// holds one.
+func (r *Runner) Do(ctx context.Context, contentKey string, fn func(context.Context) ([]byte, error)) (body []byte, cached bool, err error) {
+	nested := ctx.Value(slotKey{}) == r
+	if !nested {
+		if err := r.admit(); err != nil {
+			return nil, false, err
+		}
+		defer r.wg.Done()
+	}
+	if hit, ok := r.recall(contentKey); ok {
+		return hit.Result, true, nil
+	}
+	if !nested {
+		slotCtx, release, err := r.acquire(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		defer release()
+		ctx = slotCtx
+	}
+	body, err = fn(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	if contentKey != "" {
+		now := time.Now().UTC()
+		// Best-effort publication, as for jobs.
+		_ = r.store.Put(contentKey, Record{
+			State: StateDone, CreatedAt: now, FinishedAt: &now,
+			ContentKey: contentKey, Result: body,
+		})
+	}
+	return body, false, nil
+}
+
 // Submit accepts a job and returns its queued record immediately. When
 // contentKey is non-empty and the shared result tier already holds a
 // completed result under it, the returned record is already done (with
 // Cached set) and fn never runs.
 func (r *Runner) Submit(kind, contentKey string, fn Fn) (Record, error) {
-	if r.draining.Load() {
-		return Record{}, ErrDraining
+	if err := r.admit(); err != nil {
+		return Record{}, err
 	}
 	now := time.Now().UTC()
-	if contentKey != "" {
-		if hit, ok, err := r.store.Get(contentKey); err == nil && ok && hit.State == StateDone {
-			rec := Record{
-				ID: NewID(), Kind: kind, State: StateDone, Cached: true,
-				CreatedAt: now, StartedAt: &now, FinishedAt: &now,
-				Progress: hit.Progress, ContentKey: contentKey, Result: hit.Result,
-			}
-			if err := r.store.Put(rec.ID, rec); err != nil {
-				return Record{}, fmt.Errorf("jobs: persisting recalled result: %w", err)
-			}
-			r.hooks.submitted()
-			r.hooks.resultHit()
-			r.hooks.completed()
-			return rec, nil
+	if hit, ok := r.recall(contentKey); ok {
+		defer r.wg.Done()
+		rec := Record{
+			ID: NewID(), Kind: kind, State: StateDone, Cached: true,
+			CreatedAt: now, StartedAt: &now, FinishedAt: &now,
+			Progress: hit.Progress, ContentKey: contentKey, Result: hit.Result,
 		}
+		if err := r.store.Put(rec.ID, rec); err != nil {
+			return Record{}, fmt.Errorf("jobs: persisting recalled result: %w", err)
+		}
+		r.hooks.submitted()
+		r.hooks.completed()
+		return rec, nil
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -163,7 +261,6 @@ func (r *Runner) Submit(kind, contentKey string, fn Fn) (Record, error) {
 	r.mu.Unlock()
 	r.hooks.submitted()
 	r.hooks.queued(+1)
-	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer cancel()
@@ -176,15 +273,14 @@ func (r *Runner) Submit(kind, contentKey string, fn Fn) (Record, error) {
 // run executes one job: wait for a slot, flip to running, call fn, and
 // settle the terminal state.
 func (r *Runner) run(ctx context.Context, t *task, fn Fn) {
-	select {
-	case r.slots <- struct{}{}:
-	case <-ctx.Done():
+	ctx, release, err := r.acquire(ctx)
+	if err != nil {
 		// Canceled while still queued: never ran.
 		r.hooks.queued(-1)
 		r.settle(t, StateCanceled, nil, nil)
 		return
 	}
-	defer func() { <-r.slots }()
+	defer release()
 
 	started := time.Now().UTC()
 	t.bump(func(rec *Record) {
@@ -314,12 +410,14 @@ func (r *Runner) Watch(ctx context.Context, id string, fn func(Record) error) (f
 	}
 }
 
-// Drain stops accepting submissions and waits until every accepted job
-// has reached a terminal state, or ctx expires (then ctx.Err()).
-// Running jobs are not canceled — callers wanting a hard stop Cancel
-// them first.
+// Drain stops accepting submissions and Do calls and waits until every
+// accepted job has reached a terminal state and every admitted Do call
+// has returned, or ctx expires (then ctx.Err()). Running work is not
+// canceled — callers wanting a hard stop Cancel jobs first.
 func (r *Runner) Drain(ctx context.Context) error {
-	r.draining.Store(true)
+	r.mu.Lock()
+	r.draining = true
+	r.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		r.wg.Wait()
@@ -331,6 +429,13 @@ func (r *Runner) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// Draining reports whether Drain has started.
+func (r *Runner) Draining() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.draining
 }
 
 // Reporter feeds a running job's progress. All methods are safe for

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,11 +191,12 @@ func TestRunnerCancelWhileQueued(t *testing.T) {
 }
 
 func TestRunnerContentKeyRecall(t *testing.T) {
-	var hooks struct{ submitted, completed, hits atomic.Int64 }
+	var hooks struct{ submitted, completed, hits, misses atomic.Int64 }
 	r := NewRunner(NewMemStore(0, 0), 1, nil, Hooks{
-		Submitted:  func() { hooks.submitted.Add(1) },
-		Completed:  func() { hooks.completed.Add(1) },
-		ResultHits: func() { hooks.hits.Add(1) },
+		Submitted: func() { hooks.submitted.Add(1) },
+		Completed: func() { hooks.completed.Add(1) },
+		CacheHit:  func() { hooks.hits.Add(1) },
+		CacheMiss: func() { hooks.misses.Add(1) },
 	})
 	first, err := r.Submit("explore", "key-1", func(ctx context.Context, rep *Reporter) ([]byte, error) {
 		return []byte(`{"answer":42}`), nil
@@ -222,9 +224,9 @@ func TestRunnerContentKeyRecall(t *testing.T) {
 	if got, ok, _ := r.Get(second.ID); !ok || got.State != StateDone {
 		t.Fatalf("recalled job not readable: ok=%v %+v", ok, got)
 	}
-	if hooks.hits.Load() != 1 || hooks.submitted.Load() != 2 || hooks.completed.Load() != 2 {
-		t.Fatalf("hooks = submitted %d completed %d hits %d",
-			hooks.submitted.Load(), hooks.completed.Load(), hooks.hits.Load())
+	if hooks.hits.Load() != 1 || hooks.misses.Load() != 1 || hooks.submitted.Load() != 2 || hooks.completed.Load() != 2 {
+		t.Fatalf("hooks = submitted %d completed %d hits %d misses %d",
+			hooks.submitted.Load(), hooks.completed.Load(), hooks.hits.Load(), hooks.misses.Load())
 	}
 
 	// A different key still runs.
@@ -360,5 +362,179 @@ func TestRunnerSlotLimit(t *testing.T) {
 	}
 	if maxRunning.Load() != 1 {
 		t.Fatalf("max concurrent jobs = %d, want 1", maxRunning.Load())
+	}
+}
+
+// TestRunnerDoSharesResultTier: synchronous calls and jobs recall each
+// other's results through one content-keyed tier, count every keyed
+// lookup once as a hit or a miss, and never publish a failure.
+func TestRunnerDoSharesResultTier(t *testing.T) {
+	var hits, misses atomic.Int64
+	r := NewRunner(NewMemStore(0, 0), 1, nil, Hooks{
+		CacheHit:  func() { hits.Add(1) },
+		CacheMiss: func() { misses.Add(1) },
+	})
+	ctx := context.Background()
+	mustNotRun := func(context.Context) ([]byte, error) {
+		t.Error("recalled call ran its fn")
+		return nil, nil
+	}
+
+	body, cached, err := r.Do(ctx, "k1", func(context.Context) ([]byte, error) { return []byte(`{"a":1}`), nil })
+	if err != nil || cached || string(body) != `{"a":1}` {
+		t.Fatalf("first Do = %s cached=%v err=%v", body, cached, err)
+	}
+	body, cached, err = r.Do(ctx, "k1", mustNotRun)
+	if err != nil || !cached || string(body) != `{"a":1}` {
+		t.Fatalf("repeated Do = %s cached=%v err=%v", body, cached, err)
+	}
+	// A sync result answers a later job...
+	job, err := r.Submit("explore", "k1", func(context.Context, *Reporter) ([]byte, error) { return mustNotRun(ctx) })
+	if err != nil || job.State != StateDone || !job.Cached || string(job.Result) != `{"a":1}` {
+		t.Fatalf("job after Do = %+v err=%v", job, err)
+	}
+	// ...and a job's result answers a later sync call.
+	job, err = r.Submit("explore", "k2", func(context.Context, *Reporter) ([]byte, error) { return []byte(`{"b":2}`), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitTerminal(t, r, job.ID)
+	body, cached, err = r.Do(ctx, "k2", mustNotRun)
+	if err != nil || !cached || string(body) != `{"b":2}` {
+		t.Fatalf("Do after job = %s cached=%v err=%v", body, cached, err)
+	}
+	// Failures are not published; unkeyed calls are no lookup at all.
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.Do(ctx, "k3", func(context.Context) ([]byte, error) { return nil, errors.New("boom") }); err == nil {
+			t.Fatal("failing Do reported success")
+		}
+	}
+	if _, cached, _ := r.Do(ctx, "", func(context.Context) ([]byte, error) { return []byte(`{}`), nil }); cached {
+		t.Fatal("unkeyed Do reported a recall")
+	}
+	if hits.Load() != 3 || misses.Load() != 4 {
+		t.Fatalf("lookups = %d hits %d misses, want 3 and 4", hits.Load(), misses.Load())
+	}
+}
+
+// TestRunnerDoSharesSlots: a synchronous call waits on the same slots
+// as jobs, gives up when its context ends, and runs once a slot frees.
+func TestRunnerDoSharesSlots(t *testing.T) {
+	var busy atomic.Int64
+	r := NewRunner(NewMemStore(0, 0), 1, nil, Hooks{Slots: func(d int64) { busy.Add(d) }})
+	release := make(chan struct{})
+	holding := make(chan struct{})
+	job, err := r.Submit("explore", "", func(ctx context.Context, rep *Reporter) ([]byte, error) {
+		close(holding)
+		<-release
+		return []byte(`{}`), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-holding
+	if busy.Load() != 1 {
+		t.Fatalf("slots busy = %d with one running job, want 1", busy.Load())
+	}
+	short, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, _, err := r.Do(short, "", func(context.Context) ([]byte, error) {
+		t.Error("Do ran while the only slot was held")
+		return nil, nil
+	}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Do behind a held slot = %v, want deadline exceeded", err)
+	}
+	close(release)
+	awaitTerminal(t, r, job.ID)
+	if body, _, err := r.Do(context.Background(), "", func(context.Context) ([]byte, error) { return []byte(`ok`), nil }); err != nil || string(body) != "ok" {
+		t.Fatalf("Do after release = %s %v", body, err)
+	}
+	if busy.Load() != 0 {
+		t.Fatalf("slots busy = %d when idle, want 0", busy.Load())
+	}
+}
+
+// TestRunnerDoNested: calls made from inside a slot — a job's legs, or
+// a Do inside a Do — run on the holder's slot, so a one-slot runner
+// finishes them instead of deadlocking.
+func TestRunnerDoNested(t *testing.T) {
+	r := NewRunner(NewMemStore(0, 0), 1, nil, Hooks{})
+	leg := func(ctx context.Context) ([]byte, error) {
+		inner, _, err := r.Do(ctx, "", func(context.Context) ([]byte, error) { return []byte("x"), nil })
+		return inner, err
+	}
+	job, err := r.Submit("explore", "", func(ctx context.Context, rep *Reporter) ([]byte, error) {
+		errs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				_, _, err := r.Do(ctx, "", leg)
+				errs <- err
+			}()
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				return nil, err
+			}
+		}
+		return []byte(`{}`), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := awaitTerminal(t, r, job.ID); final[len(final)-1].State != StateDone {
+		t.Fatalf("nested job = %+v", final[len(final)-1])
+	}
+	if body, _, err := r.Do(context.Background(), "", leg); err != nil || string(body) != "x" {
+		t.Fatalf("nested Do = %s %v", body, err)
+	}
+}
+
+// TestRunnerDrainRace races Submit and Do against Drain: every call
+// accepted finishes before Drain returns, and every call turned away
+// gets ErrDraining. Run under -race this also catches a WaitGroup Add
+// racing Wait.
+func TestRunnerDrainRace(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		r := NewRunner(NewMemStore(0, 0), 2, nil, Hooks{})
+		var accepted, finished atomic.Int64
+		work := func() { finished.Add(1) }
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				var err error
+				if i%2 == 0 {
+					_, err = r.Submit("explore", "", func(context.Context, *Reporter) ([]byte, error) {
+						work()
+						return []byte(`{}`), nil
+					})
+				} else {
+					_, _, err = r.Do(context.Background(), "", func(context.Context) ([]byte, error) {
+						work()
+						return nil, nil
+					})
+				}
+				switch {
+				case err == nil:
+					accepted.Add(1)
+				case !errors.Is(err, ErrDraining):
+					t.Errorf("call failed with %v, want nil or ErrDraining", err)
+				}
+			}(i)
+		}
+		close(start)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := r.Drain(ctx); err != nil {
+			t.Fatalf("round %d: Drain = %v", round, err)
+		}
+		cancel()
+		atDrain := finished.Load()
+		wg.Wait()
+		if atDrain != accepted.Load() {
+			t.Fatalf("round %d: %d calls accepted, %d finished before Drain returned", round, accepted.Load(), atDrain)
+		}
 	}
 }

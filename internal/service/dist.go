@@ -97,8 +97,10 @@ func jobReporterFrom(ctx context.Context) *jobs.Reporter {
 // (local for shard 0 and whenever there are no peers; a peer child job
 // otherwise, with local fallback on failure), and merge the per-shard
 // metrics back into Space() order. The merged result is bit-identical to
-// traceSweep's on the same bytes.
-func (s *Server) distTraceSweep(ctx context.Context, body io.Reader, tq traceQuery, n int, tracked bool) ([]core.Metrics, extrace.IngestStats, error) {
+// traceSweep's on the same bytes. Each local leg is a traceSweep, so in
+// a sync request it holds a slot only while it sweeps, never while the
+// coordinator polls a peer; in a job every leg runs on the job's slot.
+func (s *Server) distTraceSweep(ctx context.Context, body io.Reader, tq traceQuery, n int) ([]core.Metrics, extrace.IngestStats, error) {
 	data, err := io.ReadAll(body)
 	if err != nil {
 		return nil, extrace.IngestStats{}, err
@@ -109,7 +111,7 @@ func (s *Server) distTraceSweep(ctx context.Context, body io.Reader, tq traceQue
 	}
 	if len(plan) < 2 {
 		// The sweep has a single pass unit: nothing to distribute.
-		return s.traceSweep(ctx, bytes.NewReader(data), tq, tracked)
+		return s.traceSweep(ctx, bytes.NewReader(data), tq)
 	}
 
 	blobRef := ""
@@ -160,7 +162,7 @@ func (s *Server) distTraceSweep(ctx context.Context, body io.Reader, tq traceQue
 			tqs := tq
 			tqs.shards = 0
 			tqs.shard = &ShardSpec{Index: i, Count: n}
-			ms, st, err := s.traceSweep(ctx, bytes.NewReader(data), tqs, tracked)
+			ms, st, err := s.traceSweep(ctx, bytes.NewReader(data), tqs)
 			legs[i] = legResult{ms: ms, st: st, err: err}
 			if err == nil && progress != nil {
 				progress(core.ProgressEvent{Points: int64(len(plan[i]))})

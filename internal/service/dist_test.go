@@ -198,3 +198,41 @@ func TestDistChildCancelOnParentDelete(t *testing.T) {
 		t.Errorf("child final state = %s, want canceled (parent cancellation must propagate)", child.State)
 	}
 }
+
+// TestDistOneSlot: with a single slot, no sweep waits for a slot while
+// holding one. A distributed job whose peer is dead runs every fallback
+// leg on the job's own slot; a sync two-shard sweep takes the slot once
+// per local leg and none while it dials the peer. Both finish and match
+// the local sweep byte for byte.
+func TestDistOneSlot(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+	s := MustNew(Config{MaxConcurrentSweeps: 1, Peers: []string{deadURL}})
+	din := kernelDin(t)
+	local := doJSON(t, s, "POST", "/v1/explore-trace", http.Header{OptionsHeader: {traceHeaderJSON}}, din)
+	if local.Code != http.StatusOK {
+		t.Fatalf("local sweep = %d: %s", local.Code, local.Body)
+	}
+
+	rec := awaitJob(t, s, submitJob(t, s, distHeaderJSON(2), din).ID)
+	if rec.State != jobs.StateDone {
+		t.Fatalf("dist job = %s (%+v)", rec.State, rec.Error)
+	}
+	if want := strings.TrimSuffix(local.Body.String(), "\n"); string(rec.Result) != want {
+		t.Error("one-slot distributed job differs from the local sweep")
+	}
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		done <- doJSON(t, s, "POST", "/v1/explore-trace", http.Header{OptionsHeader: {distHeaderJSON(2)}}, din)
+	}()
+	select {
+	case w := <-done:
+		if w.Code != http.StatusOK || w.Body.String() != local.Body.String() {
+			t.Errorf("one-slot sync two-shard sweep = %d, differs from the local sweep", w.Code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("one-slot sync two-shard sweep deadlocked")
+	}
+}

@@ -1,56 +1,38 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// postTraceHeader posts a trace with the TraceRequest JSON riding in the
-// X-Memexplore-Options header (the v1 form), optionally alongside a
-// query string to provoke the conflict path.
-func postTraceHeader(t *testing.T, s *Server, header, query string, body []byte) *httptest.ResponseRecorder {
-	t.Helper()
-	path := "/v1/explore-trace"
-	if query != "" {
-		path += "?" + query
-	}
-	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
-	req.Header.Set(OptionsHeader, header)
-	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
-	return w
-}
-
-// TestTraceOptionsHeaderForm: the header form is the primary wire shape;
-// the query string remains a deprecated alias that must sweep
-// identically for an equivalent option set.
+// TestTraceOptionsHeaderForm: the options header reaches every sweep
+// and ingest option, and without a header the defaults apply.
 func TestTraceOptionsHeaderForm(t *testing.T) {
 	s := newTestServer(t)
 	din := kernelDin(t)
 	header := `{"kind":"explore-trace","options":{"cache_sizes":[32,64],"line_sizes":[4,8],"assocs":[1]}}`
 
-	hw := postTraceHeader(t, s, header, "", din)
+	hw := postTrace(t, s, header, din)
 	if hw.Code != http.StatusOK {
 		t.Fatalf("header form status = %d: %s", hw.Code, hw.Body)
 	}
-	qw := postTrace(t, s, traceQueryString, din)
-	if qw.Code != http.StatusOK {
-		t.Fatalf("query form status = %d: %s", qw.Code, qw.Body)
+	if hr := decodeTrace(t, hw); hr.Points != 4 {
+		t.Errorf("header form swept %d points, want 4", hr.Points)
 	}
-	hr, qr := decodeTrace(t, hw), decodeTrace(t, qw)
-	if !reflect.DeepEqual(hr.Metrics, qr.Metrics) || hr.Points != qr.Points {
-		t.Error("header form and deprecated query alias sweep differently")
+	dw := postTrace(t, s, "", din)
+	if dw.Code != http.StatusOK {
+		t.Fatalf("no-header status = %d: %s", dw.Code, dw.Body)
+	}
+	if dr := decodeTrace(t, dw); dr.Points <= 4 {
+		t.Errorf("no-header request swept %d points, want the default space", dr.Points)
 	}
 
-	// The header form reaches ingest/bound options the query alias also
-	// has: max_records via header behaves like the query parameter.
-	limited := postTraceHeader(t, s, `{"max_records":1}`, "", []byte("0 10\n0 20\n"))
+	// Ingest limits ride in the header too.
+	limited := postTrace(t, s, `{"max_records":1}`, []byte("0 10\n0 20\n"))
 	if limited.Code != http.StatusBadRequest {
 		t.Fatalf("max_records via header: status = %d", limited.Code)
 	}
@@ -59,17 +41,24 @@ func TestTraceOptionsHeaderForm(t *testing.T) {
 	}
 }
 
-// TestTraceOptionsConflict: options in both the header and the query
-// string is an error, not a precedence rule.
+// TestTraceOptionsConflict: a query string is rejected, with or without
+// the header, and the message points at the header — options travel
+// only there, so no request sweeps a space its client did not ask for.
 func TestTraceOptionsConflict(t *testing.T) {
 	s := newTestServer(t)
-	w := postTraceHeader(t, s, `{"options":{"cache_sizes":[32]}}`, traceQueryString, []byte("0 10\n"))
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", w.Code)
-	}
-	e := decodeError(t, w)
-	if e.Code != CodeConflictingOptions {
-		t.Errorf("code = %q, want %q", e.Code, CodeConflictingOptions)
+	for _, header := range []string{"", `{"options":{"cache_sizes":[32]}}`} {
+		req := httptest.NewRequest("POST", "/v1/explore-trace?sizes=32,64&lines=4,8", strings.NewReader("0 10\n"))
+		if header != "" {
+			req.Header.Set(OptionsHeader, header)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("header %q: status = %d, want 400", header, w.Code)
+		}
+		if e := decodeError(t, w); e.Code != CodeInvalidRequest || !strings.Contains(e.Message, OptionsHeader) {
+			t.Errorf("header %q: error = %+v, want %s naming %s", header, e, CodeInvalidRequest, OptionsHeader)
+		}
 	}
 }
 
@@ -96,6 +85,7 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 		code   string
 	}
 	jsonHdr := http.Header{"Content-Type": {"application/json"}}
+	traceHdr := http.Header{OptionsHeader: {traceHeader("", "")}}
 	cases := []tc{
 		{"explore malformed body", shared, "POST", "/v1/explore", jsonHdr, `{`, 400, CodeInvalidRequest},
 		{"explore no kernel", shared, "POST", "/v1/explore", jsonHdr, `{}`, 400, CodeInvalidRequest},
@@ -111,12 +101,13 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 		{"search bad options", shared, "POST", "/v1/search", jsonHdr,
 			`{"kernel":"matadd","options":{"tilings":[0]},"budget":{"max_generations":1}}`, 400, CodeInvalidOptions},
 		{"search wrong kind", shared, "POST", "/v1/search", jsonHdr, `{"kind":"explore","kernel":"matadd","budget":{"max_generations":1}}`, 400, CodeInvalidRequest},
-		{"trace conflicting options", shared, "POST", "/v1/explore-trace?" + traceQueryString,
-			http.Header{OptionsHeader: {`{}`}}, "0 10\n", 400, CodeConflictingOptions},
-		{"trace malformed record", shared, "POST", "/v1/explore-trace?" + traceQueryString, nil, "wat\n", 400, CodeInvalidTrace},
-		{"trace empty", shared, "POST", "/v1/explore-trace?" + traceQueryString, nil, "", 400, CodeEmptyTrace},
-		{"trace record limit", shared, "POST", "/v1/explore-trace?" + traceQueryString + "&max_records=1", nil, "0 10\n0 20\n", 400, CodeRecordLimit},
-		{"trace body too large", tiny, "POST", "/v1/explore-trace?" + traceQueryString, nil,
+		{"trace conflicting options", shared, "POST", "/v1/explore-trace?sizes=32",
+			http.Header{OptionsHeader: {`{}`}}, "0 10\n", 400, CodeInvalidRequest},
+		{"trace malformed record", shared, "POST", "/v1/explore-trace", traceHdr, "wat\n", 400, CodeInvalidTrace},
+		{"trace empty", shared, "POST", "/v1/explore-trace", traceHdr, "", 400, CodeEmptyTrace},
+		{"trace record limit", shared, "POST", "/v1/explore-trace",
+			http.Header{OptionsHeader: {traceHeader("", `"max_records":1`)}}, "0 10\n0 20\n", 400, CodeRecordLimit},
+		{"trace body too large", tiny, "POST", "/v1/explore-trace", traceHdr,
 			strings.Repeat("0 10\n", 100), 413, CodeBodyTooLarge},
 		{"job unknown", shared, "GET", "/v1/jobs/beefbeef", nil, "", 404, CodeUnknownJob},
 		{"trace unknown ref", shared, "POST", "/v1/explore-trace",
@@ -219,7 +210,7 @@ func TestResultMetaOnSuccess(t *testing.T) {
 	}
 
 	// Trace sweep: batched-family engine plus a plan.
-	tw := postTrace(t, s, traceQueryString, kernelDin(t))
+	tw := postTrace(t, s, traceHeader("", ""), kernelDin(t))
 	if tw.Code != http.StatusOK {
 		t.Fatalf("trace = %d: %s", tw.Code, tw.Body)
 	}

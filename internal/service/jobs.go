@@ -12,17 +12,16 @@ package service
 // stream GET /v1/jobs/{id}/events (SSE) and cancel with DELETE.
 //
 // A job's result is the byte-for-byte body the synchronous endpoint
-// would have written (same response structs, same encoder settings).
-// Completed results are additionally published to the job store under a
-// content key — the hash of everything that determines the result — so
-// resubmitting identical work is answered instantly (Cached=true), and
-// replicas sharing a filesystem store (Config.JobsDir) share that tier.
+// would have written (same body functions, same encoder settings). Jobs
+// and sync requests share one content key per request and one result
+// tier, so identical work — submitted or requested — is answered
+// instantly (Cached=true), and replicas sharing a filesystem store
+// (Config.JobsDir) share that tier.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,40 +38,21 @@ func mapJobError(err error) jobs.Failure {
 	return jobs.Failure{Code: d.Code, Message: d.Message, Field: d.Field}
 }
 
-// jobHooks wires the runner's lifecycle into the jobs_* expvars.
-func jobHooks() jobs.Hooks {
+// runnerHooks wires the runner's job lifecycle into the jobs_* expvars,
+// its slot occupancy into in_flight_sweeps and its result-tier lookups
+// into cache_hits/cache_misses.
+func runnerHooks() jobs.Hooks {
 	return jobs.Hooks{
-		Submitted:  func() { vars.jobsSubmitted.Add(1) },
-		Queued:     func(d int64) { vars.jobsQueued.Add(d) },
-		Running:    func(d int64) { vars.jobsRunning.Add(d) },
-		Completed:  func() { vars.jobsCompleted.Add(1) },
-		Failed:     func() { vars.jobsFailed.Add(1) },
-		Canceled:   func() { vars.jobsCanceled.Add(1) },
-		ResultHits: func() { vars.jobsResultHits.Add(1) },
+		Submitted: func() { vars.jobsSubmitted.Add(1) },
+		Queued:    func(d int64) { vars.jobsQueued.Add(d) },
+		Running:   func(d int64) { vars.jobsRunning.Add(d) },
+		Completed: func() { vars.jobsCompleted.Add(1) },
+		Failed:    func() { vars.jobsFailed.Add(1) },
+		Canceled:  func() { vars.jobsCanceled.Add(1) },
+		Slots:     func(d int64) { vars.inFlight.Add(d) },
+		CacheHit:  func() { vars.cacheHits.Add(1) },
+		CacheMiss: func() { vars.cacheMisses.Add(1) },
 	}
-}
-
-// marshalResult encodes a job result exactly as writeJSON writes the
-// synchronous response body (same encoder settings, HTML escaping off),
-// minus the trailing newline — embedding as json.RawMessage would strip
-// it anyway. This is what makes an async result byte-comparable to its
-// synchronous twin.
-func marshalResult(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return bytes.TrimRight(buf.Bytes(), "\n"), nil
-}
-
-// submitErr maps a Runner.Submit failure to its envelope.
-func submitErr(err error) error {
-	if errors.Is(err, jobs.ErrDraining) {
-		return errDraining()
-	}
-	return err
 }
 
 // unknownJob is the 404 for an id the store has never seen (or has
@@ -138,21 +118,13 @@ func (s *Server) submitExploreJob(w http.ResponseWriter, body []byte) {
 		s.writeError(w, err)
 		return
 	}
-	// The content key hashes everything that determines the result body:
-	// the sweep inputs plus the bounds that shape Best.
-	key := cacheKey("job-explore", p.nest.String(), mustJSON(p.opts),
-		fmt.Sprint(req.CycleBound), fmt.Sprint(req.EnergyBoundNJ))
-	rec, err := s.runner.Submit(KindExplore, key, func(ctx context.Context, rep *jobs.Reporter) ([]byte, error) {
+	rec, err := s.runner.Submit(KindExplore, s.recallKey(p.key), func(ctx context.Context, rep *jobs.Reporter) ([]byte, error) {
 		plan := p.opts.Plan()
 		rep.SetTotals(int64(plan.Points), int64(plan.PassUnits()))
-		resp, err := s.runExplore(reportProgress(ctx, rep), p, false)
-		if err != nil {
-			return nil, err
-		}
-		return marshalResult(resp)
+		return s.exploreBody(reportProgress(ctx, rep), p)
 	})
 	if err != nil {
-		s.writeError(w, submitErr(err))
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)
@@ -195,7 +167,7 @@ func (s *Server) submitTraceJob(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprint(tq.cycleBound), fmt.Sprint(tq.energyBoundNJ),
 		fmt.Sprint(tq.shards), shardSpec, string(body))
 	tq.opts.Workers = s.traceWorkerCount(tq.workers)
-	rec, err := s.runner.Submit(KindExploreTrace, key, func(ctx context.Context, rep *jobs.Reporter) ([]byte, error) {
+	rec, err := s.runner.Submit(KindExploreTrace, s.recallKey(key), func(ctx context.Context, rep *jobs.Reporter) ([]byte, error) {
 		if tq.shard != nil {
 			// A shard job's totals are its slice of the plan, not the space.
 			if plan, perr := core.TraceShardPlan(tq.opts, tq.shard.Count); perr == nil && tq.shard.Index < len(plan) {
@@ -205,14 +177,14 @@ func (s *Server) submitTraceJob(w http.ResponseWriter, r *http.Request) {
 			rep.SetTotals(int64(plan.Points), int64(plan.PassUnits()))
 		}
 		ctx = withJobReporter(reportProgress(ctx, rep), rep)
-		resp, err := s.runTrace(ctx, bytes.NewReader(body), tq, false)
+		resp, err := s.runTrace(ctx, bytes.NewReader(body), tq)
 		if err != nil {
 			return nil, err
 		}
 		return marshalResult(resp)
 	})
 	if err != nil {
-		s.writeError(w, submitErr(err))
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)

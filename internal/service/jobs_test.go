@@ -14,8 +14,8 @@ import (
 	"memexplore/internal/jobs"
 )
 
-// traceHeaderJSON is the X-Memexplore-Options form of the test sweep
-// space traceQueryString describes.
+// traceHeaderJSON is the X-Memexplore-Options document of the trace
+// tests' sweep space (traceSpace), with its kind.
 const traceHeaderJSON = `{"kind":"explore-trace","options":{"cache_sizes":[32,64],"line_sizes":[4,8],"assocs":[1]}}`
 
 // bigDin repeats the matadd trace until it spans at least minRecords
@@ -303,7 +303,7 @@ func TestJobsSharedResultTier(t *testing.T) {
 	if got := decodeRecord(t, doJSON(t, s2, "GET", "/v1/jobs/"+first.ID, nil, nil)); got.State != jobs.StateDone {
 		t.Fatalf("restarted replica Get = %+v", got)
 	}
-	hitsBefore := vars.jobsResultHits.Value()
+	hitsBefore := vars.cacheHits.Value()
 	w2 := doJSON(t, s2, "POST", "/v1/jobs", http.Header{"Content-Type": {"application/json"}}, []byte(body))
 	if w2.Code != http.StatusAccepted {
 		t.Fatalf("resubmit = %d: %s", w2.Code, w2.Body)
@@ -315,8 +315,8 @@ func TestJobsSharedResultTier(t *testing.T) {
 	if string(recalled.Result) != string(first.Result) {
 		t.Fatal("recalled result differs from the original")
 	}
-	if got := vars.jobsResultHits.Value() - hitsBefore; got != 1 {
-		t.Errorf("jobs_result_hits advanced by %d, want 1", got)
+	if got := vars.cacheHits.Value() - hitsBefore; got != 1 {
+		t.Errorf("cache_hits advanced by %d, want 1", got)
 	}
 }
 
@@ -399,5 +399,99 @@ func TestJobsDraining(t *testing.T) {
 	}
 	if e := decodeError(t, w2); e.Code != CodeDraining {
 		t.Errorf("code = %q", e.Code)
+	}
+}
+
+// TestSyncAndJobShareResultTier: a sync request and a job for the same
+// work share one content key. A sync result answers a later identical
+// job, which comes back as a Cached record; a job's result answers a
+// later sync request. Every body is byte-identical to a fresh run except
+// the cached flag, and a request that differs only in a bound is a miss.
+func TestSyncAndJobShareResultTier(t *testing.T) {
+	jsonHdr := http.Header{"Content-Type": {"application/json"}}
+	fresh := func(body string) string {
+		t.Helper()
+		w := postJSON(t, newTestServer(t), "/v1/explore", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("fresh run = %d: %s", w.Code, w.Body)
+		}
+		return strings.TrimSuffix(w.Body.String(), "\n")
+	}
+	s := newTestServer(t)
+
+	syncFirst := fmt.Sprintf(`{"kernel":"matadd","options":%s,"cycle_bound":1e9}`, tinyOptionsJSON)
+	w := postJSON(t, s, "/v1/explore", syncFirst)
+	if w.Code != http.StatusOK {
+		t.Fatalf("sync = %d: %s", w.Code, w.Body)
+	}
+	want := fresh(syncFirst)
+	if got := strings.TrimSuffix(w.Body.String(), "\n"); got != want {
+		t.Fatalf("sync miss differs from a fresh run:\n got %s\nwant %s", got, want)
+	}
+	rec := decodeRecord(t, doJSON(t, s, "POST", "/v1/jobs", jsonHdr, []byte(syncFirst)))
+	if rec.State != jobs.StateDone || !rec.Cached {
+		t.Fatalf("job after an identical sync request = state %s cached %v, want a recalled record", rec.State, rec.Cached)
+	}
+	if string(rec.Result) != want {
+		t.Fatalf("recalled job result differs from a fresh run:\n got %s\nwant %s", rec.Result, want)
+	}
+
+	jobFirst := fmt.Sprintf(`{"kernel":"dequant","options":%s}`, tinyOptionsJSON)
+	job := awaitJob(t, s, decodeRecord(t, doJSON(t, s, "POST", "/v1/jobs", jsonHdr, []byte(jobFirst))).ID)
+	if job.State != jobs.StateDone || job.Cached {
+		t.Fatalf("first job = state %s cached %v", job.State, job.Cached)
+	}
+	w = postJSON(t, s, "/v1/explore", jobFirst)
+	if !decodeExplore(t, w).Cached {
+		t.Fatal("sync request after an identical job missed the result tier")
+	}
+	got := strings.Replace(strings.TrimSuffix(w.Body.String(), "\n"), `"cached":true`, `"cached":false`, 1)
+	if want := fresh(jobFirst); got != want || string(job.Result) != want {
+		t.Fatalf("recalled sync body or job result differs from a fresh run:\nsync %s\n job %s\nwant %s", got, job.Result, want)
+	}
+
+	// The bounds shape Best, so they are part of the key.
+	rebound := fmt.Sprintf(`{"kernel":"matadd","options":%s,"cycle_bound":2e9}`, tinyOptionsJSON)
+	if decodeExplore(t, postJSON(t, s, "/v1/explore", rebound)).Cached {
+		t.Error("request differing only in cycle_bound was recalled")
+	}
+}
+
+// TestShutdownDrainsSyncAndJob: Shutdown's one drain path waits for an
+// in-flight sync sweep and a running job alike.
+func TestShutdownDrainsSyncAndJob(t *testing.T) {
+	s := MustNew(Config{MaxConcurrentSweeps: 2, MaxBodyBytes: 64 << 20})
+	din := bigDin(t, 2_000_000)
+	hdr := http.Header{OptionsHeader: {traceHeaderJSON}}
+	busy := vars.inFlight.Value()
+
+	w := doJSON(t, s, "POST", "/v1/jobs", hdr, din)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", w.Code, w.Body)
+	}
+	rec := decodeRecord(t, w)
+	syncDone := make(chan *httptest.ResponseRecorder, 1)
+	go func() { syncDone <- doJSON(t, s, "POST", "/v1/explore-trace", hdr, din) }()
+	deadline := time.Now().Add(30 * time.Second)
+	for vars.inFlight.Value()-busy < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sync sweep and the job never held slots together")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got := vars.inFlight.Value() - busy; got != 0 {
+		t.Errorf("%d slots still held after Shutdown returned", got)
+	}
+	if got := decodeRecord(t, doJSON(t, s, "GET", "/v1/jobs/"+rec.ID, nil, nil)); got.State != jobs.StateDone {
+		t.Errorf("drained job = %s", got.State)
+	}
+	if w := <-syncDone; w.Code != http.StatusOK {
+		t.Errorf("drained sync sweep = %d: %s", w.Code, w.Body)
 	}
 }

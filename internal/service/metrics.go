@@ -14,9 +14,9 @@ import (
 // Server instances in a process share one counter set; tests read deltas.
 type counters struct {
 	requests    expvar.Int // requests to the sweep endpoints
-	cacheHits   expvar.Int // requests answered from the result cache
-	cacheMisses expvar.Int // requests that had to run a sweep
-	inFlight    expvar.Int // sweeps currently executing
+	cacheHits   expvar.Int // requests and job submissions answered from the result tier
+	cacheMisses expvar.Int // requests and job submissions that had to run a sweep
+	inFlight    expvar.Int // runner slots currently held by sweeps (sync and jobs)
 	points      expvar.Int // config points evaluated by completed sweeps
 	workloads   expvar.Int // distinct workload traces generated/traversed
 	passesSaved expvar.Int // trace passes avoided by workload batching (points − workloads)
@@ -35,11 +35,8 @@ type counters struct {
 	traceSampledRecords expvar.Int
 	traceSampleRate     expvar.Float
 	// traceChunksSkipped totals the mxt v2 chunks stepped over via the
-	// MXTI01 index instead of decoded; traceMmapBytes totals the bytes
-	// ingested through the zero-copy memory-mapped fast path (both
-	// counters).
+	// MXTI01 index instead of decoded (a counter).
 	traceChunksSkipped expvar.Int
-	traceMmapBytes     expvar.Int
 	// inclusionGroups counts the (workload, line, sets) groups the
 	// inclusion engine collapsed into single LRU stack passes across
 	// completed sweeps.
@@ -64,15 +61,14 @@ type counters struct {
 	configsPerPass expvar.Float
 	// Async job subsystem (internal/jobs). Submitted/completed/failed/
 	// canceled are lifetime counters; queued/running are gauges of the
-	// current pool state; resultHits counts submissions answered from the
-	// shared result tier without running a sweep.
-	jobsSubmitted  expvar.Int
-	jobsCompleted  expvar.Int
-	jobsFailed     expvar.Int
-	jobsCanceled   expvar.Int
-	jobsResultHits expvar.Int
-	jobsQueued     expvar.Int
-	jobsRunning    expvar.Int
+	// current pool state. Submissions recalled from the result tier count
+	// in cacheHits.
+	jobsSubmitted expvar.Int
+	jobsCompleted expvar.Int
+	jobsFailed    expvar.Int
+	jobsCanceled  expvar.Int
+	jobsQueued    expvar.Int
+	jobsRunning   expvar.Int
 	// Distributed sweeps (the cross-replica coordinator). Shards counts
 	// shard legs dispatched (local and remote alike); peerFailures counts
 	// peer legs that errored and fell back to local execution;
@@ -116,7 +112,6 @@ var vars = func() *counters {
 	m.Set("trace_sampled_records", &c.traceSampledRecords)
 	m.Set("trace_sample_rate", &c.traceSampleRate)
 	m.Set("trace_chunks_skipped", &c.traceChunksSkipped)
-	m.Set("trace_mmap_bytes", &c.traceMmapBytes)
 	m.Set("inclusion_groups", &c.inclusionGroups)
 	m.Set("latency_ms", &c.latency)
 	m.Set("last_sweep_points_per_sec", &c.lastPointsPerSec)
@@ -128,7 +123,6 @@ var vars = func() *counters {
 	m.Set("jobs_completed", &c.jobsCompleted)
 	m.Set("jobs_failed", &c.jobsFailed)
 	m.Set("jobs_canceled", &c.jobsCanceled)
-	m.Set("jobs_result_hits", &c.jobsResultHits)
 	m.Set("jobs_queued", &c.jobsQueued)
 	m.Set("jobs_running", &c.jobsRunning)
 	m.Set("dist_shards_dispatched", &c.distShardsDispatched)

@@ -7,10 +7,10 @@ package service
 // "search", submits asynchronously through POST /v1/jobs; progress
 // events then count evaluated points against the evaluation budget and
 // generation retirements against the generation budget. Results flow
-// through the same content-addressed cache and job result tier as
-// sweeps, keyed by everything that determines the archive — kernel,
-// normalized sweep options, normalized search options, and budget — so
-// identical searches (same seed included) are answered from memory.
+// through the same content-keyed result tier as sweeps, keyed by
+// everything that determines the body — kernel, normalized sweep
+// options, normalized search options, budget and bounds — so identical
+// searches (same seed included) are answered from the store.
 
 import (
 	"bytes"
@@ -69,7 +69,7 @@ type SearchResponse struct {
 }
 
 // searchParams is a resolved search request: validated workload,
-// normalized sweep and search options, the budget, and the cache key
+// normalized sweep and search options, the budget, and the content key
 // they hash to.
 type searchParams struct {
 	req    SearchRequest
@@ -119,41 +119,39 @@ func resolveSearch(req SearchRequest) (searchParams, error) {
 		opts:   opts,
 		sopts:  sopts,
 		budget: budget,
+		// The key hashes everything that determines the body: the search
+		// inputs plus the bounds that shape Best.
 		key: cacheKey("search", nest.String(), mustJSON(opts), mustJSON(sopts),
 			fmt.Sprint(budget.MaxEvaluations), fmt.Sprint(budget.MaxGenerations),
-			fmt.Sprint(int64(budget.WallClock))),
+			fmt.Sprint(int64(budget.WallClock)),
+			fmt.Sprint(req.CycleBound), fmt.Sprint(req.EnergyBoundNJ)),
 	}, nil
 }
 
-// runSearch executes one guided search end-to-end — cache, worker pool,
-// archive optima, envelope. The sync handler and the async job body both
-// call it, keeping their results identical. The sweep plan is omitted
-// from the envelope: a search deliberately does NOT run the full plan,
-// and Result.SpacePoints/Evaluations report what it covered instead.
-func (s *Server) runSearch(ctx context.Context, p searchParams, tracked bool) (*SearchResponse, error) {
-	res, cached, err := s.sweep(ctx, p.key, tracked, func(ctx context.Context) (any, sweepStats, error) {
-		r, err := search.Kernel(ctx, p.nest, p.opts, p.sopts, p.budget, s.cfg.SweepWorkers)
-		if err != nil {
-			return nil, sweepStats{}, err
-		}
-		vars.searchRuns.Add(1)
-		vars.searchEvaluations.Add(int64(r.Evaluations))
-		vars.searchGenerations.Add(int64(r.Generations))
-		vars.searchMemoHits.Add(int64(r.MemoHits))
-		// Every evaluated point came from its own inner engine pass group;
-		// points == workloads keeps the passes-saved counter honest.
-		return &r, sweepStats{points: r.Evaluations, workloads: r.Evaluations}, nil
-	})
+// searchBody runs one guided search and encodes its response body; the
+// sync handler and the async job body both call it, keeping their
+// results identical. The sweep plan is omitted from the envelope: a
+// search deliberately does NOT run the full plan, and
+// Result.SpacePoints/Evaluations report what it covered instead.
+func (s *Server) searchBody(ctx context.Context, p searchParams) ([]byte, error) {
+	begin := time.Now()
+	r, err := search.Kernel(ctx, p.nest, p.opts, p.sopts, p.budget, s.cfg.SweepWorkers)
 	if err != nil {
 		return nil, err
 	}
-	sr := res.(*search.Result)
-	return &SearchResponse{
-		ResultMeta: ResultMeta{Cached: cached, Engine: engineName(p.opts, p.opts.Plan())},
+	vars.searchRuns.Add(1)
+	vars.searchEvaluations.Add(int64(r.Evaluations))
+	vars.searchGenerations.Add(int64(r.Generations))
+	vars.searchMemoHits.Add(int64(r.MemoHits))
+	// Every evaluated point came from its own inner engine pass group;
+	// points == workloads keeps the passes-saved counter honest.
+	recordSweep(sweepStats{points: r.Evaluations, workloads: r.Evaluations}, begin)
+	return marshalResult(&SearchResponse{
+		ResultMeta: ResultMeta{Engine: engineName(p.opts, p.opts.Plan())},
 		Kernel:     p.nest.Name,
-		Result:     *sr,
-		Best:       bestOf(sr.Archive, p.req.CycleBound, p.req.EnergyBoundNJ),
-	}, nil
+		Result:     r,
+		Best:       bestOf(r.Archive, p.req.CycleBound, p.req.EnergyBoundNJ),
+	})
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -178,12 +176,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	resp, err := s.runSearch(r.Context(), p, true)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeDo(r.Context(), w, p.key, func(ctx context.Context) ([]byte, error) {
+		return s.searchBody(ctx, p)
+	})
 }
 
 // submitSearchJob validates a search submission and queues it. Progress
@@ -200,22 +195,12 @@ func (s *Server) submitSearchJob(w http.ResponseWriter, body []byte) {
 		s.writeError(w, err)
 		return
 	}
-	// The content key hashes everything that determines the result body:
-	// the search inputs plus the bounds that shape Best.
-	key := cacheKey("job-search", p.nest.String(), mustJSON(p.opts), mustJSON(p.sopts),
-		fmt.Sprint(p.budget.MaxEvaluations), fmt.Sprint(p.budget.MaxGenerations),
-		fmt.Sprint(int64(p.budget.WallClock)),
-		fmt.Sprint(req.CycleBound), fmt.Sprint(req.EnergyBoundNJ))
-	rec, err := s.runner.Submit(KindSearch, key, func(ctx context.Context, rep *jobs.Reporter) ([]byte, error) {
+	rec, err := s.runner.Submit(KindSearch, s.recallKey(p.key), func(ctx context.Context, rep *jobs.Reporter) ([]byte, error) {
 		rep.SetTotals(int64(p.budget.MaxEvaluations), int64(p.budget.MaxGenerations))
-		resp, err := s.runSearch(reportProgress(ctx, rep), p, false)
-		if err != nil {
-			return nil, err
-		}
-		return marshalResult(resp)
+		return s.searchBody(reportProgress(ctx, rep), p)
 	})
 	if err != nil {
-		s.writeError(w, submitErr(err))
+		s.writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)

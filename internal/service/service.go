@@ -13,20 +13,23 @@
 //	GET    /healthz             liveness (503 while draining)
 //	GET    /debug/vars          expvar counters (see metrics.go)
 //
-// Sweeps run on a bounded worker pool via core.ExploreParallelContext
-// with the request context threaded through, so client disconnects and
-// deadlines cancel work between config points. Completed results are
-// kept in a content-addressed LRU cache keyed by the canonical hash of
-// (kernel source, normalized options); identical queries are answered
-// from memory. Async jobs run on a second bounded pool (internal/jobs)
-// whose terminal records land in a Store — in-memory by default, a
-// shareable filesystem directory with Config.JobsDir. Shutdown drains
-// in-flight sweeps and accepted jobs while new work is rejected with
-// 503. See docs/SERVICE.md for the wire reference.
+// Every sweep, synchronous or async, runs on the one bounded slot pool
+// of an internal/jobs Runner with the request context threaded through,
+// so client disconnects and deadlines cancel work between config
+// points. Completed response bodies land in the runner's result tier
+// under a content key — the canonical hash of everything that
+// determines the body — so an identical request or job is answered
+// from the store: in-memory by default, a shareable filesystem
+// directory with Config.JobsDir. Shutdown drains in-flight sweeps and
+// accepted jobs through the runner while new work is rejected with 503.
+// See docs/SERVICE.md for the wire reference.
 package service
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -35,7 +38,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"memexplore/internal/core"
@@ -52,28 +54,25 @@ const StatusClientClosedRequest = 499
 // Config parameterizes a Server. The zero value is usable: every field
 // falls back to its documented default.
 type Config struct {
-	// MaxConcurrentSweeps bounds the worker pool: at most this many
-	// sweeps execute at once, the rest queue until a slot frees or their
-	// context is canceled. Default 4.
+	// MaxConcurrentSweeps bounds the slot pool: at most this many sweeps
+	// — synchronous requests and async jobs alike — execute at once, the
+	// rest queue until a slot frees or their context is canceled.
+	// Default 4.
 	MaxConcurrentSweeps int
 	// SweepWorkers is the per-sweep goroutine count handed to
 	// core.ExploreParallelContext. Default 0 = GOMAXPROCS.
 	SweepWorkers int
-	// CacheEntries is the result-cache capacity. Default 128; negative
-	// disables caching.
+	// CacheEntries is the capacity of the in-memory store, which holds
+	// job records and content-keyed result bodies. Default 256; negative
+	// turns result recall off (the store then keeps the default 256 job
+	// records). Ignored with JobsDir, except that negative still turns
+	// recall off.
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies. Default 8 MiB.
 	MaxBodyBytes int64
-	// MaxConcurrentJobs bounds the async job-runner pool: at most this
-	// many jobs execute at once, the rest wait in queued state.
-	// Default 2.
-	MaxConcurrentJobs int
-	// JobTTL is how long terminal job records stay readable in the
-	// in-memory job store. Default 15 minutes. Ignored with JobsDir.
+	// JobTTL is how long terminal job records and results stay readable
+	// in the in-memory store. Default 15 minutes. Ignored with JobsDir.
 	JobTTL time.Duration
-	// JobCapacity bounds the in-memory job store. Default 256 records.
-	// Ignored with JobsDir.
-	JobCapacity int
 	// JobsDir, when set, stores terminal job records and content-keyed
 	// results as files under this directory instead of in memory — a
 	// directory shared by several replicas becomes a shared result tier.
@@ -93,34 +92,24 @@ func (c Config) withDefaults() Config {
 		c.MaxConcurrentSweeps = 4
 	}
 	if c.CacheEntries == 0 {
-		c.CacheEntries = 128
+		c.CacheEntries = 256
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.MaxConcurrentJobs <= 0 {
-		c.MaxConcurrentJobs = 2
-	}
 	if c.JobTTL <= 0 {
 		c.JobTTL = 15 * time.Minute
-	}
-	if c.JobCapacity <= 0 {
-		c.JobCapacity = 256
 	}
 	return c
 }
 
-// Server is the memexplored HTTP handler plus its worker pool, result
-// cache, async job runner and drain state. Create with New; it is safe
-// for concurrent use.
+// Server is the memexplored HTTP handler plus the runner that owns its
+// slot pool, result tier and drain path. Create with New; it is safe for
+// concurrent use.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	cache    *resultCache
-	sem      chan struct{}
-	runner   *jobs.Runner
-	draining atomic.Bool
-	inflight sync.WaitGroup
+	cfg    Config
+	mux    *http.ServeMux
+	runner *jobs.Runner
 	// fsStore is non-nil when JobsDir is configured: the shared tier
 	// distributed sweeps publish trace blobs to, and the store the
 	// cleanup janitor sweeps.
@@ -143,13 +132,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		store, fsStore = fs, fs
 	} else {
-		store = jobs.NewMemStore(cfg.JobCapacity, cfg.JobTTL)
+		store = jobs.NewMemStore(cfg.CacheEntries, cfg.JobTTL)
 	}
 	s := &Server{
 		cfg:        cfg,
 		mux:        http.NewServeMux(),
-		cache:      newResultCache(cfg.CacheEntries),
-		sem:        make(chan struct{}, cfg.MaxConcurrentSweeps),
 		fsStore:    fsStore,
 		peerClient: &http.Client{}, // per-request deadlines come from contexts
 	}
@@ -157,7 +144,7 @@ func New(cfg Config) (*Server, error) {
 		s.janitorStop = make(chan struct{})
 		go s.janitor(fsStore, cfg.JobTTL)
 	}
-	s.runner = jobs.NewRunner(store, cfg.MaxConcurrentJobs, mapJobError, jobHooks())
+	s.runner = jobs.NewRunner(store, cfg.MaxConcurrentSweeps, mapJobError, runnerHooks())
 	s.mux.HandleFunc("POST /v1/explore", s.handleExplore)
 	s.mux.HandleFunc("POST /v1/explore-trace", s.handleExploreTrace)
 	s.mux.HandleFunc("POST /v1/aggregate", s.handleAggregate)
@@ -192,31 +179,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Shutdown starts draining: new sweep requests and job submissions are
 // rejected with 503 while in-flight sweeps and accepted jobs (queued or
-// running) run to completion. It returns when everything has finished
-// or ctx expires (then ctx.Err()). Callers cancel still-running sync
-// sweeps by canceling the base context of their http.Server or closing
-// client connections; running jobs finish on their own (cancel them
-// individually via DELETE /v1/jobs/{id} for a hard stop).
+// running) run to completion — one drain path, the runner's. It returns
+// when everything has finished or ctx expires (then ctx.Err()). Callers
+// cancel still-running sync sweeps by canceling the base context of
+// their http.Server or closing client connections; running jobs finish
+// on their own (cancel them individually via DELETE /v1/jobs/{id} for a
+// hard stop).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
 	if s.janitorStop != nil {
 		s.janitorOnce.Do(func() { close(s.janitorStop) })
-	}
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 	return s.runner.Drain(ctx)
 }
 
 // Draining reports whether Shutdown has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.runner.Draining() }
 
 // janitor periodically sweeps expired terminal records (and their child
 // shard jobs, content keys and blobs) out of the filesystem job store.
@@ -342,7 +319,7 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -371,16 +348,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	resp, err := s.runExplore(r.Context(), p, true)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeDo(r.Context(), w, p.key, func(ctx context.Context) ([]byte, error) {
+		return s.exploreBody(ctx, p)
+	})
 }
 
 // exploreParams is a resolved explore request: the validated nest and
-// normalized options plus the cache key they hash to — everything a
+// normalized options plus the content key they hash to — everything a
 // sweep needs, computed up front so async submissions can reject bad
 // requests synchronously.
 type exploreParams struct {
@@ -404,35 +378,31 @@ func resolveExplore(req ExploreRequest) (exploreParams, error) {
 		req:  req,
 		nest: nest,
 		opts: opts,
-		key:  cacheKey("explore", nest.String(), mustJSON(opts)),
+		// The key hashes everything that determines the body: the sweep
+		// inputs plus the bounds that shape Best.
+		key: cacheKey("explore", nest.String(), mustJSON(opts),
+			fmt.Sprint(req.CycleBound), fmt.Sprint(req.EnergyBoundNJ)),
 	}, nil
 }
 
-// runExplore executes one explore sweep end-to-end — cache, worker
-// pool, selection optima, envelope. The sync handler and the async job
-// body both call it, which is what keeps their results identical.
-func (s *Server) runExplore(ctx context.Context, p exploreParams, tracked bool) (*ExploreResponse, error) {
-	res, cached, err := s.sweep(ctx, p.key, tracked, func(ctx context.Context) (any, sweepStats, error) {
-		ms, err := core.ExploreParallelContext(ctx, p.nest, p.opts, s.cfg.SweepWorkers)
-		return ms, planStats(p.opts.Plan(), 1), err
-	})
+// exploreBody runs one explore sweep and encodes its response body —
+// the bytes the sync endpoint writes and an explore job stores, which
+// is what keeps the two identical.
+func (s *Server) exploreBody(ctx context.Context, p exploreParams) ([]byte, error) {
+	begin := time.Now()
+	ms, err := core.ExploreParallelContext(ctx, p.nest, p.opts, s.cfg.SweepWorkers)
 	if err != nil {
 		return nil, err
 	}
-	ms := res.([]core.Metrics)
-	return &ExploreResponse{
-		ResultMeta: resultMeta(cached, p.opts, p.opts.Plan(), 1),
+	plan := p.opts.Plan()
+	recordSweep(planStats(plan, 1), begin)
+	return marshalResult(&ExploreResponse{
+		ResultMeta: resultMeta(false, p.opts, plan, 1),
 		Kernel:     p.nest.Name,
 		Points:     len(ms),
 		Metrics:    ms,
 		Best:       bestOf(ms, p.req.CycleBound, p.req.EnergyBoundNJ),
-	}, nil
-}
-
-// aggregateResult is the cacheable part of an aggregate reply.
-type aggregateResult struct {
-	program       []core.Metrics
-	perKernelBest map[string]core.Metrics
+	})
 }
 
 func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
@@ -474,34 +444,30 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	keyParts = append(keyParts, mustJSON(opts))
+	keyParts = append(keyParts, mustJSON(opts), fmt.Sprint(req.CycleBound), fmt.Sprint(req.EnergyBoundNJ))
 
-	key := cacheKey(keyParts...)
-	res, cached, err := s.sweep(r.Context(), key, true, func(ctx context.Context) (any, sweepStats, error) {
+	s.writeDo(r.Context(), w, cacheKey(keyParts...), func(ctx context.Context) ([]byte, error) {
+		begin := time.Now()
 		program, perKernel, err := core.AggregateContext(ctx, ws, opts)
 		if err != nil {
-			return nil, sweepStats{}, err
+			return nil, err
 		}
-		agg := &aggregateResult{program: program, perKernelBest: make(map[string]core.Metrics, len(perKernel))}
+		perKernelBest := make(map[string]core.Metrics, len(perKernel))
 		for name, ms := range perKernel {
 			if best, ok := core.MinEnergy(ms); ok {
-				agg.perKernelBest[name] = best
+				perKernelBest[name] = best
 			}
 		}
 		// One explore sweep per kernel, each with the same pass plan.
-		return agg, planStats(opts.Plan(), len(ws)), nil
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	agg := res.(*aggregateResult)
-	writeJSON(w, http.StatusOK, AggregateResponse{
-		ResultMeta:    resultMeta(cached, opts, opts.Plan(), len(ws)),
-		Points:        len(agg.program),
-		Program:       agg.program,
-		Best:          bestOf(agg.program, req.CycleBound, req.EnergyBoundNJ),
-		PerKernelBest: agg.perKernelBest,
+		plan := opts.Plan()
+		recordSweep(planStats(plan, len(ws)), begin)
+		return marshalResult(AggregateResponse{
+			ResultMeta:    resultMeta(false, opts, plan, len(ws)),
+			Points:        len(program),
+			Program:       program,
+			Best:          bestOf(program, req.CycleBound, req.EnergyBoundNJ),
+			PerKernelBest: perKernelBest,
+		})
 	})
 }
 
@@ -567,8 +533,8 @@ func resolveNest(kernel, source string) (*loopir.Nest, error) {
 
 // resolveOptions overlays the raw options onto DefaultOptions, then
 // normalizes and validates. The normalized form is what the sweep runs
-// with AND what the cache key hashes, so wire-equivalent requests share
-// cache entries. Validation failures surface as *core.ErrInvalidOptions
+// with AND what the content key hashes, so wire-equivalent requests
+// share results. Validation failures surface as *core.ErrInvalidOptions
 // for errorDetail to map.
 func resolveOptions(raw json.RawMessage) (core.Options, error) {
 	opts := core.DefaultOptions()
@@ -612,38 +578,9 @@ func planStats(plan core.SweepPlan, kernels int) sweepStats {
 	}
 }
 
-// sweep serves a cache hit, or acquires a worker-pool slot and runs fn
-// under the given context. fn reports the points/workloads it evaluated
-// for the expvar counters. Results are cached only on success. tracked
-// requests join the Shutdown drain group; job bodies pass false because
-// the job runner already tracks them (and adding to the drain group
-// after Shutdown started waiting on it would be a WaitGroup misuse).
-func (s *Server) sweep(ctx context.Context, key string, tracked bool, fn func(context.Context) (any, sweepStats, error)) (res any, cached bool, err error) {
-	if v, ok := s.cache.Get(key); ok {
-		vars.cacheHits.Add(1)
-		return v, true, nil
-	}
-	vars.cacheMisses.Add(1)
-
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, false, fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
-	}
-	defer func() { <-s.sem }()
-
-	if tracked {
-		s.inflight.Add(1)
-		defer s.inflight.Done()
-	}
-	vars.inFlight.Add(1)
-	defer vars.inFlight.Add(-1)
-
-	begin := time.Now()
-	res, st, err := fn(ctx)
-	if err != nil {
-		return nil, false, err
-	}
+// recordSweep adds one completed sweep to the expvar counters: the
+// points it scored and how its plan batched them, plus its throughput.
+func recordSweep(st sweepStats, begin time.Time) {
 	vars.points.Add(int64(st.points))
 	vars.workloads.Add(int64(st.workloads))
 	if saved := st.points - st.workloads; saved > 0 {
@@ -656,8 +593,35 @@ func (s *Server) sweep(ctx context.Context, key string, tracked bool, fn func(co
 	if secs := time.Since(begin).Seconds(); secs > 0 {
 		vars.lastPointsPerSec.Set(float64(st.points) / secs)
 	}
-	s.cache.Add(key, res)
-	return res, false, nil
+}
+
+// recallKey is the content key a sweep is recalled and published
+// under: key itself, or none when Config.CacheEntries turns recall off.
+func (s *Server) recallKey(key string) string {
+	if s.cfg.CacheEntries < 0 {
+		return ""
+	}
+	return key
+}
+
+// writeDo answers a synchronous sweep request: the runner recalls the
+// body under key or runs body on a slot, and the handler writes it.
+func (s *Server) writeDo(ctx context.Context, w http.ResponseWriter, key string, body func(context.Context) ([]byte, error)) {
+	b, cached, err := s.runner.Do(ctx, s.recallKey(key), body)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	if cached {
+		// A stored body always starts with the ResultMeta envelope as the
+		// fresh run encoded it.
+		if rest, ok := bytes.CutPrefix(b, []byte(`{"cached":false`)); ok {
+			b = append([]byte(`{"cached":true`), rest...)
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(b, '\n')) // the client may be gone; nothing useful to do
 }
 
 // errDraining is the 503 rejection Shutdown puts in front of new work.
@@ -667,7 +631,7 @@ func errDraining() *requestError {
 
 // rejectDraining writes the 503 drain response and reports whether it did.
 func (s *Server) rejectDraining(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
+	if !s.Draining() {
 		return false
 	}
 	s.writeError(w, errDraining())
@@ -680,6 +644,33 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v) // the client may be gone; nothing useful to do
+}
+
+// marshalResult encodes a response body exactly as writeJSON writes it
+// (same encoder settings, HTML escaping off), minus the trailing newline
+// — embedding as json.RawMessage would strip it anyway. This is what
+// makes a stored or async result byte-comparable to its synchronous
+// twin.
+func marshalResult(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(buf.Bytes(), "\n"), nil
+}
+
+// cacheKey hashes the canonical parts of a request into a content
+// address. Parts are joined with a NUL separator so concatenation is
+// unambiguous.
+func cacheKey(parts ...string) string {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // mustJSON marshals a value that cannot fail (plain structs, no cycles).

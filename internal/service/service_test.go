@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -224,7 +225,10 @@ func TestExploreClientDisconnectCancelsSweep(t *testing.T) {
 }
 
 func TestConcurrentExploreSharedCache(t *testing.T) {
-	s := MustNew(Config{MaxConcurrentSweeps: 4, CacheEntries: 8})
+	// A filesystem store makes the result tier countable: one file per
+	// content key.
+	dir := t.TempDir()
+	s := MustNew(Config{MaxConcurrentSweeps: 4, JobsDir: dir})
 	const n = 12
 	bodies := []string{
 		`{"kernel":"compress","options":` + tinyOptionsJSON + `}`,
@@ -248,8 +252,12 @@ func TestConcurrentExploreSharedCache(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if got := s.cache.Len(); got != len(bodies) {
-		t.Errorf("cache entries = %d, want %d", got, len(bodies))
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(bodies) {
+		t.Errorf("result tier entries = %d, want %d", len(entries), len(bodies))
 	}
 }
 
@@ -421,30 +429,6 @@ func TestShutdownDrains(t *testing.T) {
 	s.ServeHTTP(hw, httptest.NewRequest("GET", "/healthz", nil))
 	if hw.Code != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz = %d, want 503", hw.Code)
-	}
-}
-
-func TestLRUCacheEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	if _, ok := c.Get("a"); !ok { // refresh a → b is now LRU
-		t.Fatal("a missing")
-	}
-	c.Add("c", 3)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
-		t.Error("a lost")
-	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
-	}
-	disabled := newResultCache(0)
-	disabled.Add("x", 1)
-	if _, ok := disabled.Get("x"); ok {
-		t.Error("disabled cache stored an entry")
 	}
 }
 

@@ -5,9 +5,9 @@ package service
 // gzip transparently detected — streamed straight into the single-pass
 // batched sweep without ever being materialized, so the body-size limit
 // (not memory) bounds the trace. Sweep options ride in the
-// X-Memexplore-Options header as a TraceRequest JSON document; the
-// query-string form is kept as a deprecated alias. Supplying both is a
-// conflicting_options error.
+// X-Memexplore-Options header as a TraceRequest JSON document; a query
+// string is rejected, so a client of the removed query-string form fails
+// loudly instead of sweeping the default space.
 
 import (
 	"bytes"
@@ -16,10 +16,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -34,8 +32,7 @@ const OptionsHeader = "X-Memexplore-Options"
 // TraceRequest is the JSON options form of a trace sweep — the
 // X-Memexplore-Options header value on /v1/explore-trace and on trace
 // job submissions. Options goes through the same decoder as the JSON
-// endpoints (full core.Options overlay, unknown fields rejected), which
-// the query-string alias cannot express.
+// endpoints (full core.Options overlay, unknown fields rejected).
 type TraceRequest struct {
 	// Kind optionally names the request shape; "explore-trace" here.
 	Kind string `json:"kind,omitempty"`
@@ -93,8 +90,7 @@ type TraceExploreResponse struct {
 	Ingest  extrace.IngestStats `json:"ingest"`
 }
 
-// traceQuery is the resolved option set of an explore-trace request,
-// whichever wire form it arrived in.
+// traceQuery is the resolved option set of an explore-trace request.
 type traceQuery struct {
 	opts          core.Options
 	ing           extrace.Options
@@ -113,17 +109,16 @@ type traceQuery struct {
 }
 
 // resolveTraceRequest decodes a trace sweep's options from the
-// X-Memexplore-Options header (the v1 form) or the query string (the
-// deprecated alias). Supplying both is rejected rather than resolved by
-// precedence: silently preferring one would mask a client bug.
+// X-Memexplore-Options header; an absent header means all defaults. A
+// query string is an error: options travel only in the header.
 func resolveTraceRequest(r *http.Request) (traceQuery, error) {
+	if r.URL.RawQuery != "" {
+		return traceQuery{}, httpError(http.StatusBadRequest, CodeInvalidRequest,
+			"query parameters are not accepted; send trace sweep options in the "+OptionsHeader+" header", "")
+	}
 	header := r.Header.Get(OptionsHeader)
 	if header == "" {
-		return parseTraceQuery(r.URL.Query())
-	}
-	if len(r.URL.Query()) > 0 {
-		return traceQuery{}, httpError(http.StatusBadRequest, CodeConflictingOptions,
-			"sweep options supplied both in the "+OptionsHeader+" header and the query string; use the header", "")
+		header = "{}"
 	}
 	var tr TraceRequest
 	if err := decodeBody(strings.NewReader(header), &tr); err != nil {
@@ -188,84 +183,6 @@ func isHex64(s string) bool {
 	return true
 }
 
-// parseTraceQuery decodes the deprecated query-string alias strictly:
-// unknown keys and malformed values are errors, mirroring decodeBody's
-// unknown-field policy. Recognized keys: sizes, lines, assocs
-// (comma-separated ints), em (main-memory nJ/access), max_records,
-// skip_malformed, cycle_bound, energy_bound_nj, workers, shards.
-func parseTraceQuery(q url.Values) (traceQuery, error) {
-	tq := traceQuery{opts: core.DefaultOptions()}
-	for key, vals := range q {
-		if len(vals) != 1 {
-			return tq, &core.ErrInvalidOptions{Field: key, Reason: "parameter repeated"}
-		}
-		v := vals[0]
-		var err error
-		switch key {
-		case "sizes":
-			tq.opts.CacheSizes, err = parseIntList(v)
-		case "lines":
-			tq.opts.LineSizes, err = parseIntList(v)
-		case "assocs":
-			tq.opts.Assocs, err = parseIntList(v)
-		case "em":
-			var em float64
-			if em, err = strconv.ParseFloat(v, 64); err == nil {
-				tq.opts.Energy.Main.EmNJ = em
-				tq.opts.Energy.Main.Name = "custom (em=" + v + " nJ)"
-			}
-		case "sample_rate":
-			tq.opts.SampleRate, err = strconv.ParseFloat(v, 64)
-		case "sample_seed":
-			tq.opts.SampleSeed, err = strconv.ParseUint(v, 10, 64)
-		case "dominant_eps":
-			tq.opts.DominantEps, err = strconv.ParseFloat(v, 64)
-		case "max_records":
-			tq.ing.MaxRecords, err = strconv.ParseInt(v, 10, 64)
-		case "skip_malformed":
-			tq.ing.SkipMalformed, err = strconv.ParseBool(v)
-		case "cycle_bound":
-			tq.cycleBound, err = strconv.ParseFloat(v, 64)
-		case "energy_bound_nj":
-			tq.energyBoundNJ, err = strconv.ParseFloat(v, 64)
-		case "workers":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil && n < 0 {
-				return tq, &core.ErrInvalidOptions{Field: key, Reason: "workers must be ≥ 0 (0 = server default)"}
-			}
-			tq.workers = n
-		case "shards":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil && (n < -1 || n > maxShards) {
-				return tq, &core.ErrInvalidOptions{Field: key,
-					Reason: fmt.Sprintf("shards must be between -1 (auto) and %d, got %d", maxShards, n)}
-			}
-			tq.shards = n
-		default:
-			return tq, &core.ErrInvalidOptions{Field: key, Reason: "unknown query parameter"}
-		}
-		if err != nil {
-			return tq, &core.ErrInvalidOptions{Field: key, Reason: "bad value " + strconv.Quote(v)}
-		}
-	}
-	tq.opts = tq.opts.Normalize()
-	return tq, nil
-}
-
-// parseIntList parses "16,32,64".
-func parseIntList(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 func (s *Server) handleExploreTrace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	vars.requests.Add(1)
@@ -291,7 +208,7 @@ func (s *Server) handleExploreTrace(w http.ResponseWriter, r *http.Request) {
 	// Resolve the worker count here so the engine's observer reports the
 	// actual shard count through the trace_workers gauge.
 	tq.opts.Workers = s.traceWorkerCount(tq.workers)
-	resp, err := s.runTrace(r.Context(), body, tq, true)
+	resp, err := s.runTrace(r.Context(), body, tq)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -314,13 +231,15 @@ func (s *Server) traceWorkerCount(requested int) int {
 	return requested
 }
 
-// runTrace executes one streaming trace sweep end-to-end — worker pool,
+// runTrace executes one streaming trace sweep end-to-end — slots,
 // expvar accounting, envelope. The sync handler and the async job body
 // both call it, which is what keeps their results byte-identical. A
 // distributed request (shards ≥ 2 effective) takes the coordinator path,
 // which yields merged metrics bit-identical to the local sweep and then
-// flows through the very same envelope assembly below.
-func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery, tracked bool) (*TraceExploreResponse, error) {
+// flows through the very same envelope assembly below. Trace bodies
+// stream, so sync trace sweeps are never recalled; trace jobs are,
+// through the key their submission computes.
+func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery) (*TraceExploreResponse, error) {
 	begin := time.Now()
 	var (
 		ms  []core.Metrics
@@ -328,9 +247,9 @@ func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery, tr
 		err error
 	)
 	if n := s.effectiveShards(tq); n >= 2 {
-		ms, st, err = s.distTraceSweep(ctx, body, tq, n, tracked)
+		ms, st, err = s.distTraceSweep(ctx, body, tq, n)
 	} else {
-		ms, st, err = s.traceSweep(ctx, body, tq, tracked)
+		ms, st, err = s.traceSweep(ctx, body, tq)
 	}
 	if err != nil {
 		return nil, err
@@ -386,25 +305,20 @@ func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery, tr
 	}, nil
 }
 
-// traceSweep runs the streaming sweep under a worker-pool slot; the body
-// is consumed inside the slot. Ingest counters are recorded here so even
-// failed sweeps account the bytes and records they consumed. tracked has
-// the same meaning as in sweep().
-func (s *Server) traceSweep(ctx context.Context, body io.Reader, tq traceQuery, tracked bool) ([]core.Metrics, extrace.IngestStats, error) {
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, extrace.IngestStats{}, fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
-	}
-	defer func() { <-s.sem }()
+// traceSweep runs the streaming sweep on a runner slot — the caller's
+// own when it already holds one (a job body) — and consumes the body
+// inside it. Ingest counters are recorded here so even failed sweeps
+// account the bytes and records they consumed.
+func (s *Server) traceSweep(ctx context.Context, body io.Reader, tq traceQuery) (ms []core.Metrics, st extrace.IngestStats, err error) {
+	_, _, err = s.runner.Do(ctx, "", func(ctx context.Context) ([]byte, error) {
+		ms, st, err = sweepTraceBody(ctx, body, tq)
+		return nil, err
+	})
+	return ms, st, err
+}
 
-	if tracked {
-		s.inflight.Add(1)
-		defer s.inflight.Done()
-	}
-	vars.inFlight.Add(1)
-	defer vars.inFlight.Add(-1)
-
+// sweepTraceBody is traceSweep's work, run while holding the slot.
+func sweepTraceBody(ctx context.Context, body io.Reader, tq traceQuery) ([]core.Metrics, extrace.IngestStats, error) {
 	// Dominant-block prefiltering reads the stream twice; an HTTP body
 	// cannot rewind, so spool it to a temp file first. Job bodies arrive
 	// as bytes.Readers and skip the spool.
@@ -444,8 +358,5 @@ func (s *Server) traceSweep(ctx context.Context, body io.Reader, tq traceQuery, 
 	vars.traceRecords.Add(st.Records)
 	vars.traceRejects.Add(st.Rejects)
 	vars.traceChunksSkipped.Add(st.ChunksSkipped)
-	if st.Mmap {
-		vars.traceMmapBytes.Add(st.BytesRead)
-	}
 	return ms, st, err
 }

@@ -10,8 +10,6 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Kind is the access type of a memory reference, matching the label codes
@@ -195,45 +193,8 @@ func (t *Trace) WriteDin(w io.Writer) error {
 	return nil
 }
 
-// ReadDin parses a Dinero din-format stream into a Trace. Blank lines and
-// lines starting with '#' are ignored.
-func ReadDin(r io.Reader) (*Trace, error) {
-	t := New(1024)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("trace: din line %d: want \"<label> <hexaddr>\", got %q", lineno, line)
-		}
-		label, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: din line %d: bad label %q: %w", lineno, fields[0], err)
-		}
-		kind, err := KindFromDinLabel(label)
-		if err != nil {
-			return nil, fmt.Errorf("trace: din line %d: %w", lineno, err)
-		}
-		addr, err := strconv.ParseUint(strings.TrimPrefix(fields[1], "0x"), 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: din line %d: bad address %q: %w", lineno, fields[1], err)
-		}
-		t.Append(Ref{Addr: addr, Kind: kind})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scanning din input: %w", err)
-	}
-	return t, nil
-}
-
 // WriteDinGz writes the trace in gzip-compressed din format — useful for
-// large traces; ReadDinAuto detects and decompresses it.
+// large traces; extrace.NewReader detects and decompresses it.
 func (t *Trace) WriteDinGz(w io.Writer) error {
 	gz := gzip.NewWriter(w)
 	if err := t.WriteDin(gz); err != nil {
@@ -244,20 +205,4 @@ func (t *Trace) WriteDinGz(w io.Writer) error {
 		return fmt.Errorf("trace: closing gzip stream: %w", err)
 	}
 	return nil
-}
-
-// ReadDinAuto reads a din trace, transparently decompressing gzip input
-// (detected by the 0x1f 0x8b magic bytes).
-func ReadDinAuto(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(2)
-	if err == nil && len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: opening gzip stream: %w", err)
-		}
-		defer gz.Close()
-		return ReadDin(gz)
-	}
-	return ReadDin(br)
 }
