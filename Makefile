@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-service bench-dist bench-search bench-guard benchsuite-check figs exhibits fuzz cover clean check serve
+.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-service bench-dist bench-search bench-guard benchsuite-check figs exhibits exhibits-check fuzz cover clean check serve
 
 all: build vet test
 
@@ -19,8 +19,9 @@ test:
 # subsystem, the context-aware exploration core, the pooled sweep
 # engines and the guided search) under the race detector, plus short
 # fuzz passes over the external-trace parser and the genome repair,
-# plus the benchmark suite's own module.
-check: build vet test benchsuite-check
+# plus the benchmark suite's own module, plus the paper exhibits against
+# their committed record.
+check: build vet test benchsuite-check exhibits-check
 	$(GO) test -race ./internal/service ./internal/jobs ./internal/core ./internal/cachesim ./internal/extrace ./internal/search
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseDin -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseBinaryV2 -fuzztime 5s
@@ -96,6 +97,14 @@ figs:
 # Refresh the committed exhibit record under docs/exhibits/.
 exhibits:
 	$(GO) run ./cmd/paperfigs -out docs/exhibits > /dev/null
+
+# Regenerate every exhibit into a temporary directory and diff it against
+# the committed record, so a model change cannot silently move a paper
+# figure; paperfigs itself fails on any [DIVERGED] finding.
+exhibits-check:
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/paperfigs -out "$$tmp" > /dev/null && \
+		diff -r "$$tmp" docs/exhibits
 
 # Short fuzz passes over the parsers.
 fuzz:

@@ -41,7 +41,7 @@ func BenchmarkAccess8Way(b *testing.B) {
 }
 
 // BenchmarkAccessClassified measures the 3C-classification overhead
-// (shadow stack + seen set) relative to the fast path.
+// (the shadow3C table and LRU list) relative to the fast path.
 func BenchmarkAccessClassified(b *testing.B) {
 	tr := benchTrace()
 	cfg := DefaultConfig(1024, 16, 1)

@@ -38,13 +38,10 @@ type Cache struct {
 	// rngState drives the Random replacement policy (xorshift64).
 	rngState uint64
 
-	// seen tracks every line address ever touched, for compulsory-miss
-	// classification. shadow is a fully-associative LRU cache of the same
-	// capacity, for capacity-vs-conflict classification. classify3C can be
-	// disabled to save time/memory in wide sweeps.
-	classify3C bool
-	seen       map[uint64]struct{}
-	shadow     *lruShadow
+	// shadow holds the 3C classification state (see shadow3C); it is nil
+	// for caches built with NewFast, which skip classification to save
+	// time and memory in wide sweeps.
+	shadow *shadow3C
 
 	// victim is the optional victim buffer (Config.VictimLines > 0),
 	// ordered most recently inserted first.
@@ -73,14 +70,13 @@ func newCache(cfg Config, classify bool) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{
-		cfg:        cfg,
-		sets:       make([][]line, cfg.NumSets()),
-		lines:      newLines(cfg.NumSets() * cfg.Assoc),
-		offShift:   uint(cfg.OffsetBits()),
-		idxShift:   uint(cfg.IndexBits()),
-		setMask:    uint64(cfg.NumSets() - 1),
-		rngState:   0x9e3779b97f4a7c15,
-		classify3C: classify,
+		cfg:      cfg,
+		sets:     make([][]line, cfg.NumSets()),
+		lines:    newLines(cfg.NumSets() * cfg.Assoc),
+		offShift: uint(cfg.OffsetBits()),
+		idxShift: uint(cfg.IndexBits()),
+		setMask:  uint64(cfg.NumSets() - 1),
+		rngState: 0x9e3779b97f4a7c15,
 	}
 	// Sets are views into one contiguous backing array: the whole cache
 	// state stays in a few hardware cache lines during a simulation pass.
@@ -88,8 +84,7 @@ func newCache(cfg Config, classify bool) (*Cache, error) {
 		c.sets[i] = c.lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	if classify {
-		c.seen = make(map[uint64]struct{})
-		c.shadow = newLRUShadow(cfg.NumLines())
+		c.shadow = newShadow3C(cfg.NumLines())
 	}
 	return c, nil
 }
@@ -111,9 +106,8 @@ func (c *Cache) Reset() {
 	c.stats = Stats{}
 	c.rngState = 0x9e3779b97f4a7c15
 	c.victim = nil
-	if c.classify3C {
-		c.seen = make(map[uint64]struct{})
-		c.shadow = newLRUShadow(c.cfg.NumLines())
+	if c.shadow != nil {
+		c.shadow.reset()
 	}
 }
 
@@ -193,7 +187,7 @@ func (c *Cache) Access(r trace.Ref) AccessResult {
 // processes the trace in blocks so each cache's state stays resident
 // while it runs, instead of fanning every reference across all caches.
 func (c *Cache) AccessBlock(refs []trace.Ref) {
-	if c.classify3C || c.cfg.VictimLines > 0 {
+	if c.shadow != nil || c.cfg.VictimLines > 0 {
 		for _, r := range refs {
 			c.Access(r)
 		}
@@ -337,13 +331,11 @@ func (c *Cache) accessLine(lineAddr uint64, kind trace.Kind) (bool, MissClass) {
 	set := c.sets[setIdx]
 	c.clock++
 
-	// Shadow structures are updated on every line touch so that the
+	// The shadow is updated on every line touch so that the
 	// classification reflects the same reference stream.
 	var shadowHit, everSeen bool
-	if c.classify3C {
-		_, everSeen = c.seen[lineAddr]
-		c.seen[lineAddr] = struct{}{}
-		shadowHit = c.shadow.touch(lineAddr)
+	if c.shadow != nil {
+		everSeen, shadowHit = c.shadow.touch(lineAddr)
 	}
 
 	for i := range set {
@@ -371,7 +363,7 @@ func (c *Cache) accessLine(lineAddr uint64, kind trace.Kind) (bool, MissClass) {
 
 	// Miss. Classify first.
 	class := Conflict
-	if c.classify3C {
+	if c.shadow != nil {
 		if !everSeen {
 			class = Compulsory
 		} else if !shadowHit {
@@ -510,7 +502,8 @@ func RunTrace(cfg Config, tr *trace.Trace) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	return c.Run(tr.Reader())
+	c.AccessBlock(tr.Refs())
+	return c.stats, nil
 }
 
 // RunTraceFast is RunTrace without 3C classification.
@@ -519,7 +512,8 @@ func RunTraceFast(cfg Config, tr *trace.Trace) (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	return c.Run(tr.Reader())
+	c.AccessBlock(tr.Refs())
+	return c.stats, nil
 }
 
 // Contains reports whether the line holding addr is currently resident.

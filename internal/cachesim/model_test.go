@@ -10,54 +10,88 @@ import (
 
 // refModel is an intentionally naive, obviously-correct set-associative LRU
 // cache used to cross-check the optimized simulator: each set is a slice of
-// line addresses ordered most-recently-used first.
+// line addresses ordered most-recently-used first. For 3C classification it
+// keeps every line ever touched in a map and a fully associative LRU cache
+// of the same capacity as one more such slice.
 type refModel struct {
 	cfg  Config
 	sets [][]uint64
+	seen map[uint64]bool
+	full []uint64
 }
 
 func newRefModel(cfg Config) *refModel {
-	return &refModel{cfg: cfg, sets: make([][]uint64, cfg.NumSets())}
+	return &refModel{cfg: cfg, sets: make([][]uint64, cfg.NumSets()), seen: map[uint64]bool{}}
 }
 
-func (m *refModel) access(addr uint64) bool {
-	la := m.cfg.LineAddr(addr)
-	si := la & uint64(m.cfg.NumSets()-1)
-	set := m.sets[si]
-	for i, resident := range set {
+// touchLRU looks la up in an MRU-first slice of at most capacity lines,
+// moves or inserts it at the front and reports whether it was resident.
+func touchLRU(lines []uint64, la uint64, capacity int) ([]uint64, bool) {
+	for i, resident := range lines {
 		if resident == la {
-			// Move to front.
-			copy(set[1:i+1], set[0:i])
-			set[0] = la
-			return true
+			copy(lines[1:i+1], lines[0:i])
+			lines[0] = la
+			return lines, true
 		}
 	}
-	// Miss: insert at front, trim to associativity.
-	set = append([]uint64{la}, set...)
-	if len(set) > m.cfg.Assoc {
-		set = set[:m.cfg.Assoc]
+	lines = append([]uint64{la}, lines...)
+	if len(lines) > capacity {
+		lines = lines[:capacity]
 	}
-	m.sets[si] = set
-	return false
+	return lines, false
+}
+
+func (m *refModel) accessLine(la uint64) (bool, MissClass) {
+	si := la & uint64(m.cfg.NumSets()-1)
+	var hit, fullHit bool
+	m.sets[si], hit = touchLRU(m.sets[si], la, m.cfg.Assoc)
+	m.full, fullHit = touchLRU(m.full, la, m.cfg.NumLines())
+	seen := m.seen[la]
+	m.seen[la] = true
+	switch {
+	case hit:
+		return true, NotMiss
+	case !seen:
+		return false, Compulsory
+	case !fullHit:
+		return false, Capacity
+	default:
+		return false, Conflict
+	}
+}
+
+// accessRef mirrors Cache.Access: a reference hits only if every line it
+// spans hits, and a miss carries the class of its first missing line.
+func (m *refModel) accessRef(r trace.Ref) (bool, MissClass) {
+	hit, class := true, NotMiss
+	for la := m.cfg.LineAddr(r.Addr); la <= m.cfg.LineAddr(r.LastByte()); la++ {
+		if h, c := m.accessLine(la); !h && hit {
+			hit, class = false, c
+		}
+	}
+	return hit, class
+}
+
+// refGeometries are the configurations the simulator is checked against
+// the reference model on.
+var refGeometries = []Config{
+	DefaultConfig(16, 4, 1),
+	DefaultConfig(32, 4, 2),
+	DefaultConfig(64, 8, 4),
+	DefaultConfig(64, 8, 8),
+	DefaultConfig(256, 16, 2),
+	DefaultConfig(1024, 32, 8),
 }
 
 // TestQuickLRUMatchesReferenceModel drives random traces through both the
 // simulator and the naive model across a range of geometries and demands
 // identical per-access hit/miss outcomes.
 func TestQuickLRUMatchesReferenceModel(t *testing.T) {
-	geometries := []Config{
-		DefaultConfig(16, 4, 1),
-		DefaultConfig(32, 4, 2),
-		DefaultConfig(64, 8, 4),
-		DefaultConfig(64, 8, 8),
-		DefaultConfig(256, 16, 2),
-		DefaultConfig(1024, 32, 8),
-	}
 	f := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nRefs := int(n%2000) + 1
 		tr := trace.Random(rng, 0, 4096, nRefs)
-		for _, cfg := range geometries {
+		for _, cfg := range refGeometries {
 			c, err := New(cfg)
 			if err != nil {
 				return false
@@ -66,7 +100,7 @@ func TestQuickLRUMatchesReferenceModel(t *testing.T) {
 			for i := 0; i < tr.Len(); i++ {
 				r := tr.At(i)
 				got := c.Access(r).Hit
-				want := m.access(r.Addr)
+				want, _ := m.accessRef(r)
 				if got != want {
 					t.Logf("cfg %v ref %d addr %#x: sim hit=%v model hit=%v", cfg, i, r.Addr, got, want)
 					return false
@@ -77,6 +111,84 @@ func TestQuickLRUMatchesReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// classTrace mixes a hot working set that is revisited (capacity and
+// conflict misses) with a long random walk over a large region (compulsory
+// misses, and a line table that must grow many times). References are 1
+// to 8 bytes wide; every fourth one is at least 2 bytes wide and starts
+// just below a 32-byte boundary, so it straddles a line at every geometry.
+func classTrace(rng *rand.Rand, n int) *trace.Trace {
+	tr := trace.New(n)
+	for i := 0; i < n; i++ {
+		var addr uint64
+		if rng.Intn(2) == 0 {
+			addr = uint64(rng.Intn(512))
+		} else {
+			addr = 4096 + uint64(rng.Intn(1<<20))
+		}
+		size := uint8(1 + rng.Intn(8))
+		if i%4 == 0 {
+			size = uint8(2 + rng.Intn(7))
+			addr = addr&^31 + 32 - uint64(1+rng.Intn(int(size)-1))
+		}
+		kind := trace.Read
+		if rng.Intn(4) == 0 {
+			kind = trace.Write
+		}
+		tr.Append(trace.Ref{Addr: addr, Kind: kind, Size: size})
+	}
+	return tr
+}
+
+// TestClassifyMatchesReferenceModel checks 3C classification against the
+// naive model: the per-access miss class and the per-class totals, on
+// traces that touch more than 10k distinct lines and straddle lines. A
+// Reset cache must classify the same stream identically again.
+func TestClassifyMatchesReferenceModel(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		tr := classTrace(rand.New(rand.NewSource(seed)), 40000)
+		for _, cfg := range refGeometries {
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pass := 0; pass < 2; pass++ {
+				m := newRefModel(cfg)
+				var want Stats
+				for i, r := range tr.Refs() {
+					got := c.Access(r)
+					hit, class := m.accessRef(r)
+					if got.Hit != hit || got.Class != class {
+						t.Fatalf("seed %d %v pass %d ref %d %+v: sim (hit %v, %v), model (hit %v, %v)",
+							seed, cfg, pass, i, r, got.Hit, got.Class, hit, class)
+					}
+					switch class {
+					case Compulsory:
+						want.CompulsoryMisses++
+					case Capacity:
+						want.CapacityMisses++
+					case Conflict:
+						want.ConflictMisses++
+					}
+				}
+				if len(m.seen) < 10000 {
+					t.Fatalf("%v: trace touches %d distinct lines, want at least 10000", cfg, len(m.seen))
+				}
+				st := c.Stats()
+				if st.CompulsoryMisses != want.CompulsoryMisses || st.CapacityMisses != want.CapacityMisses ||
+					st.ConflictMisses != want.ConflictMisses {
+					t.Errorf("seed %d %v pass %d: sim 3C (%d, %d, %d), model (%d, %d, %d)", seed, cfg, pass,
+						st.CompulsoryMisses, st.CapacityMisses, st.ConflictMisses,
+						want.CompulsoryMisses, want.CapacityMisses, want.ConflictMisses)
+				}
+				if want.CapacityMisses == 0 || want.ConflictMisses == 0 && cfg.Assoc < cfg.NumLines() {
+					t.Errorf("%v: trace exercises too few classes: %+v", cfg, want)
+				}
+				c.Reset()
+			}
+		}
 	}
 }
 
@@ -167,24 +279,25 @@ func TestQuickFullyAssociativeZeroConflicts(t *testing.T) {
 }
 
 func TestShadowLRU(t *testing.T) {
-	s := newLRUShadow(2)
-	if s.touch(1) {
-		t.Error("first touch of 1 should miss")
+	s := newShadow3C(2)
+	for i, step := range []struct {
+		line      uint64
+		seen, hit bool
+	}{
+		{1, false, false},
+		{2, false, false},
+		{1, true, true},
+		{3, false, false}, // LRU of {1 (recent), 2} is 2: evicted by 3
+		{2, true, false},  // seen before, no longer resident
+		{1, true, false},  // evicted by 2's return
+		{2, true, true},
+	} {
+		seen, hit := s.touch(step.line)
+		if seen != step.seen || hit != step.hit {
+			t.Errorf("step %d touch(%d) = (seen %v, hit %v), want (%v, %v)", i, step.line, seen, hit, step.seen, step.hit)
+		}
 	}
-	if s.touch(2) {
-		t.Error("first touch of 2 should miss")
-	}
-	if !s.touch(1) {
-		t.Error("1 should be resident")
-	}
-	if s.touch(3) {
-		t.Error("first touch of 3 should miss")
-	}
-	// LRU of {1(recent),2} is 2 -> evicted by 3.
-	if s.touch(2) {
-		t.Error("2 should have been evicted")
-	}
-	if s.len() != 2 {
-		t.Errorf("len = %d, want 2", s.len())
+	if s.resident != 2 {
+		t.Errorf("resident = %d, want 2", s.resident)
 	}
 }

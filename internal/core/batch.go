@@ -80,10 +80,14 @@ func (o Options) Workloads() int {
 	return len(seen)
 }
 
-// workloadCache generates and caches workload traces. It is safe for
-// concurrent use: the mutex guards the maps, and the per-entry once
+// workloadCache generates the workload traces of one sweep. It is safe
+// for concurrent use: the mutex guards the maps, and the per-entry once
 // lets distinct workloads generate concurrently while a shared tiled
-// nest is still built only once.
+// nest or sequential trace is still built only once. An optimized-layout
+// workload starts from its tiling's sequential trace, which the §4.1
+// guard compares the plan against; layout.OptimizeTrace hands back the
+// trace of the layout it chose, so no workload is generated twice. Each
+// group's trace is released as soon as the group has run.
 type workloadCache struct {
 	nest *loopir.Nest
 
@@ -141,17 +145,25 @@ func (c *workloadCache) generate(key traceKey) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lay loopir.Layout
-	if key.optimized {
-		plan, err := layout.Optimize(n, key.lineBytes, key.sets)
-		if err != nil {
-			return nil, err
-		}
-		lay = plan.Layout
-	} else {
-		lay = loopir.SequentialLayout(n, 0)
+	if !key.optimized {
+		return n.Generate(loopir.SequentialLayout(n, 0))
 	}
-	return n.Generate(lay)
+	seq, err := c.trace(traceKey{tiling: key.tiling})
+	if err != nil {
+		return nil, err
+	}
+	_, tr, err := layout.OptimizeTrace(n, key.lineBytes, key.sets, seq)
+	return tr, err
+}
+
+// release drops a group's trace once the group has run. Every group key
+// belongs to exactly one group, so nothing reads it again. The
+// sequential traces that optimized workloads start from are not group
+// keys of an optimized sweep; they stay until the sweep ends.
+func (c *workloadCache) release(key traceKey) {
+	c.mu.Lock()
+	delete(c.traces, key)
+	c.mu.Unlock()
 }
 
 // newGroupSweep builds the simulation engine for one workload group's
@@ -195,6 +207,7 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 	}
 	ctr := bus.NewSwitchCounter(bus.Gray)
 	stats, err := runSweepTrace(ctx, sweep, tr, func(r trace.Ref) { ctr.Drive(r.Addr) }, fanWorkers)
+	c.release(g.key)
 	if err != nil {
 		// The only error source for an in-memory trace is the context.
 		return canceled(err)

@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"memexplore/internal/cachesim"
 	"memexplore/internal/kernels"
+	"memexplore/internal/layout"
+	"memexplore/internal/loopir"
 )
 
 // TestBatchedMatchesPerPoint pins the tentpole invariant: the
@@ -77,6 +80,90 @@ func TestBatchedMatchesPerPoint(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Optimized layouts beyond Compress: on these kernels the §4.1 guard
+	// keeps the padded plan for some workloads and the sequential layout
+	// for others, so both outcomes of the shared-sequential-trace path run
+	// against the per-point engine's independent Optimize + Generate.
+	for _, name := range []string{"matmul", "sor", "mpeg_idct"} {
+		kn, err := kernels.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.CacheSizes = []int{32, 256}
+		opts.LineSizes = []int{4, 16}
+		opts.Tilings = []int{1, 4}
+		opts.Energy.CountWriteTraffic = true
+		if seqWins, total := guardOutcomes(t, kn, opts); seqWins == 0 || seqWins == total {
+			t.Fatalf("%s: the guard keeps the sequential layout for %d of %d workloads; want both outcomes", name, seqWins, total)
+		}
+		want, err := ExplorePerPointContext(context.Background(), kn, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("opt=true/kernel=%s/workers=%d", name, workers), func(t *testing.T) {
+				got, err := ExploreParallelContext(context.Background(), kn, opts, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("batched metrics differ from per-point reference")
+					reportFirstDiff(t, got, want)
+				}
+			})
+		}
+	}
+}
+
+// guardOutcomes counts the optimized-layout workloads of opts for which
+// the §4.1 guard keeps the sequential layout, out of all of them.
+func guardOutcomes(t *testing.T, n *loopir.Nest, opts Options) (seqWins, total int) {
+	t.Helper()
+	for _, g := range groupWorkloads(opts, opts.Space()) {
+		tn, err := loopir.TileAll(n, g.key.tiling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := layout.Optimize(tn, g.key.lineBytes, g.key.sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total++
+		if last := len(plan.Notes) - 1; last >= 0 && strings.HasPrefix(plan.Notes[last], "natural packed layout beats") {
+			seqWins++
+		}
+	}
+	return seqWins, total
+}
+
+// TestWorkloadCacheReleasesGroupTraces checks that a group's trace is
+// dropped as soon as the group has run, while the sequential trace its
+// tiling's optimized workloads start from stays for the rest of the sweep.
+func TestWorkloadCacheReleasesGroupTraces(t *testing.T) {
+	opts := DefaultOptions()
+	opts.CacheSizes = []int{32, 256}
+	opts.LineSizes = []int{4, 16}
+	opts.Tilings = []int{1}
+	points := opts.Space()
+	groups := groupWorkloads(opts, points)
+	c := newWorkloadCache(kernels.MatMul())
+	out := make([]Metrics, len(points))
+	for _, g := range groups {
+		if err := c.runWorkloadGroup(context.Background(), opts, points, g, out, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, held := c.traces[g.key]; held {
+			t.Errorf("workload %+v: trace still held after its group ran", g.key)
+		}
+	}
+	if _, held := c.traces[traceKey{tiling: 1}]; !held {
+		t.Error("sequential trace of tiling 1 released while the sweep could still need it")
+	}
+	if len(c.traces) != 1 {
+		t.Errorf("cache holds %d traces after the sweep, want only the sequential one", len(c.traces))
 	}
 }
 

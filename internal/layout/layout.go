@@ -36,6 +36,7 @@ import (
 	"memexplore/internal/cachesim"
 	"memexplore/internal/loopir"
 	"memexplore/internal/reuse"
+	"memexplore/internal/trace"
 )
 
 // ClassSlot records where one reference class was placed.
@@ -87,8 +88,37 @@ type caseGroup struct {
 
 // Optimize computes the conflict-avoiding assignment of the nest's arrays
 // for a cache with the given line size and number of sets. For a
-// direct-mapped cache pass cfg.NumSets() == cfg.NumLines().
+// direct-mapped cache pass cfg.NumSets() == cfg.NumLines(). It is
+// OptimizeTrace with the nest's sequential-layout trace generated here.
 func Optimize(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
+	plan, err := assign(n, lineBytes, sets)
+	if err != nil {
+		return nil, err
+	}
+	seq, err := n.Generate(loopir.SequentialLayout(n, 0))
+	if err != nil {
+		return nil, err
+	}
+	plan, _, err = guard(n, plan, seq)
+	return plan, err
+}
+
+// OptimizeTrace is Optimize for a caller that already holds seq, the
+// nest's trace under loopir.SequentialLayout(n, 0), and reuses it across
+// geometries. It returns the same plan as Optimize together with the
+// trace of the layout the plan chose, so the caller need not generate it
+// again. The returned trace is seq itself when the sequential layout
+// wins; callers must treat both as read-only.
+func OptimizeTrace(n *loopir.Nest, lineBytes, sets int, seq *trace.Trace) (*Plan, *trace.Trace, error) {
+	plan, err := assign(n, lineBytes, sets)
+	if err != nil {
+		return nil, nil, err
+	}
+	return guard(n, plan, seq)
+}
+
+// assign builds the analytical assignment, before the guard.
+func assign(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
 	if lineBytes <= 0 || sets <= 0 {
 		return nil, fmt.Errorf("layout: invalid geometry: line=%d sets=%d", lineBytes, sets)
 	}
@@ -169,59 +199,48 @@ func Optimize(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
 		plan.Slots = append(plan.Slots, slots...)
 		watermark = placement.Base + uint64(placement.FootprintBytes(a))
 	}
-
-	// Final guard: the analytical construction can lose to the natural
-	// packed layout when odd natural strides already skew rows across sets
-	// (e.g. 33-byte rows). Simulate both on a direct-mapped cache of this
-	// geometry and keep the better placement — fewer conflicts, then fewer
-	// misses.
-	if better, ok := pickBetter(n, plan, lineBytes, sets); ok {
-		return better, nil
-	}
 	return plan, nil
 }
 
-// pickBetter compares the planned layout against the sequential layout on
-// a direct-mapped cache of the target geometry. If the sequential layout
-// wins it is returned (with a note); otherwise ok is false and the caller
-// keeps the plan.
-func pickBetter(n *loopir.Nest, plan *Plan, lineBytes, sets int) (*Plan, bool) {
-	cfg := cachesim.DefaultConfig(sets*lineBytes, lineBytes, 1)
-	if cfg.Validate() != nil {
-		return nil, false
-	}
+// guard is the final check: the analytical construction can lose to the
+// natural packed layout when odd natural strides already skew rows across
+// sets (e.g. 33-byte rows). It simulates the plan's trace and seq, the
+// sequential layout's, on a direct-mapped cache of the plan's geometry and
+// keeps the better placement — fewer conflicts, then fewer misses — with
+// a note when the sequential layout wins. It returns the chosen plan and
+// its trace. Geometries the simulator cannot model keep the plan.
+func guard(n *loopir.Nest, plan *Plan, seq *trace.Trace) (*Plan, *trace.Trace, error) {
 	planTr, err := n.Generate(plan.Layout)
 	if err != nil {
-		return nil, false
+		return nil, nil, err
 	}
-	seqLayout := loopir.SequentialLayout(n, 0)
-	seqTr, err := n.Generate(seqLayout)
-	if err != nil {
-		return nil, false
+	cfg := cachesim.DefaultConfig(plan.Sets*plan.LineBytes, plan.LineBytes, 1)
+	if cfg.Validate() != nil {
+		return plan, planTr, nil
 	}
 	planStats, err := cachesim.RunTrace(cfg, planTr)
 	if err != nil {
-		return nil, false
+		return nil, nil, err
 	}
-	seqStats, err := cachesim.RunTrace(cfg, seqTr)
+	seqStats, err := cachesim.RunTrace(cfg, seq)
 	if err != nil {
-		return nil, false
+		return nil, nil, err
 	}
 	if seqStats.ConflictMisses < planStats.ConflictMisses ||
 		(seqStats.ConflictMisses == planStats.ConflictMisses && seqStats.Misses < planStats.Misses) {
 		out := &Plan{
 			Nest:      plan.Nest,
-			LineBytes: lineBytes,
-			Sets:      sets,
+			LineBytes: plan.LineBytes,
+			Sets:      plan.Sets,
 			Feasible:  plan.Feasible,
-			Layout:    seqLayout,
+			Layout:    loopir.SequentialLayout(n, 0),
 			Notes: append(append([]string(nil), plan.Notes...),
 				fmt.Sprintf("natural packed layout beats the padded construction on this geometry (%d vs %d conflicts); using it",
 					seqStats.ConflictMisses, planStats.ConflictMisses)),
 		}
-		return out, true
+		return out, seq, nil
 	}
-	return nil, false
+	return plan, planTr, nil
 }
 
 // groupCases partitions classes into cases, each case listing its arrays in

@@ -46,14 +46,6 @@ func (k Kind) DinLabel() int {
 	return int(k)
 }
 
-// KindFromDinLabel converts a din-format label (0, 1, 2) to a Kind.
-func KindFromDinLabel(label int) (Kind, error) {
-	if label < 0 || label > 2 {
-		return 0, fmt.Errorf("trace: invalid din label %d (want 0, 1 or 2)", label)
-	}
-	return Kind(label), nil
-}
-
 // Ref is a single memory reference.
 type Ref struct {
 	// Addr is the byte address of the reference.

@@ -24,24 +24,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindFromDinLabel(t *testing.T) {
-	for label := 0; label <= 2; label++ {
-		k, err := KindFromDinLabel(label)
-		if err != nil {
-			t.Fatalf("KindFromDinLabel(%d): %v", label, err)
-		}
-		if k.DinLabel() != label {
-			t.Errorf("round trip label %d -> %d", label, k.DinLabel())
-		}
-	}
-	if _, err := KindFromDinLabel(3); err == nil {
-		t.Error("KindFromDinLabel(3) should fail")
-	}
-	if _, err := KindFromDinLabel(-1); err == nil {
-		t.Error("KindFromDinLabel(-1) should fail")
-	}
-}
-
 func TestRefEffectiveSize(t *testing.T) {
 	if got := (Ref{}).EffectiveSize(); got != 1 {
 		t.Errorf("zero Size should default to 1, got %d", got)
