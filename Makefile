@@ -50,7 +50,7 @@ bench:
 # inclusion-parallel vs the single-group fan-out); the raw runs land in
 # BENCH_sweep.out for curation into BENCH_sweep.json.
 bench-sweep:
-	$(GO) test -run '^$$' -bench BenchmarkExploreSweep -benchmem -count 3 . | tee BENCH_sweep.out
+	$(GO) test -run '^$$' -bench BenchmarkExploreSweep -benchmem -count 5 . | tee BENCH_sweep.out
 
 # The external-trace ingestion pipeline: din text → streaming sweep at
 # workers = 1 / 2 / NumCPU, plus the billion-record levers (columnar mxt
@@ -58,7 +58,7 @@ bench-sweep:
 # against the exact din baseline; the raw runs land in BENCH_trace.out
 # for curation into BENCH_trace.json.
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkExploreDinTrace|BenchmarkExploreTraceSampled' -benchmem -count 3 . | tee BENCH_trace.out
+	$(GO) test -run '^$$' -bench 'BenchmarkExploreDinTrace|BenchmarkExploreTraceSampled' -benchmem -count 5 . | tee BENCH_trace.out
 
 # The ingestion levers in isolation: buffered decode of an on-disk mxt
 # v2 artifact, and index-guided chunk skipping vs full decode at R=0.01;
@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test ./internal/extrace -fuzz FuzzParseBinaryV2 -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseIndexFooter -fuzztime 30s
 	$(GO) test ./internal/cachesim -fuzz FuzzPerSetStacks -fuzztime 30s
+	$(GO) test ./internal/cachesim -fuzz FuzzSweepMatchesReferenceModel -fuzztime 30s
 	$(GO) test ./internal/search -fuzz FuzzGenome -fuzztime 30s
 
 cover:

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"math/rand"
 	"testing"
 
 	"memexplore/internal/trace"
@@ -67,5 +68,46 @@ func BenchmarkBatch8(b *testing.B) {
 		if _, err := RunBatch(cfgs, tr); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// traceSpaceConfigs is the default trace-sweep space: every (T, L, S)
+// with T in 16..1024 bytes, L in 4..64 bytes below T and S in 1..8 ways
+// within T/L — 103 configurations over 35 (L, sets) geometries.
+func traceSpaceConfigs() []Config {
+	var cfgs []Config
+	for t := 16; t <= 1024; t *= 2 {
+		for l := 4; l <= 64 && l < t; l *= 2 {
+			for a := 1; a <= 8 && a <= t/l; a *= 2 {
+				cfgs = append(cfgs, DefaultConfig(t, l, a))
+			}
+		}
+	}
+	return cfgs
+}
+
+// BenchmarkSweepTraceSpace measures the inclusion engine on the default
+// trace-sweep space over a mixed stream: a word-by-word loop interleaved
+// with a ping-pong pair, then random reads and writes over 64 KiB.
+func BenchmarkSweepTraceSpace(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tr := trace.Concat(
+		trace.Interleave(trace.Loop(0, 2048, 4, 32), trace.PingPong(1<<20, 1<<20+4096, 16384)),
+		randomMixedTrace(rng, 32768, 1<<16),
+	)
+	cfgs := traceSpaceConfigs()
+	b.SetBytes(int64(tr.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewSweep(cfgs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs := tr.Refs()
+		for start := 0; start < len(refs); start += CancelCheckInterval {
+			s.AccessBlock(refs[start:min(start+CancelCheckInterval, len(refs))])
+		}
+		s.Stats()
+		s.Release()
 	}
 }

@@ -3,20 +3,20 @@ package cachesim
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"memexplore/internal/trace"
 )
 
-// This file implements the inclusion sweep engine: a Sweep partitions a
-// batch of cache configurations into groups sharing (LineBytes, NumSets)
-// whose policies the LRU stack model can represent exactly, simulates
-// each group with ONE per-set stack pass (PerSetStacks, lrustack.go) that
-// yields the exact Stats of every associativity in the group
-// simultaneously, and falls back to a plain Batch for everything else
-// (FIFO/Random replacement, no-write-allocate, victim buffers, and
-// geometries with a single eligible config, where the per-cache fast
-// paths win). The combined results are bit-identical to simulating every
-// configuration individually with NewFast.
+// This file implements the inclusion sweep engine: a Sweep gives every
+// inclusion-eligible (LineBytes, NumSets) geometry of a batch of cache
+// configurations one stack level — per-set LRU stacks (PerSetStacks,
+// lrustack.go) whose distance histograms yield the exact Stats of every
+// associativity of the geometry at once — and simulates the rest (FIFO
+// and random replacement, no-write-allocate, victim buffers) through a
+// plain Batch. The levels of one line size are driven by one walk per
+// line touch (lineWalk). The combined results are bit-identical to
+// simulating every configuration individually with NewFast.
 
 // InclusionEligible reports whether the inclusion engine can simulate the
 // configuration exactly: LRU replacement with write-allocate and no
@@ -28,159 +28,250 @@ func InclusionEligible(cfg Config) bool {
 }
 
 // sweepSlot maps one input configuration to where its statistics live:
-// member `member` of inclusion group `group`, or — when group is -1 —
-// cache `member` of the fallback batch.
+// member `member` of stack level `group`, or — when group is -1 — cache
+// `member` of the fallback batch.
 type sweepSlot struct {
 	group  int
 	member int
 }
 
-// groupMember is one configuration of an inclusion group; only the
+// groupMember is one configuration of a stack level; only the
 // associativity and the write policy distinguish members.
 type groupMember struct {
 	assoc     int
 	writeBack bool
 }
 
-// inclusionGroup simulates every member configuration of one
-// (LineBytes, NumSets) geometry in a single streaming pass.
-type inclusionGroup struct {
+// walkState is the stream state shared by every level one walk drives:
+// what a level needs to know about the references it never recorded.
+type walkState struct {
+	// refs counts references by kind class (Read/Write/Fetch/other).
+	refs [4]uint64
+	// writeTouches counts write line-touches — the write-through
+	// traffic, which depends on neither associativity nor set count
+	// (hit, refill and spanning writes all go through).
+	writeTouches uint64
+	// last is the line the walk touched most recently (when hasLast):
+	// it is the most recent line of its set at every level.
+	last    uint64
+	hasLast bool
+}
+
+// stackLevel is one inclusion group: the per-set stacks of one
+// (LineBytes, NumSets) geometry, serving every member associativity.
+// It records only touches at a nonzero distance; a reference at
+// distance 0 hits every member, so the hits are the walk's reference
+// totals minus the recorded misses.
+type stackLevel struct {
 	lineBytes int
 	sets      int
 	offShift  uint
 	maxA      int // largest member associativity; also the stack depth
 	members   []groupMember
 
-	stacks *PerSetStacks
-	// refHist[D][k] counts references of kind k (Read/Write/Fetch/other)
-	// whose deepest spanned line-touch had stack distance D; bucket maxA
-	// collects references with an untracked touch (cold or deeper than
-	// every member). A reference hits the A-way cache iff D < A — a
-	// spanning reference hits only if every spanned line hits.
+	stacks PerSetStacks
+	// refHist[D][k] counts references of kind class k whose deepest
+	// spanned line-touch had stack distance D ≥ 1; bucket maxA collects
+	// references with an untracked touch (cold or deeper than every
+	// member). A reference hits the A-way cache iff D < A — a spanning
+	// reference hits only if every spanned line hits.
 	refHist [][4]uint64
-	// lineHist[d] counts line touches at distance d (bucket maxA as
+	// lineHist[d] counts line touches at distance d ≥ 1 (bucket maxA as
 	// above): the A-way cache fetches exactly the touches with d ≥ A.
 	lineHist []uint64
-	// writeTouches counts write line-touches — the write-through traffic,
-	// which is independent of associativity (hit, refill and spanning
-	// writes all go through).
-	writeTouches uint64
-}
-
-func newInclusionGroup(cfg Config) *inclusionGroup {
-	return &inclusionGroup{
-		lineBytes: cfg.LineBytes,
-		sets:      cfg.NumSets(),
-		offShift:  uint(cfg.OffsetBits()),
-	}
+	// walk is the state of the walk currently driving the level.
+	walk *walkState
 }
 
 // init sizes the stacks and histograms once all members are known.
-func (g *inclusionGroup) init() error {
-	for _, m := range g.members {
-		if m.assoc > g.maxA {
-			g.maxA = m.assoc
-		}
+func (lv *stackLevel) init() error {
+	for _, m := range lv.members {
+		lv.maxA = max(lv.maxA, m.assoc)
 	}
-	st, err := NewPerSetStacks(g.sets, g.maxA)
+	st, err := NewPerSetStacks(lv.sets, lv.maxA)
 	if err != nil {
 		return err
 	}
-	g.stacks = st
-	g.refHist = make([][4]uint64, g.maxA+1)
-	g.lineHist = make([]uint64, g.maxA+1)
+	lv.stacks = *st
+	lv.refHist = make([][4]uint64, lv.maxA+1)
+	lv.lineHist = make([]uint64, lv.maxA+1)
 	return nil
 }
 
-// AccessBlock streams a block of references through the group's stacks.
-func (g *inclusionGroup) AccessBlock(block []trace.Ref) {
-	stacks, maxA := g.stacks, g.maxA
-	for _, r := range block {
-		first := r.Addr >> g.offShift
-		last := r.LastByte() >> g.offShift
-		isWrite := r.Kind == trace.Write
-		maxD := 0
-		for la := first; la <= last; la++ {
-			d := stacks.Touch(la, isWrite)
-			if d < 0 {
-				d = maxA
-			}
-			g.lineHist[d]++
-			if isWrite {
-				g.writeTouches++
-			}
-			if d > maxD {
-				maxD = d
-			}
-		}
-		k := int(r.Kind)
-		if k < 0 || k > 2 {
-			k = 3 // unknown kinds count toward Accesses/Hits/Misses only
-		}
-		g.refHist[maxD][k]++
+// kindClass maps a reference kind to its histogram column; unknown
+// kinds count toward Accesses/Hits/Misses only.
+func kindClass(k trace.Kind) int {
+	if k > trace.Fetch {
+		return 3
 	}
+	return int(k)
 }
 
-// statsFor derives the exact Stats of one member from the shared
-// histograms, matching NewFast semantics field for field (per-class miss
-// counters report the aggregate-only Capacity placeholder, victim and
-// compulsory counters stay zero).
-func (g *inclusionGroup) statsFor(mi int) Stats {
-	m := g.members[mi]
-	var st Stats
-	for d := 0; d <= g.maxA; d++ {
-		kc := g.refHist[d]
-		refs := kc[0] + kc[1] + kc[2] + kc[3]
-		st.Accesses += refs
-		st.Reads += kc[0]
-		st.Writes += kc[1]
-		st.Fetches += kc[2]
-		if d < m.assoc {
-			st.Hits += refs
-			st.ReadHits += kc[0]
-			st.WriteHits += kc[1]
-		} else {
-			st.Misses += refs
-			st.ReadMisses += kc[0]
-			st.WriteMisses += kc[1]
-		}
+// statsFor derives the exact Stats of one member from the level's
+// histograms and its walk's totals, matching NewFast semantics field
+// for field (per-class miss counters report the aggregate-only Capacity
+// placeholder, victim and compulsory counters stay zero). wb is the
+// settled write-back column (PerSetStacks.Writebacks), needed only for
+// write-back members.
+func (lv *stackLevel) statsFor(m groupMember, wb []uint64) Stats {
+	ws := lv.walk
+	st := Stats{Reads: ws.refs[0], Writes: ws.refs[1], Fetches: ws.refs[2]}
+	st.Accesses = st.Reads + st.Writes + st.Fetches + ws.refs[3]
+	for d := m.assoc; d <= lv.maxA; d++ {
+		kc := lv.refHist[d]
+		st.Misses += kc[0] + kc[1] + kc[2] + kc[3]
+		st.ReadMisses += kc[0]
+		st.WriteMisses += kc[1]
+		st.LinesFetched += lv.lineHist[d]
 	}
+	st.Hits = st.Accesses - st.Misses
+	st.ReadHits = st.Reads - st.ReadMisses
+	st.WriteHits = st.Writes - st.WriteMisses
 	st.CapacityMisses = st.Misses
-	for d := m.assoc; d <= g.maxA; d++ {
-		st.LinesFetched += g.lineHist[d]
-	}
 	if m.writeBack {
-		st.WriteBacks = g.stacks.WritebacksAt(m.assoc)
+		st.WriteBacks = wb[m.assoc]
 	} else {
-		st.WriteThroughs = g.writeTouches
+		st.WriteThroughs = ws.writeTouches
 	}
 	return st
 }
 
-// Reset clears the group's stacks and histograms.
-func (g *inclusionGroup) Reset() {
-	g.stacks.Reset()
-	clear(g.refHist)
-	clear(g.lineHist)
-	g.writeTouches = 0
+// Reset clears the level's stacks, histograms and walk totals.
+func (lv *stackLevel) Reset() {
+	lv.stacks.Reset()
+	clear(lv.refHist)
+	clear(lv.lineHist)
+	*lv.walk = walkState{}
+}
+
+// lineWalk drives the stack levels of one line size in ascending set
+// count. Under bit-selection indexing each set at 2S sets holds a subset
+// of the lines of one set at S sets, so a line that is the most recent
+// of its set at one level is the most recent of its set at every later
+// level: a touch at distance 0 at level i is at distance 0 at every
+// level after i, where it moves no stack entry and credits no
+// write-back. The walk stops there. Levels record only nonzero
+// distances, so the skipped touches are already accounted for by the
+// walk's totals; a skipped write only marks the top entry dirty.
+type lineWalk struct {
+	offShift uint
+	levels   []*stackLevel
+	state    *walkState
+	// span[i] is the deepest distance at levels[i] of the spanning
+	// reference in progress; zero between references.
+	span []int32
+}
+
+// newLineWalk builds the walk over levels of one line size, which it
+// orders by set count. The walk continues from the state of the walk
+// that drove the levels before (fresh levels start from zero), so a
+// sweep can be re-sharded without losing its totals.
+func newLineWalk(levels []*stackLevel) *lineWalk {
+	sort.SliceStable(levels, func(i, j int) bool { return levels[i].sets < levels[j].sets })
+	w := &lineWalk{offShift: levels[0].offShift, levels: levels, state: &walkState{}, span: make([]int32, len(levels))}
+	if prev := levels[0].walk; prev != nil {
+		*w.state = *prev
+	}
+	for _, lv := range levels {
+		lv.walk = w.state
+	}
+	return w
+}
+
+// AccessBlock streams a block of references through the walk's levels.
+func (w *lineWalk) AccessBlock(block []trace.Ref) {
+	for _, r := range block {
+		first := r.Addr >> w.offShift
+		last := r.LastByte() >> w.offShift
+		isWrite := r.Kind == trace.Write
+		k := kindClass(r.Kind)
+		w.state.refs[k]++
+		if first == last {
+			w.touch(first, isWrite, k, false)
+			continue
+		}
+		visited := 0
+		for la := first; la <= last; la++ {
+			visited = max(visited, w.touch(la, isWrite, k, true))
+		}
+		for i, d := range w.span[:visited] {
+			if d > 0 {
+				w.levels[i].refHist[d][k]++
+				w.span[i] = 0
+			}
+		}
+	}
+}
+
+// touch walks one line touch up the levels and returns how many it
+// visited; the line is at distance 0 at every level after those. The
+// touch of a non-spanning reference records the reference's distance
+// directly; a spanning reference's deepest distance per level is
+// gathered in span.
+func (w *lineWalk) touch(la uint64, write bool, k int, spanning bool) int {
+	st := w.state
+	if write {
+		st.writeTouches++
+	}
+	if st.hasLast && la == st.last {
+		// The walk's previous touch: distance 0 everywhere.
+		if write {
+			w.markDirty(0, la)
+		}
+		return 0
+	}
+	st.last, st.hasLast = la, true
+	for i, lv := range w.levels {
+		d := lv.stacks.touchBounded(la, write)
+		if d == 0 {
+			if write {
+				w.markDirty(i+1, la)
+			}
+			return i
+		}
+		if d < 0 {
+			d = lv.maxA
+		}
+		lv.lineHist[d]++
+		if spanning {
+			w.span[i] = max(w.span[i], int32(d))
+		} else {
+			lv.refHist[d][k]++
+		}
+	}
+	return len(w.levels)
+}
+
+// markDirty records a write to la at levels[from:], where la is the
+// most recent line of its set. A line dirty at every associativity of
+// one level is so at every later level (each of its sets sees a subset
+// of the same touches), so the marking stops at the first level where
+// the line already was.
+func (w *lineWalk) markDirty(from int, la uint64) {
+	for _, lv := range w.levels[from:] {
+		if lv.stacks.markTopDirty(la) {
+			return
+		}
+	}
 }
 
 // Sweep simulates many cache configurations in a single pass over a
 // trace, like Batch, but collapses the associativity dimension of every
-// inclusion-eligible (LineBytes, NumSets) group into one LRU stack pass.
-// Statistics are bit-identical to per-configuration simulation; the
-// fallback Batch covers ineligible configurations transparently.
+// inclusion-eligible (LineBytes, NumSets) geometry into one stack level
+// and walks the levels of each line size together. Statistics are
+// bit-identical to per-configuration simulation; the fallback Batch
+// covers ineligible configurations transparently.
 type Sweep struct {
-	groups []*inclusionGroup
-	batch  *Batch // fallback; nil when every config joined a group
+	levels []*stackLevel // canonical unit order: first encounter in cfgs
+	batch  *Batch        // fallback; nil when every config has a level
 	slots  []sweepSlot
+	whole  *SweepShard // every pass unit: the AccessBlock traversal
 }
 
-// NewSweep builds a sweep over the configurations, grouping
-// inclusion-eligible configs (see InclusionEligible) that share
-// (LineBytes, NumSets) into single-pass stack groups and simulating the
-// rest — including geometries with only one eligible config, which the
-// per-cache fast paths serve better — through a fallback Batch.
+// NewSweep builds a sweep over the configurations, giving every
+// (LineBytes, NumSets) geometry of inclusion-eligible configs (see
+// InclusionEligible) a stack level and simulating the rest through a
+// fallback Batch.
 func NewSweep(cfgs []Config) (*Sweep, error) {
 	return newSweep(cfgs, true)
 }
@@ -203,35 +294,27 @@ func newSweep(cfgs []Config, inclusion bool) (*Sweep, error) {
 	}
 	type geom struct{ lineBytes, sets int }
 	s := &Sweep{slots: make([]sweepSlot, len(cfgs))}
-	eligible := make(map[geom]int)
-	if inclusion {
-		for _, cfg := range cfgs {
-			if InclusionEligible(cfg) {
-				eligible[geom{cfg.LineBytes, cfg.NumSets()}]++
-			}
-		}
-	}
-	groupIdx := make(map[geom]int)
+	levelIdx := make(map[geom]int)
 	var batchCfgs []Config
 	for i, cfg := range cfgs {
-		key := geom{cfg.LineBytes, cfg.NumSets()}
-		if !inclusion || !InclusionEligible(cfg) || eligible[key] < 2 {
+		if !inclusion || !InclusionEligible(cfg) {
 			s.slots[i] = sweepSlot{group: -1, member: len(batchCfgs)}
 			batchCfgs = append(batchCfgs, cfg)
 			continue
 		}
-		gi, ok := groupIdx[key]
+		key := geom{cfg.LineBytes, cfg.NumSets()}
+		li, ok := levelIdx[key]
 		if !ok {
-			gi = len(s.groups)
-			groupIdx[key] = gi
-			s.groups = append(s.groups, newInclusionGroup(cfg))
+			li = len(s.levels)
+			levelIdx[key] = li
+			s.levels = append(s.levels, &stackLevel{lineBytes: cfg.LineBytes, sets: cfg.NumSets(), offShift: uint(cfg.OffsetBits())})
 		}
-		g := s.groups[gi]
-		s.slots[i] = sweepSlot{group: gi, member: len(g.members)}
-		g.members = append(g.members, groupMember{assoc: cfg.Assoc, writeBack: cfg.WriteBack})
+		lv := s.levels[li]
+		s.slots[i] = sweepSlot{group: li, member: len(lv.members)}
+		lv.members = append(lv.members, groupMember{assoc: cfg.Assoc, writeBack: cfg.WriteBack})
 	}
-	for _, g := range s.groups {
-		if err := g.init(); err != nil {
+	for _, lv := range s.levels {
+		if err := lv.init(); err != nil {
 			return nil, err
 		}
 	}
@@ -242,42 +325,41 @@ func newSweep(cfgs []Config, inclusion bool) (*Sweep, error) {
 		}
 		s.batch = b
 	}
+	s.whole = newSweepShard(s.levels, s.fallbackCaches())
 	return s, nil
 }
 
-// InclusionGroups returns how many single-pass stack groups the sweep
-// formed.
-func (s *Sweep) InclusionGroups() int { return len(s.groups) }
+// fallbackCaches returns the fallback batch's caches (nil without one).
+func (s *Sweep) fallbackCaches() []*Cache {
+	if s.batch == nil {
+		return nil
+	}
+	return s.batch.caches
+}
+
+// InclusionGroups returns how many stack levels — one per
+// (LineBytes, NumSets) geometry of eligible configs — the sweep formed.
+func (s *Sweep) InclusionGroups() int { return len(s.levels) }
 
 // FallbackConfigs returns how many configurations run on the fallback
 // Batch.
-func (s *Sweep) FallbackConfigs() int {
-	if s.batch == nil {
-		return 0
-	}
-	return len(s.batch.caches)
-}
+func (s *Sweep) FallbackConfigs() int { return len(s.fallbackCaches()) }
 
 // PassUnits returns the number of independent simulation state machines
-// consuming the trace: one per inclusion group plus one per fallback
-// cache. Configs()/PassUnits() is the engine's collapse factor.
-func (s *Sweep) PassUnits() int { return len(s.groups) + s.FallbackConfigs() }
+// consuming the trace: one per stack level plus one per fallback cache.
+// Configs()/PassUnits() is the engine's collapse factor.
+func (s *Sweep) PassUnits() int { return len(s.levels) + s.FallbackConfigs() }
 
 // Configs returns the number of configurations the sweep covers.
 func (s *Sweep) Configs() int { return len(s.slots) }
 
-// AccessBlock feeds a block of references to every group and fallback
-// cache, each consuming the whole block before the next runs (the
-// cache-resident traversal of Batch.AccessBlock). It is the
+// AccessBlock feeds a block of references to every line-size walk and
+// fallback cache, each consuming the whole block before the next runs
+// (the cache-resident traversal of Batch.AccessBlock). It is the
 // chunk-granular entry point for streaming callers; statistics are
 // identical in any chunking.
 func (s *Sweep) AccessBlock(block []trace.Ref) {
-	for _, g := range s.groups {
-		g.AccessBlock(block)
-	}
-	if s.batch != nil {
-		s.batch.AccessBlock(block)
-	}
+	s.whole.AccessBlock(block)
 }
 
 // RunTraceContext drives an in-memory trace through the sweep in one
@@ -311,21 +393,27 @@ func (s *Sweep) Stats() []Stats {
 	if s.batch != nil {
 		batchStats = s.batch.Stats()
 	}
+	wbs := make([][]uint64, len(s.levels))
 	out := make([]Stats, len(s.slots))
 	for i, sl := range s.slots {
 		if sl.group < 0 {
 			out[i] = batchStats[sl.member]
-		} else {
-			out[i] = s.groups[sl.group].statsFor(sl.member)
+			continue
 		}
+		lv := s.levels[sl.group]
+		m := lv.members[sl.member]
+		if m.writeBack && wbs[sl.group] == nil {
+			wbs[sl.group] = lv.stacks.Writebacks()
+		}
+		out[i] = lv.statsFor(m, wbs[sl.group])
 	}
 	return out
 }
 
-// Reset clears every group and fallback cache.
+// Reset clears every level and fallback cache.
 func (s *Sweep) Reset() {
-	for _, g := range s.groups {
-		g.Reset()
+	for _, lv := range s.levels {
+		lv.Reset()
 	}
 	if s.batch != nil {
 		s.batch.Reset()
@@ -340,5 +428,5 @@ func (s *Sweep) Release() {
 		s.batch.Release()
 		s.batch = nil
 	}
-	s.groups, s.slots = nil, nil
+	s.levels, s.slots, s.whole = nil, nil, nil
 }

@@ -248,14 +248,15 @@ func TestSweepCancel(t *testing.T) {
 }
 
 // TestSweepPassUnits pins the partition arithmetic on a known set: three
-// assocs of one geometry plus one FIFO point and one lone geometry.
+// assocs of one geometry, one lone geometry and one FIFO point. Every
+// eligible geometry gets a stack level, a lone one included.
 func TestSweepPassUnits(t *testing.T) {
 	cfgs := []Config{
-		// One (L=8, sets=8) group: T grows with the associativity.
+		// One (L=8, sets=8) level: T grows with the associativity.
 		DefaultConfig(64, 8, 1),
 		DefaultConfig(128, 8, 2),
 		DefaultConfig(256, 8, 4),
-		DefaultConfig(128, 16, 2), // lone (L=16, sets=4) geometry → fallback
+		DefaultConfig(128, 16, 2), // lone (L=16, sets=4) geometry → its own level
 	}
 	fifo := DefaultConfig(512, 8, 8)
 	fifo.Replacement = FIFO // ineligible policy → fallback
@@ -265,8 +266,8 @@ func TestSweepPassUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.InclusionGroups() != 1 || s.FallbackConfigs() != 2 || s.PassUnits() != 3 || s.Configs() != 5 {
-		t.Fatalf("partition = %d groups, %d fallbacks, %d pass units (want 1, 2, 3)",
+	if s.InclusionGroups() != 2 || s.FallbackConfigs() != 1 || s.PassUnits() != 3 || s.Configs() != 5 {
+		t.Fatalf("partition = %d groups, %d fallbacks, %d pass units (want 2, 1, 3)",
 			s.InclusionGroups(), s.FallbackConfigs(), s.PassUnits())
 	}
 }

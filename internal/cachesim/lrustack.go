@@ -17,12 +17,19 @@ import "fmt"
 // d leaves the line dirty in the caches that held it (A > d) AND in the
 // caches that just refilled it on the write miss (A ≤ d, write-allocate)
 // so minDirty becomes 1, while a read at distance d refills a clean copy
-// in every A ≤ d, raising minDirty to max(minDirty, d+1). When an entry
-// slides from stack position p to p+1, the (p+1)-way cache is evicting
-// its LRU line — exactly once per residency generation — and writes it
-// back iff minDirty ≤ p+1.
+// in every A ≤ d, raising minDirty to max(minDirty, d+1).
+//
+// minDirty only changes when its entry is touched, and between two
+// touches the entry slides from position 0 down to some position p: the
+// a-way cache evicts it on the slide from a-1 to a, so it was written
+// back by exactly the caches with minDirty ≤ a ≤ p. That range is
+// credited once, through a difference array over associativities, when
+// the entry is touched again or falls off the bottom of a bounded stack;
+// the entries still resident hold their range pending until the counts
+// are read (Writebacks settles them). A touch at distance 0 therefore
+// credits nothing and moves nothing.
 
-// stackEntry is one line in a per-set LRU stack.
+// stackEntry is one line in an unbounded per-set LRU stack.
 type stackEntry struct {
 	la uint64
 	// minDirty is the smallest associativity at which the line is dirty
@@ -47,17 +54,20 @@ type PerSetStacks struct {
 	depth int // maximum tracked entries per set; 0 = unbounded
 	mask  uint64
 
-	// Bounded mode: set i occupies flat[i*depth : i*depth+occ[i]].
-	flat []stackEntry
-	occ  []int32
+	// Bounded mode: set i occupies tags[i*depth : i*depth+occ[i]], most
+	// recent first, and the same span of dirty holds each entry's
+	// minDirty.
+	tags  []uint64
+	dirty []int32
+	occ   []int32
 
 	// Unbounded mode: one growable stack per set.
 	dyn [][]stackEntry
 
-	// wb[a] is the number of write-backs an a-way write-back cache of
-	// this geometry performs; index 0 is unused. Grown on demand in
-	// unbounded mode.
-	wb []uint64
+	// wbDiff is a difference array over associativities: the write-backs
+	// credited to an a-way cache are wbDiff[1] + … + wbDiff[a] (modular,
+	// so the decrements need no sign). Grown on demand in unbounded mode.
+	wbDiff []uint64
 }
 
 // NewPerSetStacks builds stacks for a power-of-two set count. depth bounds
@@ -72,12 +82,13 @@ func NewPerSetStacks(sets, depth int) (*PerSetStacks, error) {
 	}
 	s := &PerSetStacks{sets: sets, depth: depth, mask: uint64(sets - 1)}
 	if depth > 0 {
-		s.flat = make([]stackEntry, sets*depth)
+		s.tags = make([]uint64, sets*depth)
+		s.dirty = make([]int32, sets*depth)
 		s.occ = make([]int32, sets)
-		s.wb = make([]uint64, depth+1)
+		s.wbDiff = make([]uint64, depth+2)
 	} else {
 		s.dyn = make([][]stackEntry, sets)
-		s.wb = make([]uint64, 1)
+		s.wbDiff = make([]uint64, 2)
 	}
 	return s, nil
 }
@@ -102,131 +113,143 @@ func (s *PerSetStacks) Occupancy(set int) int {
 // every tracked associativity). write marks the touch as a write for the
 // dirty markers; write-back events are accumulated into Writebacks.
 func (s *PerSetStacks) Touch(la uint64, write bool) int {
-	si := int(la & s.mask)
 	if s.depth > 0 {
-		return s.touchBounded(si, la, write)
+		return s.touchBounded(la, write)
 	}
-	return s.touchUnbounded(si, la, write)
+	return s.touchUnbounded(la, write)
 }
 
-func (s *PerSetStacks) touchBounded(si int, la uint64, write bool) int {
+// touched returns an entry's minDirty after a touch at distance d.
+func touched(minDirty int32, d int, write bool) int32 {
+	if write {
+		return 1
+	}
+	return max(minDirty, int32(d)+1)
+}
+
+func newMinDirty(write bool) int32 {
+	if write {
+		return 1
+	}
+	return stackClean
+}
+
+func (s *PerSetStacks) touchBounded(la uint64, write bool) int {
+	si := int(la & s.mask)
 	base := si * s.depth
 	n := int(s.occ[si])
-	stack := s.flat[base : base+n]
-	for d := range stack {
-		if stack[d].la != la {
+	tags := s.tags[base : base+n]
+	dirty := s.dirty[base : base+n]
+	for d, t := range tags {
+		if t != la {
 			continue
 		}
-		e := stack[d]
-		s.creditEvictions(stack[:d])
-		if write {
-			e.minDirty = 1
-		} else if e.minDirty < int32(d)+1 {
-			e.minDirty = int32(d) + 1
+		md := dirty[d]
+		s.credit(md, d)
+		for j := d; j > 0; j-- { // shorter than a memmove call at these depths
+			tags[j], dirty[j] = tags[j-1], dirty[j-1]
 		}
-		copy(stack[1:d+1], stack[:d])
-		stack[0] = e
+		tags[0], dirty[0] = la, touched(md, d, write)
 		return d
 	}
 	// Untracked: a miss (and an eviction, where full) at every tracked
 	// associativity. At the bound the bottom entry falls off entirely —
-	// it is non-resident in every tracked cache, so dropping it is exact.
-	s.creditEvictions(stack)
-	if n < s.depth {
+	// it is non-resident in every tracked cache, so dropping it is exact
+	// once its slide through the last position is credited.
+	if n == s.depth {
+		s.credit(dirty[n-1], n)
+	} else {
 		n++
 		s.occ[si] = int32(n)
-		stack = s.flat[base : base+n]
+		tags, dirty = s.tags[base:base+n], s.dirty[base:base+n]
 	}
-	copy(stack[1:], stack[:n-1])
-	stack[0] = newStackEntry(la, write)
+	for j := n - 1; j > 0; j-- {
+		tags[j], dirty[j] = tags[j-1], dirty[j-1]
+	}
+	tags[0], dirty[0] = la, newMinDirty(write)
 	return -1
 }
 
-func (s *PerSetStacks) touchUnbounded(si int, la uint64, write bool) int {
+// markTopDirty records a write to la, which must be the most recent
+// line of its set (a touch at distance 0), in a bounded stack. It
+// reports whether the line was already dirty at every associativity.
+func (s *PerSetStacks) markTopDirty(la uint64) bool {
+	top := &s.dirty[int(la&s.mask)*s.depth]
+	if *top == 1 {
+		return true
+	}
+	*top = 1
+	return false
+}
+
+func (s *PerSetStacks) touchUnbounded(la uint64, write bool) int {
+	si := int(la & s.mask)
 	stack := s.dyn[si]
 	for d := range stack {
 		if stack[d].la != la {
 			continue
 		}
 		e := stack[d]
-		s.growWB(d)
-		s.creditEvictions(stack[:d])
-		if write {
-			e.minDirty = 1
-		} else if e.minDirty < int32(d)+1 {
-			e.minDirty = int32(d) + 1
-		}
+		s.credit(e.minDirty, d)
 		copy(stack[1:d+1], stack[:d])
-		stack[0] = e
+		stack[0] = stackEntry{la: la, minDirty: touched(e.minDirty, d, write)}
 		return d
 	}
+	// A cold touch: nothing leaves an unbounded stack, so every entry's
+	// slide stays pending.
 	n := len(stack)
-	s.growWB(n)
-	s.creditEvictions(stack)
 	stack = append(stack, stackEntry{})
 	copy(stack[1:], stack[:n])
-	stack[0] = newStackEntry(la, write)
+	stack[0] = stackEntry{la: la, minDirty: newMinDirty(write)}
 	s.dyn[si] = stack
 	return -1
 }
 
-func newStackEntry(la uint64, write bool) stackEntry {
-	e := stackEntry{la: la, minDirty: stackClean}
-	if write {
-		e.minDirty = 1
+// credit charges the write-backs of one finished slide: an entry with
+// the given minDirty went from position 0 down to position p, so every
+// a-way cache with minDirty ≤ a ≤ p evicted it dirty.
+func (s *PerSetStacks) credit(minDirty int32, p int) {
+	if int(minDirty) > p {
+		return
 	}
-	return e
+	for len(s.wbDiff) < p+2 {
+		s.wbDiff = append(s.wbDiff, 0)
+	}
+	s.wbDiff[minDirty]++
+	s.wbDiff[p+1]--
 }
 
-// creditEvictions charges the write-backs of one miss: every entry of
-// displaced is about to slide down one position, so the (p+1)-way cache
-// evicts the entry at position p and writes it back iff it is dirty there.
-func (s *PerSetStacks) creditEvictions(displaced []stackEntry) {
-	for p := range displaced {
-		if displaced[p].minDirty <= int32(p)+1 {
-			s.wb[p+1]++
+// Writebacks returns the accumulated write-back counts: Writebacks()[a]
+// is the write-back count of an a-way write-back, write-allocate LRU
+// cache of this geometry (index 0 unused). It settles the credited
+// ranges plus the pending range of every resident entry, without
+// changing the stacks. Bounded stacks report every tracked
+// associativity; unbounded ones stop at the deepest position credited,
+// and callers should treat missing indices as zero.
+func (s *PerSetStacks) Writebacks() []uint64 {
+	settled := &PerSetStacks{wbDiff: append([]uint64(nil), s.wbDiff...)}
+	for si, n := range s.occ {
+		for p, md := range s.dirty[si*s.depth : si*s.depth+int(n)] {
+			settled.credit(md, p)
 		}
 	}
-}
-
-// growWB extends wb so that evictions up to stack position n-1 (cache
-// associativity n) can be credited. Bounded stacks preallocate.
-func (s *PerSetStacks) growWB(n int) {
-	for len(s.wb) <= n {
-		s.wb = append(s.wb, 0)
+	for _, stack := range s.dyn {
+		for p, e := range stack {
+			settled.credit(e.minDirty, p)
+		}
 	}
-}
-
-// Writebacks returns a copy of the accumulated write-back counts:
-// Writebacks()[a] is the write-back count of an a-way write-back,
-// write-allocate LRU cache of this geometry (index 0 unused). Entries
-// beyond the largest occupancy reached are absent; callers should treat
-// missing indices as zero.
-func (s *PerSetStacks) Writebacks() []uint64 {
-	return append([]uint64(nil), s.wb...)
-}
-
-// WritebacksAt returns Writebacks()[assoc] without copying, treating
-// out-of-range associativities as zero (an a-way cache that never filled
-// a set never evicted from it).
-func (s *PerSetStacks) WritebacksAt(assoc int) uint64 {
-	if assoc < 1 || assoc >= len(s.wb) {
-		return 0
+	wb := settled.wbDiff
+	for a := 1; a < len(wb); a++ {
+		wb[a] += wb[a-1]
 	}
-	return s.wb[assoc]
+	return wb[:len(wb)-1]
 }
 
 // Reset clears all stacks and counters.
 func (s *PerSetStacks) Reset() {
-	if s.depth > 0 {
-		clear(s.flat)
-		clear(s.occ)
-		clear(s.wb)
-		return
-	}
+	clear(s.occ)
+	clear(s.wbDiff)
 	for i := range s.dyn {
 		s.dyn[i] = s.dyn[i][:0]
 	}
-	s.wb = s.wb[:1]
-	s.wb[0] = 0
 }

@@ -10,18 +10,31 @@ import (
 
 // refModel is an intentionally naive, obviously-correct set-associative LRU
 // cache used to cross-check the optimized simulator: each set is a slice of
-// line addresses ordered most-recently-used first. For 3C classification it
-// keeps every line ever touched in a map and a fully associative LRU cache
-// of the same capacity as one more such slice.
+// line addresses ordered most-recently-used first, and a map holds the
+// dirty bit of every resident line. It counts the memory traffic of its
+// write policy — lines fetched, write-backs and write-throughs — the way
+// Cache documents it. For 3C classification it keeps every line ever
+// touched in a map and a fully associative LRU cache of the same capacity
+// as one more such slice; a model without the map (newTrafficModel)
+// skips classification.
 type refModel struct {
-	cfg  Config
-	sets [][]uint64
-	seen map[uint64]bool
-	full []uint64
+	cfg   Config
+	sets  [][]uint64
+	dirty map[uint64]bool
+	seen  map[uint64]bool
+	full  []uint64
+
+	fetched, writeBacks, writeThroughs uint64
 }
 
 func newRefModel(cfg Config) *refModel {
-	return &refModel{cfg: cfg, sets: make([][]uint64, cfg.NumSets()), seen: map[uint64]bool{}}
+	m := newTrafficModel(cfg)
+	m.seen = map[uint64]bool{}
+	return m
+}
+
+func newTrafficModel(cfg Config) *refModel {
+	return &refModel{cfg: cfg, sets: make([][]uint64, cfg.NumSets()), dirty: map[uint64]bool{}}
 }
 
 // touchLRU looks la up in an MRU-first slice of at most capacity lines,
@@ -41,13 +54,45 @@ func touchLRU(lines []uint64, la uint64, capacity int) ([]uint64, bool) {
 	return lines, false
 }
 
-func (m *refModel) accessLine(la uint64) (bool, MissClass) {
+func (m *refModel) accessLine(la uint64, kind trace.Kind) (bool, MissClass) {
 	si := la & uint64(m.cfg.NumSets()-1)
-	var hit, fullHit bool
-	m.sets[si], hit = touchLRU(m.sets[si], la, m.cfg.Assoc)
-	m.full, fullHit = touchLRU(m.full, la, m.cfg.NumLines())
-	seen := m.seen[la]
-	m.seen[la] = true
+	write := kind == trace.Write
+	var fullHit, seen bool
+	if m.seen != nil {
+		m.full, fullHit = touchLRU(m.full, la, m.cfg.NumLines())
+		seen = m.seen[la]
+		m.seen[la] = true
+	}
+
+	set := m.sets[si]
+	hit := false
+	for _, resident := range set {
+		hit = hit || resident == la
+	}
+	switch {
+	case hit:
+		m.sets[si], _ = touchLRU(set, la, m.cfg.Assoc)
+		if write && m.cfg.WriteBack {
+			m.dirty[la] = true
+		}
+	case write && !m.cfg.WriteAllocate:
+		// The write goes around the cache, whatever the write policy.
+		m.writeThroughs++
+	default:
+		if len(set) == m.cfg.Assoc {
+			victim := set[len(set)-1]
+			if m.dirty[victim] {
+				m.writeBacks++
+			}
+			delete(m.dirty, victim)
+		}
+		m.sets[si], _ = touchLRU(set, la, m.cfg.Assoc)
+		m.dirty[la] = write && m.cfg.WriteBack
+		m.fetched++
+	}
+	if write && !m.cfg.WriteBack && (hit || m.cfg.WriteAllocate) {
+		m.writeThroughs++
+	}
 	switch {
 	case hit:
 		return true, NotMiss
@@ -65,7 +110,7 @@ func (m *refModel) accessLine(la uint64) (bool, MissClass) {
 func (m *refModel) accessRef(r trace.Ref) (bool, MissClass) {
 	hit, class := true, NotMiss
 	for la := m.cfg.LineAddr(r.Addr); la <= m.cfg.LineAddr(r.LastByte()); la++ {
-		if h, c := m.accessLine(la); !h && hit {
+		if h, c := m.accessLine(la, r.Kind); !h && hit {
 			hit, class = false, c
 		}
 	}
@@ -300,4 +345,115 @@ func TestShadowLRU(t *testing.T) {
 	if s.resident != 2 {
 		t.Errorf("resident = %d, want 2", s.resident)
 	}
+}
+
+// oracleConfigs builds the configuration set of FuzzSweepMatchesReferenceModel
+// from a shape seed: for each of three line sizes, five set counts, each
+// with one to three associativities (so lone geometries are common) and a
+// write-back or write-through policy per configuration, plus one
+// no-write-allocate configuration per line size on the fallback path.
+func oracleConfigs(shape int64) []Config {
+	rng := rand.New(rand.NewSource(shape))
+	var cfgs []Config
+	for _, l := range []int{4, 8, 16} {
+		for _, sets := range []int{1, 2, 4, 8, 32} {
+			for _, a := range rng.Perm(4)[:1+rng.Intn(3)] {
+				assoc := 1 << a
+				cfg := DefaultConfig(l*sets*assoc, l, assoc)
+				cfg.WriteBack = rng.Intn(2) == 0
+				cfgs = append(cfgs, cfg)
+			}
+		}
+		noAlloc := DefaultConfig(l*4*2, l, 2)
+		noAlloc.WriteAllocate = false
+		cfgs = append(cfgs, noAlloc)
+	}
+	rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
+	return cfgs
+}
+
+// oracleRefs decodes three bytes per reference, up to 2048 references:
+// 40% writes, sizes up to 64 bytes (line-spanning at every line size),
+// and addresses drawn from a 1 KiB hot region with an occasional far
+// page, so lines are reused and evicted heavily.
+func oracleRefs(data []byte) []trace.Ref {
+	sizes := []uint8{0, 1, 2, 4, 8, 16, 64}
+	data = data[:min(len(data), 3*2048)]
+	refs := make([]trace.Ref, 0, len(data)/3)
+	for i := 0; i+2 < len(data); i += 3 {
+		b0, b1, b2 := data[i], data[i+1], data[i+2]
+		kind := trace.Read
+		switch b0 % 10 {
+		case 0, 1, 2, 3:
+			kind = trace.Write
+		case 4:
+			kind = trace.Fetch
+		}
+		addr := uint64(b1)<<2 | uint64(b2&3)
+		if b2&0x80 != 0 {
+			addr += 4096 << (b2 >> 5 & 3)
+		}
+		refs = append(refs, trace.Ref{Addr: addr, Kind: kind, Size: sizes[int(b0/10)%len(sizes)]})
+	}
+	return refs
+}
+
+// FuzzSweepMatchesReferenceModel checks the sweep engine against the
+// naive model, not against another engine: every configuration's hits,
+// misses, lines fetched, write-backs and write-throughs must equal those
+// of one refModel, both for the whole sweep and for the sweep driven
+// through Shards(n), n = 1..4, in ragged blocks.
+func FuzzSweepMatchesReferenceModel(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{30, 300, 1500} {
+		seed := make([]byte, n)
+		rng.Read(seed)
+		f.Add(seed, int64(n))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, shape int64) {
+		refs := oracleRefs(data)
+		cfgs := oracleConfigs(shape)
+		want := make([]Stats, len(cfgs))
+		for i, cfg := range cfgs {
+			m := newTrafficModel(cfg)
+			for _, r := range refs {
+				if hit, _ := m.accessRef(r); hit {
+					want[i].Hits++
+				} else {
+					want[i].Misses++
+				}
+			}
+			want[i].LinesFetched, want[i].WriteBacks, want[i].WriteThroughs = m.fetched, m.writeBacks, m.writeThroughs
+		}
+		for n := 0; n <= 4; n++ {
+			s, err := NewSweep(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := []func([]trace.Ref){s.AccessBlock} // n = 0: the whole sweep
+			if n > 0 {
+				feed = feed[:0]
+				for _, sh := range s.Shards(n) {
+					feed = append(feed, sh.AccessBlock)
+				}
+			}
+			for start := 0; start < len(refs); {
+				end := min(start+1+int(shape&63)+start%7, len(refs))
+				for _, access := range feed {
+					access(refs[start:end])
+				}
+				start = end
+			}
+			for i, got := range s.Stats() {
+				w := want[i]
+				if got.Hits != w.Hits || got.Misses != w.Misses || got.LinesFetched != w.LinesFetched ||
+					got.WriteBacks != w.WriteBacks || got.WriteThroughs != w.WriteThroughs {
+					t.Fatalf("shards=%d %v: sweep (hits %d, misses %d, fetched %d, wb %d, wt %d), model (%d, %d, %d, %d, %d)",
+						n, cfgs[i], got.Hits, got.Misses, got.LinesFetched, got.WriteBacks, got.WriteThroughs,
+						w.Hits, w.Misses, w.LinesFetched, w.WriteBacks, w.WriteThroughs)
+				}
+			}
+			s.Release()
+		}
+	})
 }

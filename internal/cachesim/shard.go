@@ -1,21 +1,22 @@
 package cachesim
 
-// This file implements sweep sharding: a Sweep's pass units (inclusion
-// groups and fallback caches) are mutually independent state machines
+// This file implements sweep sharding: a Sweep's pass units (stack
+// levels and fallback caches) are mutually independent state machines
 // that only ever read the shared reference stream, so they can be
 // partitioned into disjoint shards and advanced by concurrent workers —
 // each shard consuming every block in order — with statistics
-// bit-identical to the sequential Sweep.AccessBlock traversal. The
-// partition balances estimated per-reference cost, not unit count: one
-// per-set stack group walking 8-deep lists costs more per reference
-// than a direct-mapped fallback probe.
+// bit-identical to the sequential Sweep.AccessBlock traversal. A shard
+// walks the levels it owns, one walk per line size. The partition
+// balances estimated per-reference cost, not unit count: one per-set
+// stack level walking 8-deep lists costs more per reference than a
+// direct-mapped fallback probe.
 
 import "memexplore/internal/trace"
 
 // Relative per-reference cost weights of the two pass-unit kinds. They
-// only steer load balance (never correctness): an inclusion group's
-// stack touch scans a per-set list of up to maxA entries, a fallback
-// cache probe is an indexed compare plus a bounded way scan.
+// only steer load balance (never correctness): a stack level's touch
+// scans a per-set list of up to maxA entries, a fallback cache probe is
+// an indexed compare plus a bounded way scan.
 const (
 	groupUnitBaseWeight = 4
 	cacheUnitWeight     = 3
@@ -28,15 +29,38 @@ const (
 // exactly as sequential AccessBlock calls would; statistics are then
 // read from the parent Sweep as usual.
 type SweepShard struct {
-	groups []*inclusionGroup
+	walks  []*lineWalk
 	caches []*Cache
+	units  int
 	weight int
+}
+
+// newSweepShard groups levels into one walk per line size (in order of
+// first appearance) alongside the fallback caches.
+func newSweepShard(levels []*stackLevel, caches []*Cache) *SweepShard {
+	sh := &SweepShard{caches: caches, units: len(levels) + len(caches), weight: len(caches) * cacheUnitWeight}
+	var byLine [][]*stackLevel
+	for _, lv := range levels {
+		sh.weight += groupUnitBaseWeight + lv.maxA
+		i := 0
+		for i < len(byLine) && byLine[i][0].lineBytes != lv.lineBytes {
+			i++
+		}
+		if i == len(byLine) {
+			byLine = append(byLine, nil)
+		}
+		byLine[i] = append(byLine[i], lv)
+	}
+	for _, ls := range byLine {
+		sh.walks = append(sh.walks, newLineWalk(ls))
+	}
+	return sh
 }
 
 // AccessBlock feeds a block of references to every unit of the shard.
 func (sh *SweepShard) AccessBlock(block []trace.Ref) {
-	for _, g := range sh.groups {
-		g.AccessBlock(block)
+	for _, w := range sh.walks {
+		w.AccessBlock(block)
 	}
 	for _, c := range sh.caches {
 		c.AccessBlock(block)
@@ -44,24 +68,22 @@ func (sh *SweepShard) AccessBlock(block []trace.Ref) {
 }
 
 // Units returns the number of pass units the shard owns.
-func (sh *SweepShard) Units() int { return len(sh.groups) + len(sh.caches) }
+func (sh *SweepShard) Units() int { return sh.units }
 
 // Weight returns the shard's estimated per-reference cost (the sum of
 // its units' weights) — the quantity the partition balances.
 func (sh *SweepShard) Weight() int { return sh.weight }
 
 // unitWeights returns the estimated cost weight of every pass unit in
-// canonical unit order: inclusion groups first (group order), then the
+// canonical unit order: stack levels first (level order), then the
 // fallback caches (configuration order).
 func (s *Sweep) unitWeights() []int {
 	w := make([]int, 0, s.PassUnits())
-	for _, g := range s.groups {
-		w = append(w, groupUnitBaseWeight+g.maxA)
+	for _, lv := range s.levels {
+		w = append(w, groupUnitBaseWeight+lv.maxA)
 	}
-	if s.batch != nil {
-		for range s.batch.caches {
-			w = append(w, cacheUnitWeight)
-		}
+	for range s.fallbackCaches() {
+		w = append(w, cacheUnitWeight)
 	}
 	return w
 }
@@ -73,19 +95,19 @@ func (s *Sweep) unitWeights() []int {
 // AccessBlock, and read Stats from the parent before Release as usual.
 func (s *Sweep) Shards(n int) []*SweepShard {
 	assign := partitionWeights(s.unitWeights(), n)
+	caches := s.fallbackCaches()
 	shards := make([]*SweepShard, len(assign))
 	for i, units := range assign {
-		sh := &SweepShard{}
+		var levels []*stackLevel
+		var own []*Cache
 		for _, u := range units {
-			if u < len(s.groups) {
-				sh.groups = append(sh.groups, s.groups[u])
-				sh.weight += groupUnitBaseWeight + s.groups[u].maxA
+			if u < len(s.levels) {
+				levels = append(levels, s.levels[u])
 			} else {
-				sh.caches = append(sh.caches, s.batch.caches[u-len(s.groups)])
-				sh.weight += cacheUnitWeight
+				own = append(own, caches[u-len(s.levels)])
 			}
 		}
-		shards[i] = sh
+		shards[i] = newSweepShard(levels, own)
 	}
 	return shards
 }
@@ -161,8 +183,8 @@ func ShardUnits(cfgs []Config, inclusion bool, n int) ([]int, error) {
 // pass-unit granularity: each returned slice lists the configuration
 // indices (ascending) whose pass units one shard owns, following exactly
 // the LPT assignment Shards performs on the built sweep. Because the cut
-// is at unit granularity, every inclusion group travels whole — the
-// grouping rules re-form the identical groups inside each shard's
+// is at unit granularity, every stack level travels whole — the
+// grouping rules re-form the identical levels inside each shard's
 // configuration subset — which is what makes a shard-scoped sweep's
 // per-configuration statistics bit-identical to the full sweep's. This
 // is the serialization surface of distributed sweeps: a coordinator and
@@ -181,7 +203,7 @@ func ShardConfigs(cfgs []Config, inclusion bool, n int) ([][]int, error) {
 			idx = append(idx, units[u]...)
 		}
 		// Units keep canonical order, but a fallback unit's configs can
-		// interleave with group configs in Space() order — restore
+		// interleave with level configs in Space() order — restore
 		// ascending configuration order within the shard.
 		for a := 1; a < len(idx); a++ { // insertion sort: shards are small
 			for b := a; b > 0 && idx[b] < idx[b-1]; b-- {
@@ -194,8 +216,8 @@ func ShardConfigs(cfgs []Config, inclusion bool, n int) ([][]int, error) {
 }
 
 // unitConfigsFor mirrors unitWeightsFor but additionally reports, per
-// pass unit, the configuration indices the unit covers — inclusion
-// groups first (first-encounter order), then fallback configurations in
+// pass unit, the configuration indices the unit covers — stack levels
+// first (first-encounter order), then fallback configurations in
 // configuration order, exactly as newSweep forms them.
 func unitConfigsFor(cfgs []Config, inclusion bool) ([]int, [][]int, error) {
 	for _, cfg := range cfgs {
@@ -204,41 +226,31 @@ func unitConfigsFor(cfgs []Config, inclusion bool) ([]int, [][]int, error) {
 		}
 	}
 	type geom struct{ lineBytes, sets int }
-	eligible := make(map[geom]int)
-	if inclusion {
-		for _, cfg := range cfgs {
-			if InclusionEligible(cfg) {
-				eligible[geom{cfg.LineBytes, cfg.NumSets()}]++
-			}
-		}
-	}
-	groupIdx := make(map[geom]int)
-	var groupMaxA []int
-	var groupCfgs [][]int
+	levelIdx := make(map[geom]int)
+	var levelMaxA []int
+	var levelCfgs [][]int
 	var fallback [][]int
 	for ci, cfg := range cfgs {
-		key := geom{cfg.LineBytes, cfg.NumSets()}
-		if !inclusion || !InclusionEligible(cfg) || eligible[key] < 2 {
+		if !inclusion || !InclusionEligible(cfg) {
 			fallback = append(fallback, []int{ci})
 			continue
 		}
-		gi, ok := groupIdx[key]
+		key := geom{cfg.LineBytes, cfg.NumSets()}
+		li, ok := levelIdx[key]
 		if !ok {
-			gi = len(groupMaxA)
-			groupIdx[key] = gi
-			groupMaxA = append(groupMaxA, 0)
-			groupCfgs = append(groupCfgs, nil)
+			li = len(levelMaxA)
+			levelIdx[key] = li
+			levelMaxA = append(levelMaxA, 0)
+			levelCfgs = append(levelCfgs, nil)
 		}
-		if cfg.Assoc > groupMaxA[gi] {
-			groupMaxA[gi] = cfg.Assoc
-		}
-		groupCfgs[gi] = append(groupCfgs[gi], ci)
+		levelMaxA[li] = max(levelMaxA[li], cfg.Assoc)
+		levelCfgs[li] = append(levelCfgs[li], ci)
 	}
-	weights := make([]int, 0, len(groupMaxA)+len(fallback))
-	units := make([][]int, 0, len(groupMaxA)+len(fallback))
-	for gi, maxA := range groupMaxA {
+	weights := make([]int, 0, len(levelMaxA)+len(fallback))
+	units := make([][]int, 0, len(levelMaxA)+len(fallback))
+	for li, maxA := range levelMaxA {
 		weights = append(weights, groupUnitBaseWeight+maxA)
-		units = append(units, groupCfgs[gi])
+		units = append(units, levelCfgs[li])
 	}
 	for _, f := range fallback {
 		weights = append(weights, cacheUnitWeight)

@@ -9,8 +9,8 @@ import (
 )
 
 // shardTestConfigs builds a mixed sweep: several inclusion-eligible
-// geometries (multiple associativities per (line, sets)) plus fallback
-// configurations (FIFO replacement and singleton geometries).
+// geometries (multiple associativities per (line, sets)), a one-config
+// geometry, and a fallback configuration (FIFO replacement).
 func shardTestConfigs() []Config {
 	var cfgs []Config
 	for _, size := range []int{64, 128, 256} {
@@ -23,7 +23,7 @@ func shardTestConfigs() []Config {
 	fifo := DefaultConfig(128, 8, 2)
 	fifo.Replacement = FIFO
 	cfgs = append(cfgs, fifo)
-	cfgs = append(cfgs, DefaultConfig(512, 64, 4)) // singleton geometry
+	cfgs = append(cfgs, DefaultConfig(512, 64, 4)) // one-config geometry
 	return cfgs
 }
 
@@ -197,7 +197,7 @@ func TestPartitionWeightsDeterministic(t *testing.T) {
 
 // TestShardConfigsPartition pins the config-index view of the shard
 // plan: every config index appears in exactly one shard, indices are
-// ascending within a shard, the plan is deterministic, inclusion groups
+// ascending within a shard, the plan is deterministic, stack levels
 // never split across shards, and the per-shard unit counts agree with
 // ShardUnits on the same inputs.
 func TestShardConfigsPartition(t *testing.T) {
@@ -247,24 +247,18 @@ func TestShardConfigsPartition(t *testing.T) {
 			}
 
 			if inclusion {
-				// Every inclusion group — ≥2 eligible configs sharing a
+				// Every stack level — the eligible configs sharing a
 				// (line, sets) geometry — must land whole in one shard.
 				type geom struct{ line, sets int }
-				count := make(map[geom]int)
-				for _, c := range cfgs {
-					if InclusionEligible(c) {
-						count[geom{c.LineBytes, c.NumSets()}]++
-					}
-				}
 				home := make(map[geom]int)
 				for ci, shard := range seen {
 					c := cfgs[ci]
-					g := geom{c.LineBytes, c.NumSets()}
-					if !InclusionEligible(c) || count[g] < 2 {
+					if !InclusionEligible(c) {
 						continue
 					}
+					g := geom{c.LineBytes, c.NumSets()}
 					if h, ok := home[g]; ok && h != shard {
-						t.Errorf("n=%d: inclusion group %+v split across shards %d and %d", n, g, h, shard)
+						t.Errorf("n=%d: stack level %+v split across shards %d and %d", n, g, h, shard)
 					}
 					home[g] = shard
 				}

@@ -66,7 +66,7 @@ func ParseEngine(s string) (Engine, error) {
 // SweepPlan describes how a sweep's points partition into simulation pass
 // units before any trace is generated: how many distinct workload traces
 // will be walked, and how the configurations of each workload split into
-// inclusion groups (one per-set LRU stack pass covering every
+// inclusion groups (one per-set LRU stack level covering every
 // associativity of a (line, sets) geometry) versus per-configuration
 // batch fallbacks. The service and CLI surface it as the "configs per
 // pass" amplification figure.
@@ -77,12 +77,12 @@ type SweepPlan struct {
 	// the number of trace passes.
 	Workloads int
 	// InclusionGroups is the number of (workload, line, sets) groups
-	// simulated by one shared LRU stack pass each.
+	// simulated by one shared LRU stack level each.
 	InclusionGroups int
 	// InclusionConfigs is the number of points covered by those groups.
 	InclusionConfigs int
 	// FallbackConfigs is the number of points simulated individually
-	// (ineligible policies, singleton geometries, or a forced engine).
+	// (ineligible policies or a forced engine).
 	FallbackConfigs int
 	// Shards, when the plan is for a chunked trace sweep (TraceSweepPlan),
 	// is the pass-unit count of each simulation shard the pipelined engine
@@ -117,9 +117,9 @@ func (o Options) inclusionEligible() bool {
 
 // Plan computes the sweep's pass partition without running it, mirroring
 // the grouping the engines perform: points group by workload (one trace
-// pass each), and within a workload by (line, sets) geometry; geometries
-// with at least two eligible configurations form inclusion groups, the
-// rest fall back to per-configuration simulation.
+// pass each), and within a workload every (line, sets) geometry forms
+// one inclusion group when the policies are eligible; otherwise every
+// configuration falls back to per-configuration simulation.
 func (o Options) Plan() SweepPlan {
 	points := o.Space()
 	plan := SweepPlan{Points: len(points)}
@@ -132,27 +132,20 @@ func (o Options) Plan() SweepPlan {
 	}
 	groups := groupWorkloads(o, points)
 	plan.Workloads = len(groups)
-	useInclusion := o.Engine != EngineBatched && o.inclusionEligible()
+	if o.Engine == EngineBatched || !o.inclusionEligible() {
+		plan.FallbackConfigs = len(points)
+		return plan
+	}
 	type geom struct{ line, sets int }
 	for _, g := range groups {
-		if !useInclusion {
-			plan.FallbackConfigs += len(g.indices)
-			continue
-		}
-		counts := make(map[geom]int)
+		seen := make(map[geom]bool)
 		for _, pi := range g.indices {
 			p := points[pi]
-			counts[geom{p.LineSize, p.CacheSize / (p.LineSize * p.Assoc)}]++
+			seen[geom{p.LineSize, p.CacheSize / (p.LineSize * p.Assoc)}] = true
 		}
-		for _, n := range counts {
-			if n >= 2 {
-				plan.InclusionGroups++
-				plan.InclusionConfigs += n
-			} else {
-				plan.FallbackConfigs += n
-			}
-		}
+		plan.InclusionGroups += len(seen)
 	}
+	plan.InclusionConfigs = len(points)
 	return plan
 }
 

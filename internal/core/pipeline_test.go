@@ -16,8 +16,9 @@ import (
 	"memexplore/internal/kernels"
 )
 
-// pipelineTestOptions is a small mixed space: inclusion groups (several
-// associativities per geometry) plus fallback singletons.
+// pipelineTestOptions is a small mixed space: stack levels with several
+// associativities per geometry and one-config levels; the FIFO and
+// random policies below send the same space to the fallback batch.
 func pipelineTestOptions() Options {
 	opts := DefaultOptions()
 	opts.CacheSizes = []int{32, 64, 128, 256}

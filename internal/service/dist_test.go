@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +19,8 @@ func distHeaderJSON(shards int) string {
 
 // distPair builds a coordinator/peer replica pair sharing one jobs
 // directory, the peer reachable over real HTTP (the coordinator dials
-// it). Both are shut down with the test.
+// it). Both are shut down with the test, before the directory is
+// removed: a job still settling would otherwise write into it.
 func distPair(t *testing.T) (*Server, *Server, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -26,7 +28,15 @@ func distPair(t *testing.T) (*Server, *Server, string) {
 	ts := httptest.NewServer(peer)
 	coord := MustNew(Config{MaxConcurrentSweeps: 2, CacheEntries: 8, JobsDir: dir, MaxBodyBytes: 64 << 20, Peers: []string{ts.URL}})
 	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := coord.Shutdown(ctx); err != nil {
+			t.Errorf("coordinator shutdown: %v", err)
+		}
 		ts.Close()
+		if err := peer.Shutdown(ctx); err != nil {
+			t.Errorf("peer shutdown: %v", err)
+		}
 	})
 	return coord, peer, ts.URL
 }

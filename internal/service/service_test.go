@@ -390,10 +390,10 @@ func TestInclusionCounters(t *testing.T) {
 	groups0 := vars.inclusionGroups.Value()
 	// T ∈ {64, 128} × L=8 × S ∈ {1, 2} on the sequential layout (the
 	// optimized layout keys workloads on (T, L), which pins the geometry):
-	// the points (64,8,1) and (128,8,2) share the (L=8, sets=8) geometry —
-	// one inclusion group — while (64,8,2) and (128,8,1) are singleton
-	// geometries (fallbacks). The plan is therefore 4 points over 3 pass
-	// units.
+	// the points (64,8,1) and (128,8,2) share the (L=8, sets=8) geometry,
+	// while (64,8,2) and (128,8,1) are singleton geometries. Every
+	// geometry is one inclusion group, so the plan is 4 points over 3
+	// groups and 3 pass units.
 	w := postJSON(t, s, "/v1/explore", `{"kernel":"pde","options":{"cache_sizes":[64,128],"line_sizes":[8],"assocs":[1,2],"tilings":[1],"optimize_layout":false}}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d %s", w.Code, w.Body)
@@ -402,8 +402,8 @@ func TestInclusionCounters(t *testing.T) {
 	if resp.Points != 4 {
 		t.Fatalf("points = %d, want 4", resp.Points)
 	}
-	if got := vars.inclusionGroups.Value() - groups0; got != 1 {
-		t.Errorf("inclusion_groups delta = %d, want 1", got)
+	if got := vars.inclusionGroups.Value() - groups0; got != 3 {
+		t.Errorf("inclusion_groups delta = %d, want 3", got)
 	}
 	if got, want := vars.configsPerPass.Value(), 4.0/3.0; got != want {
 		t.Errorf("configs_per_pass = %g, want %g", got, want)

@@ -296,8 +296,9 @@ func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
 // SweepPlan describes how a sweep partitions into simulation pass units
 // before it runs: trace-generation workloads, inclusion groups (one
-// per-set LRU stack pass covering every associativity of a (line, sets)
-// geometry) and per-configuration fallbacks. Options.Plan computes it.
+// per-set LRU stack level covering every associativity of a (line, sets)
+// geometry, walked together with the other levels of its line size) and
+// per-configuration fallbacks. Options.Plan computes it.
 type SweepPlan = core.SweepPlan
 
 // TraceSweepPlan is Options.Plan for an external-trace sweep (the options
