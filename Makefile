@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-service bench-dist bench-search bench-guard benchsuite-check figs exhibits exhibits-check fuzz cover clean check serve
+.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-search bench-guard benchsuite-check figs exhibits exhibits-check fuzz cover clean check serve
 
 all: build vet test
 
@@ -26,6 +26,7 @@ check: build vet test benchsuite-check exhibits-check
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseDin -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseBinaryV2 -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseIndexFooter -fuzztime 5s
+	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzTrustedIngestStats -fuzztime 5s
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzGenome -fuzztime 5s
 
 # The benchmark suite is a nested module (benchsuite/go.mod) that
@@ -60,30 +61,18 @@ bench-sweep:
 bench-trace:
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreDinTrace|BenchmarkExploreTraceSampled' -benchmem -count 5 . | tee BENCH_trace.out
 
-# The ingestion levers in isolation: buffered decode of an on-disk mxt
-# v2 artifact, and index-guided chunk skipping vs full decode at R=0.01;
-# appends to BENCH_trace.out for curation into BENCH_trace.json.
+# The ingestion levers in isolation: decode of an on-disk mxt v2
+# artifact as a file (trusted footer) and as a stream (accumulator), the
+# din-to-v2 transcode, and index-guided chunk skipping vs full decode at
+# R=0.01; appends to BENCH_trace.out for curation into BENCH_trace.json.
 bench-ingest:
-	$(GO) test -run '^$$' -bench BenchmarkIngest -benchmem -count 3 . | tee -a BENCH_trace.out
+	$(GO) test -run '^$$' -bench BenchmarkIngest -benchmem -count 5 . | tee -a BENCH_trace.out
 
 # Guided search vs exhaustive sweep at matched budgets on an enlarged
 # configuration space; the raw runs land in BENCH_search.out for
 # curation into BENCH_search.json.
 bench-search:
 	$(GO) test -run '^$$' -bench BenchmarkSearch -benchmem -count 3 . | tee BENCH_search.out
-
-# Service-level load test: p50/p99 latencies of the synchronous
-# /v1/explore endpoint and the async job pipeline against an in-process
-# server; the report lands in BENCH_service.json.
-bench-service:
-	$(GO) run ./cmd/memexplore-bench
-
-# Distributed trace sweeps: replica subprocesses (GOMAXPROCS=1 each)
-# over a shared jobs directory, wall-clock legs at 1/2/4 replicas plus
-# an isolated-shard critical-path projection, byte-diffed against the
-# local run; the report lands in BENCH_dist.json.
-bench-dist:
-	$(GO) run ./cmd/memexplore-bench -dist
 
 # CI smoke: one iteration of the sweep benchmark on a vet-clean build —
 # catches engine regressions without paying full benchmark time.
@@ -113,6 +102,7 @@ fuzz:
 	$(GO) test ./internal/extrace -fuzz FuzzParseDin -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseBinaryV2 -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseIndexFooter -fuzztime 30s
+	$(GO) test ./internal/extrace -fuzz FuzzTrustedIngestStats -fuzztime 30s
 	$(GO) test ./internal/cachesim -fuzz FuzzPerSetStacks -fuzztime 30s
 	$(GO) test ./internal/cachesim -fuzz FuzzSweepMatchesReferenceModel -fuzztime 30s
 	$(GO) test ./internal/search -fuzz FuzzGenome -fuzztime 30s

@@ -483,8 +483,14 @@ func BenchmarkSearch(b *testing.B) {
 // summaries can prove dead under sampling; the compute segments mostly
 // cannot be skipped, so the indexed sweep still decodes real work:
 //
-//   - decode/bufio    — streaming chunk decode through bufio, the one
-//     transport (files, gzip, stdin and HTTP bodies alike)
+//   - decode/file     — chunk decode of the indexed artifact as an
+//     *os.File: seekable and profile-bearing, so the reader counts
+//     records and kinds and takes the rest of its stats from the footer
+//   - decode/stream   — the same file behind a non-seekable wrapper,
+//     the transport of gzip, stdin and HTTP bodies: the ingest-statistics
+//     accumulator runs on every record
+//   - transcode       — TranscodeV2 of the din text to io.Discard: din
+//     parse, one accumulator, chunk encode and the index footer
 //   - sweep/full@sample=0.01    — full sweep, R=0.01 sampling, on an
 //     index-less artifact: every chunk decoded, then filtered
 //   - sweep/indexed@sample=0.01 — the same sweep on the indexed
@@ -548,8 +554,8 @@ func BenchmarkIngest(b *testing.B) {
 	writeV2(barePath, extrace.V2WriterOptions{NoIndex: true})
 
 	// drain measures pure decode throughput: open, stream every record,
-	// no simulation.
-	drain := func(b *testing.B, path string) {
+	// no simulation. stream hides the file's Seek and ReadAt.
+	drain := func(b *testing.B, path string, stream bool) {
 		b.Helper()
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -564,7 +570,11 @@ func BenchmarkIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rd := extrace.NewReader(f, extrace.Options{})
+			var src io.Reader = f
+			if stream {
+				src = struct{ io.Reader }{f}
+			}
+			rd := extrace.NewReader(src, extrace.Options{})
 			buf := make([]memexplore.TraceRef, 4096)
 			for {
 				_, err := rd.Read(buf)
@@ -585,7 +595,22 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	}
-	b.Run("decode/bufio", func(b *testing.B) { drain(b, indexedPath) })
+	b.Run("decode/file", func(b *testing.B) { drain(b, indexedPath, false) })
+	b.Run("decode/stream", func(b *testing.B) { drain(b, indexedPath, true) })
+	b.Run("transcode", func(b *testing.B) {
+		b.SetBytes(int64(din.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n, _, err := extrace.TranscodeV2(io.Discard, bytes.NewReader(din.Bytes()), extrace.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n != records {
+				b.Fatalf("transcoded %d records, want %d", n, records)
+			}
+		}
+		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	})
 
 	// sweep measures the full ExploreTrace at R=0.01 — the indexed
 	// artifact skips dead chunks, the index-less control decodes all of

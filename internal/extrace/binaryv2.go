@@ -404,10 +404,21 @@ func WriteBinaryV2(w io.Writer, src trace.Source) (int64, error) {
 // and index control. The returned count is the records written (after
 // sampling).
 func WriteBinaryV2Options(w io.Writer, src trace.Source, wo V2WriterOptions) (int64, error) {
+	return writeBinaryV2(w, src, wo, nil)
+}
+
+// sampled reports whether the options thin the stream at transcode time.
+func (wo V2WriterOptions) sampled() bool { return wo.SampleRate > 0 && wo.SampleRate < 1 }
+
+// writeBinaryV2 is WriteBinaryV2Options with an optional source of the
+// footer's stats profile: srcStats, when non-nil, is called once src is
+// drained and must profile exactly the records written, in order. Without
+// it the writer accumulates the profile itself.
+func writeBinaryV2(w io.Writer, src trace.Source, wo V2WriterOptions, srcStats func() IngestStats) (int64, error) {
 	if wo.SampleRate < 0 || wo.SampleRate > 1 || wo.SampleRate != wo.SampleRate {
 		return 0, fmt.Errorf("extrace: sampling rate %g must be in [0, 1]", wo.SampleRate)
 	}
-	sampled := wo.SampleRate > 0 && wo.SampleRate < 1
+	sampled := wo.sampled()
 	var threshold uint64
 	if sampled {
 		threshold = SampleThreshold(wo.SampleRate)
@@ -427,7 +438,9 @@ func WriteBinaryV2Options(w io.Writer, src trace.Source, wo V2WriterOptions) (in
 	)
 	if !wo.NoIndex {
 		idxb = newIndexBuilder()
-		wacc = newAccumulator()
+		if srcStats == nil {
+			wacc = new(accumulator)
+		}
 	}
 	flush := func() error {
 		if len(batch) == 0 {
@@ -439,6 +452,8 @@ func WriteBinaryV2Options(w io.Writer, src trace.Source, wo V2WriterOptions) (in
 		}
 		if idxb != nil {
 			idxb.addChunk(batch, len(scratch))
+		}
+		if wacc != nil {
 			wacc.noteBlock(batch)
 		}
 		written += int64(len(batch))
@@ -468,7 +483,12 @@ func WriteBinaryV2Options(w io.Writer, src trace.Source, wo V2WriterOptions) (in
 		return written, err
 	}
 	if idxb != nil {
-		st := wacc.snapshot()
+		var st IngestStats
+		if wacc != nil {
+			st = wacc.snapshot()
+		} else {
+			st = srcStats()
+		}
 		profile := &IndexProfile{
 			MinAddr:            st.MinAddr,
 			MaxAddr:            st.MaxAddr,
@@ -555,8 +575,22 @@ func TranscodeV2(w io.Writer, r io.Reader, opts Options) (int64, IngestStats, er
 func TranscodeV2Options(w io.Writer, r io.Reader, opts Options, wo V2WriterOptions) (int64, IngestStats, error) {
 	rd := NewReader(r, opts)
 	defer rd.Close()
-	n, err := WriteBinaryV2Options(w, rd.Source(), wo)
-	st := rd.Stats()
+	// Unsampled, the written records are the reader's accepted records in
+	// order, so its final stats are the footer profile: one accumulator
+	// runs, not two.
+	var st IngestStats
+	haveStats := false
+	srcStats := func() IngestStats {
+		st, haveStats = rd.Stats(), true
+		return st
+	}
+	if wo.sampled() {
+		srcStats = nil
+	}
+	n, err := writeBinaryV2(w, rd.Source(), wo, srcStats)
+	if !haveStats {
+		st = rd.Stats()
+	}
 	if err == nil {
 		if ix := rd.Index(); ix != nil && ix.Sampled {
 			err = fmt.Errorf("extrace: input is already sampled at transcode time (rate %g, seed %d): refusing to re-encode it; transcode from the original source", ix.SampleRate, ix.SampleSeed)

@@ -330,7 +330,8 @@ func TestTranscodeV2(t *testing.T) {
 // under SkipMalformed, must report statistics identical to the same trace
 // with the malformed records removed — only Rejects (and wire-level
 // fields) may differ. A regression here means a decoder let a record
-// touch the accumulator before rejecting it.
+// touch the accumulator before rejecting it — or a reader substituted a
+// footer profile that still describes the rejected records.
 func TestRejectedRecordsNeverReachStats(t *testing.T) {
 	good := []trace.Ref{
 		{Addr: 0x1000, Kind: trace.Read},
@@ -345,11 +346,18 @@ func TestRejectedRecordsNeverReachStats(t *testing.T) {
 		st.BytesRead = 0
 		return st
 	}
-	cases := []struct {
+	type rejectCase struct {
 		name         string
 		clean, dirty []byte
 		wantRejects  int64
-	}{}
+		// skipLast reads both streams under a chunk policy that skips
+		// their last indexed chunk. The clean read takes its footer
+		// profile; the dirty one, having rejects, cannot (its footer
+		// profiles the rejected records too), so the skipped chunk adds
+		// counts only and the stride-derived fields legitimately differ.
+		skipLast bool
+	}
+	var cases []rejectCase
 
 	// din: malformed lines between good ones.
 	var clean, dirty strings.Builder
@@ -361,11 +369,7 @@ func TestRejectedRecordsNeverReachStats(t *testing.T) {
 			dirty.WriteString("7 nonsense\n")
 		}
 	}
-	cases = append(cases, struct {
-		name         string
-		clean, dirty []byte
-		wantRejects  int64
-	}{"din", []byte(clean.String()), []byte(dirty.String()), 2})
+	cases = append(cases, rejectCase{name: "din", clean: []byte(clean.String()), dirty: []byte(dirty.String()), wantRejects: 2})
 
 	// binary v1: framed records with a bad kind label between good ones.
 	var cb, db bytes.Buffer
@@ -379,11 +383,7 @@ func TestRejectedRecordsNeverReachStats(t *testing.T) {
 			db.Write([]byte{3, 9, 0, 0x55}) // framed, kind 9
 		}
 	}
-	cases = append(cases, struct {
-		name         string
-		clean, dirty []byte
-		wantRejects  int64
-	}{"binary", cb.Bytes(), db.Bytes(), 2})
+	cases = append(cases, rejectCase{name: "binary", clean: cb.Bytes(), dirty: db.Bytes(), wantRejects: 2})
 
 	// binary v2: bad kind labels inside a chunk plus a CRC-damaged chunk.
 	withBad := []trace.Ref{good[0], {Addr: 0x9999, Kind: 3}, good[1]}
@@ -400,17 +400,32 @@ func TestRejectedRecordsNeverReachStats(t *testing.T) {
 		c1len += len(withBad)
 	}
 	dirtyV2[len(binaryV2Magic)+c1len+v2HeaderBytes] ^= 0xff
-	cases = append(cases, struct {
-		name         string
-		clean, dirty []byte
-		wantRejects  int64
-	}{"binaryv2", cleanV2, dirtyV2, 1 + int64(len(damaged))})
+	cases = append(cases, rejectCase{name: "binaryv2", clean: cleanV2, dirty: dirtyV2, wantRejects: 1 + int64(len(damaged))})
+
+	// indexed binary v2 with a skipped chunk: four chunks of reads over
+	// 0x10000–0x10ff8, the first also holding a write at 0xdead0000 and
+	// CRC-damaged. The footer profiles that write; the stats must not.
+	reads := make([]trace.Ref, 4*v2ChunkRecords)
+	for i := range reads {
+		reads[i] = trace.Ref{Addr: 0x10000 + uint64(i%512)*8, Kind: trace.Read}
+	}
+	reads[0] = trace.Ref{Addr: 0xdead0000, Kind: trace.Write}
+	var ci, di bytes.Buffer
+	WriteBinaryV2(&ci, trace.FromRefs(reads[v2ChunkRecords:]).Reader())
+	WriteBinaryV2(&di, trace.FromRefs(reads).Reader())
+	dirtyIdx := di.Bytes()
+	dirtyIdx[len(binaryV2Magic)+v2HeaderBytes] ^= 0xff
+	cases = append(cases, rejectCase{name: "binaryv2-indexed-skip", clean: ci.Bytes(), dirty: dirtyIdx, wantRejects: v2ChunkRecords, skipLast: true})
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rc := NewReader(bytes.NewReader(tc.clean), Options{})
-			cleanRefs := readAll(t, rc)
 			rd := NewReader(bytes.NewReader(tc.dirty), Options{SkipMalformed: true})
+			if tc.skipLast {
+				rc.SetChunkPolicy(skipLastChunk(t, tc.clean))
+				rd.SetChunkPolicy(skipLastChunk(t, tc.dirty))
+			}
+			cleanRefs := readAll(t, rc)
 			dirtyRefs := readAll(t, rd)
 			if len(cleanRefs) != len(dirtyRefs) {
 				t.Fatalf("accepted %d dirty records, want %d", len(dirtyRefs), len(cleanRefs))
@@ -425,10 +440,35 @@ func TestRejectedRecordsNeverReachStats(t *testing.T) {
 				t.Errorf("rejects = %d, want %d", dst.Rejects, tc.wantRejects)
 			}
 			nc, nd := neutralize(cst), neutralize(dst)
+			if tc.skipLast {
+				if cst.ChunksSkipped != 1 || dst.ChunksSkipped != 1 {
+					t.Fatalf("skipped %d clean and %d dirty chunks, want 1 each", cst.ChunksSkipped, dst.ChunksSkipped)
+				}
+				for _, st := range []*IngestStats{&nc, &nd} {
+					st.Strides, st.StrideOther, st.SequentialFrac = nil, 0, 0
+				}
+			}
 			if !reflect.DeepEqual(nc, nd) {
 				t.Errorf("rejected records leaked into stats:\nclean:\n%s\ndirty:\n%s", nc, nd)
 			}
 		})
+	}
+}
+
+// skipLastChunk is a chunk policy that skips the last chunk of the
+// indexed v2 stream src.
+func skipLastChunk(t *testing.T, src []byte) ChunkPolicy {
+	t.Helper()
+	ix := ProbeIndex(bytes.NewReader(src))
+	if ix == nil || len(ix.Chunks) == 0 {
+		t.Fatal("stream has no index to skip by")
+	}
+	last := ix.Chunks[len(ix.Chunks)-1].Offset
+	return func(e *ChunkIndexEntry) ChunkVerdict {
+		if e.Offset == last {
+			return ChunkSkipDrop
+		}
+		return ChunkDecode
 	}
 }
 

@@ -8,8 +8,10 @@
 // numbers and byte offsets (or skipped, when Options.SkipMalformed is
 // set), hard resource limits bound record counts and line lengths, and
 // ingest-time statistics (footprint, access mix, stride histogram) are
-// accumulated in the same pass. WriteDin and WriteBinary are the matching
-// encoders, so synthetic kernel traces round-trip through the formats.
+// accumulated in the same pass — or, on a seekable mxt v2 file with a
+// profiled index footer, read from the footer. WriteDin and WriteBinary
+// are the matching encoders, so synthetic kernel traces round-trip
+// through the formats.
 //
 // See docs/TRACE_FORMAT.md for the byte-level format reference.
 package extrace

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"memexplore/internal/trace"
@@ -205,7 +206,7 @@ func (b *indexBuilder) addChunk(recs []trace.Ref, frameBytes int) {
 		}
 		b.gbuf = append(b.gbuf, r.Addr/IndexGranule)
 	}
-	sort.Slice(b.gbuf, func(i, j int) bool { return b.gbuf[i] < b.gbuf[j] })
+	slices.Sort(b.gbuf)
 	distinct := b.gbuf[:0]
 	for i, g := range b.gbuf {
 		if i == 0 || g != distinct[len(distinct)-1] {
@@ -488,15 +489,8 @@ func ProbeIndex(r io.Reader) *TraceIndex {
 	if !ok {
 		return nil
 	}
-	cur, err := sk.Seek(0, io.SeekCurrent)
+	_, size, err := seekBounds(sk)
 	if err != nil {
-		return nil
-	}
-	size, err := sk.Seek(0, io.SeekEnd)
-	if err != nil {
-		return nil
-	}
-	if _, err := sk.Seek(cur, io.SeekStart); err != nil {
 		return nil
 	}
 	var magic [len(binaryV2Magic)]byte
@@ -504,6 +498,18 @@ func ProbeIndex(r io.Reader) *TraceIndex {
 		return nil
 	}
 	return probeIndex(ra, size)
+}
+
+// matches reports whether the counts st accumulated over a whole
+// stream — records, reads and writes — equal the index's totals: the
+// check a trusted reader makes before taking the footer's profile.
+func (ix *TraceIndex) matches(st *IngestStats) bool {
+	var reads, writes int64
+	for i := range ix.Chunks {
+		reads += ix.Chunks[i].Reads
+		writes += ix.Chunks[i].Writes
+	}
+	return st.Records == ix.Records && st.Reads == reads && st.Writes == writes
 }
 
 // applyProfile substitutes the footer's encode-time profile fields into

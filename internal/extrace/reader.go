@@ -56,6 +56,17 @@ type Reader struct {
 	// whole indexed chunks (see SetChunkPolicy).
 	policy ChunkPolicy
 
+	// trusted marks a seekable, uncompressed mxt v2 stream whose
+	// preloaded MXTI01 footer carries the stats profile, read without a
+	// record limit: decoded chunks update only the record and kind
+	// counts, and Stats takes the other fields from the footer — or, when
+	// it cannot, replays span through an accumulating reader.
+	trusted bool
+	span    *io.SectionReader // the stream's bytes, on seekable sources
+	// replayIdx marks a replay reader: it never trusts the footer, and it
+	// reuses the index its trusted original already parsed.
+	replayIdx *TraceIndex
+
 	format  string
 	gzipped bool
 	started bool
@@ -69,7 +80,7 @@ func NewReader(r io.Reader, opts Options) *Reader {
 	return &Reader{
 		opts: opts,
 		raw:  &countReader{r: r},
-		acc:  newAccumulator(),
+		acc:  new(accumulator),
 	}
 }
 
@@ -101,13 +112,10 @@ func (r *Reader) start() error {
 		// chunks by discarding; gzip and pipes only discover the footer
 		// when the stream reaches it.
 		if !r.gzipped {
-			if ra, ok := r.raw.r.(io.ReaderAt); ok {
-				if size, err := seekableSize(r.raw.r); err == nil {
-					dec.idx = probeIndex(ra, size)
-				}
-			}
+			dec.idx = r.probe()
 		}
 		r.attachPolicy(dec)
+		r.trusted = r.replayIdx == nil && dec.idx != nil && dec.idx.HasProfile && r.opts.MaxRecords == 0
 		r.cdec = dec
 		return nil
 	}
@@ -118,26 +126,44 @@ func (r *Reader) start() error {
 	return nil
 }
 
-// seekableSize reads the total size of a seekable stream and restores
-// its offset (ReadAt-based index probing needs the absolute tail
-// position).
-func seekableSize(r io.Reader) (int64, error) {
-	sk, ok := r.(io.Seeker)
+// probe preloads the MXTI01 index of a seekable source — the one its
+// original parsed, for a replay reader — and keeps the span of the
+// stream's bytes for a replay. It returns nil when the source is not
+// seekable or carries no valid index.
+func (r *Reader) probe() *TraceIndex {
+	ra, ok := r.raw.r.(io.ReaderAt)
 	if !ok {
-		return 0, fmt.Errorf("extrace: source is not seekable")
+		return nil
 	}
-	cur, err := sk.Seek(0, io.SeekCurrent)
+	sk, ok := r.raw.r.(io.Seeker)
+	if !ok {
+		return nil
+	}
+	cur, end, err := seekBounds(sk)
 	if err != nil {
-		return 0, err
+		return nil
 	}
-	end, err := sk.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, err
+	// The stream began where the source stood before format detection
+	// buffered its first bytes.
+	base := cur - r.raw.n
+	r.span = io.NewSectionReader(ra, base, end-base)
+	if r.replayIdx != nil {
+		return r.replayIdx
 	}
-	if _, err := sk.Seek(cur, io.SeekStart); err != nil {
-		return 0, err
+	return probeIndex(r.span, end-base)
+}
+
+// seekBounds reports the current offset and the size of a seekable
+// source, restoring its offset.
+func seekBounds(sk io.Seeker) (cur, end int64, err error) {
+	if cur, err = sk.Seek(0, io.SeekCurrent); err != nil {
+		return 0, 0, err
 	}
-	return end, nil
+	if end, err = sk.Seek(0, io.SeekEnd); err != nil {
+		return 0, 0, err
+	}
+	_, err = sk.Seek(cur, io.SeekStart)
+	return cur, end, err
 }
 
 // attachPolicy arms index-guided chunk skipping on a v2 decoder when
@@ -218,9 +244,10 @@ func (r *Reader) Read(buf []trace.Ref) (int, error) {
 
 // readChunked is Read for chunk-at-a-time decoders: whole chunks land
 // directly in buf (the pipeline's pooled slabs) and are accounted in one
-// noteBlock per chunk. Stats accumulate strictly after the decoder's
-// malformed-record rejection, preserving the IngestStats invariant that
-// rejected records never count — same contract, fewer per-record calls.
+// noteBlock per chunk — or, on a trusted stream, one count. Stats
+// accumulate strictly after the decoder's malformed-record rejection,
+// preserving the IngestStats invariant that rejected records never
+// count — same contract, fewer per-record calls.
 func (r *Reader) readChunked(buf []trace.Ref) (int, error) {
 	n := 0
 	for n < len(buf) {
@@ -235,7 +262,11 @@ func (r *Reader) readChunked(buf []trace.Ref) (int, error) {
 			r.err = fmt.Errorf("%w (%d)", ErrRecordLimit, r.opts.MaxRecords)
 			return n, r.err
 		}
-		r.acc.noteBlock(buf[n : n+m])
+		if r.trusted {
+			r.acc.count(buf[n : n+m])
+		} else {
+			r.acc.noteBlock(buf[n : n+m])
+		}
 		n += m
 		if err != nil {
 			r.err = err
@@ -245,28 +276,81 @@ func (r *Reader) readChunked(buf []trace.Ref) (int, error) {
 	return n, nil
 }
 
-// Stats snapshots the ingest statistics accumulated so far. When
-// chunks were skipped via the index, the profile fields a skipping
-// reader cannot reconstruct (address range, footprint, strides,
-// sequential fraction) are substituted from the footer's encode-time
-// profile once the stream has ended cleanly — by construction the
-// profile a full decode of the same stream would have accumulated.
+// Stats snapshots the ingest statistics accumulated so far. The profile
+// fields (address range, footprint, strides, sequential fraction) come
+// from the MXTI01 footer's encode-time profile — by construction the
+// profile a full decode of the same stream accumulates — in two cases:
+//
+//   - a trusted stream (see Reader.trusted) that ended in a clean EOF
+//     with no rejects and the index's record, read and write totals;
+//   - an accumulating reader that skipped chunks via the index and
+//     ended in a clean EOF with no rejects.
+//
+// A trusted stream in any other state — a reject, a decode error, a
+// read abandoned before EOF, a count mismatch — replays its bytes
+// through an accumulating reader to the same position, so Stats equals
+// what that reader reports. Otherwise skipped chunks contribute their
+// counts only.
 func (r *Reader) Stats() IngestStats {
-	st := r.acc.snapshot()
+	d, _ := r.cdec.(*binV2Decoder)
+	var st IngestStats
+	switch {
+	case r.trusted && r.err == io.EOF && r.acc.st.Rejects == 0 && d.idx.matches(&r.acc.st):
+		st = r.acc.snapshot()
+		d.idx.applyProfile(&st)
+	case r.trusted:
+		st = r.replayStats()
+	default:
+		st = r.acc.snapshot()
+		if d != nil && r.err == io.EOF && d.skip.Chunks > 0 && st.Rejects == 0 && d.idx != nil && d.idx.HasProfile {
+			d.idx.applyProfile(&st)
+		}
+	}
 	st.Format = r.format
 	st.Gzip = r.gzipped
 	st.BytesRead = r.raw.n
-	if d, ok := r.cdec.(*binV2Decoder); ok {
-		if r.err == io.EOF && d.skip.Chunks > 0 && d.idx != nil && d.idx.HasProfile {
-			d.idx.applyProfile(&st)
-		}
-		if d.idx != nil && d.idx.Sampled {
-			st.StoredSampleRate = d.idx.SampleRate
-			st.StoredSampleSeed = d.idx.SampleSeed
-			st.StoredSourceRecords = d.idx.SourceRecords
-		}
+	if d != nil && d.idx != nil && d.idx.Sampled {
+		st.StoredSampleRate = d.idx.SampleRate
+		st.StoredSampleSeed = d.idx.SampleSeed
+		st.StoredSourceRecords = d.idx.SourceRecords
 	}
 	return st
+}
+
+// replayStats re-reads a trusted stream's bytes through a reader that
+// accumulates every field, with the same options, index and chunk
+// policy, to the same position: the records this reader delivered and,
+// when it has ended, on to the same kind of terminal state. It costs a
+// second decode, paid only by damaged, failed or abandoned reads. When
+// the source no longer yields the same bytes (the replay ends
+// elsewhere), the profile fields stay empty and only the counts report.
+func (r *Reader) replayStats() IngestStats {
+	rp := &Reader{
+		opts:      r.opts,
+		raw:       &countReader{r: io.NewSectionReader(r.span, 0, r.span.Size())},
+		acc:       new(accumulator),
+		policy:    r.policy,
+		replayIdx: r.cdec.(*binV2Decoder).idx,
+	}
+	defer rp.Close()
+	want := r.acc.st.Records - r.acc.st.RecordsSkipped
+	buf := make([]trace.Ref, v2ChunkRecords)
+	var got int64
+	for r.err != nil || got < want {
+		b := buf
+		if r.err == nil && want-got < int64(len(b)) {
+			b = b[:want-got]
+		}
+		n, err := rp.Read(b)
+		got += int64(n)
+		if err != nil {
+			break
+		}
+	}
+	if got != want || (rp.err == nil) != (r.err == nil) || (rp.err == io.EOF) != (r.err == io.EOF) {
+		return r.acc.snapshot()
+	}
+	return rp.Stats()
 }
 
 // Close releases the decompressor, if any. It does not close the

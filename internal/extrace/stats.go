@@ -8,9 +8,13 @@ import (
 	"memexplore/internal/trace"
 )
 
-// IngestStats summarizes everything a Reader observed, accumulated in the
-// same pass that feeds the simulator — no second scan. The JSON tags are
-// the wire form served by POST /v1/explore-trace; they are stable API.
+// IngestStats summarizes everything a Reader observed. Streams
+// accumulate it in the same pass that feeds the simulator; a seekable
+// mxt v2 source with a profile-bearing MXTI01 footer counts records and
+// kinds and takes the other fields from the footer, replaying its bytes
+// only after a reject, an error or an abandoned read (see Reader.Stats
+// and docs/TRACE_FORMAT.md). The JSON tags are the wire form served by
+// POST /v1/explore-trace; they are stable API.
 type IngestStats struct {
 	// Format is the detected trace format: "din", "binary", or "" when
 	// nothing was read yet.
@@ -130,9 +134,9 @@ type accumulator struct {
 	prevSet    bool
 	sequential int64
 
-	granules map[uint64]struct{}
+	granules granuleSet
 	// gcache is a 4-way direct-mapped cache of granules known to be
-	// accounted for, short-circuiting the map probe on granule-local
+	// accounted for, short-circuiting the set probe on granule-local
 	// streaks AND short-period alternations (a ±stride ping-pong between
 	// two granules defeats a single-entry cache) — the ingest hot path.
 	gcacheKey [4]uint64
@@ -148,9 +152,55 @@ type accumulator struct {
 	runSet   bool
 }
 
-func newAccumulator() *accumulator {
-	return &accumulator{
-		granules: make(map[uint64]struct{}),
+// granuleSet is the footprint's distinct-granule set: one open-addressed
+// slice of granule+1 keys (0 marks an empty slot), Mix64-hashed and
+// linearly probed, doubling at 3/4 load. Like strideTable it keeps a Go
+// map off the decode hot path.
+type granuleSet struct {
+	keys []uint64
+	n    int
+}
+
+// add inserts g. A set holding maxFootprintGranules granules takes no
+// new ones: add reports saturated for them instead.
+func (s *granuleSet) add(g uint64) (saturated bool) {
+	if s.keys == nil {
+		s.keys = make([]uint64, 1024)
+	}
+	key := g + 1
+	mask := len(s.keys) - 1
+	i := int(Mix64(key)) & mask
+	for s.keys[i] != 0 {
+		if s.keys[i] == key {
+			return false
+		}
+		i = (i + 1) & mask
+	}
+	if s.n >= maxFootprintGranules {
+		return true
+	}
+	s.keys[i] = key
+	s.n++
+	if 4*s.n > 3*len(s.keys) {
+		s.grow()
+	}
+	return false
+}
+
+// grow doubles the table and reinserts every key.
+func (s *granuleSet) grow() {
+	old := s.keys
+	s.keys = make([]uint64, 2*len(old))
+	mask := len(s.keys) - 1
+	for _, key := range old {
+		if key == 0 {
+			continue
+		}
+		i := int(Mix64(key)) & mask
+		for s.keys[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.keys[i] = key
 	}
 }
 
@@ -245,12 +295,9 @@ func (a *accumulator) note(r trace.Ref) {
 			if w := g & 3; a.gcacheOK[w] && a.gcacheKey[w] == g {
 				continue
 			}
-			if _, ok := a.granules[g]; !ok {
-				if len(a.granules) >= maxFootprintGranules {
-					a.st.FootprintSaturated = true
-					break
-				}
-				a.granules[g] = struct{}{}
+			if a.granules.add(g) {
+				a.st.FootprintSaturated = true
+				break
 			}
 			a.gcacheKey[g&3], a.gcacheOK[g&3] = g, true
 		}
@@ -279,6 +326,20 @@ func (a *accumulator) noteBlock(refs []trace.Ref) {
 	}
 }
 
+// count records only the record and kind totals of a chunk of accepted
+// references — a trusted reader's path, whose other fields come from
+// the index footer.
+func (a *accumulator) count(refs []trace.Ref) {
+	var kinds [4]int64
+	for i := range refs {
+		kinds[refs[i].Kind&3]++
+	}
+	a.st.Records += int64(len(refs))
+	a.st.Reads += kinds[trace.Read]
+	a.st.Writes += kinds[trace.Write]
+	a.st.Fetches += kinds[trace.Fetch]
+}
+
 // flushRun folds the pending delta run into the histogram, preserving
 // the capped-histogram semantics (a delta absent from a full table
 // overflows).
@@ -298,7 +359,7 @@ func (a *accumulator) snapshot() IngestStats {
 	a.flushRun()
 	st := a.st
 	st.LineGranule = LineGranule
-	st.FootprintLines = len(a.granules)
+	st.FootprintLines = a.granules.n
 	st.FootprintBytes = st.FootprintLines * LineGranule
 	if st.Records > 1 {
 		st.SequentialFrac = float64(a.sequential) / float64(st.Records-1)
