@@ -18,7 +18,9 @@ test:
 # Tier-1 plus the race-sensitive packages (the service, the async job
 # subsystem, the context-aware exploration core, the pooled sweep
 # engines and the guided search) under the race detector, plus short
-# fuzz passes over the external-trace parser and the genome repair,
+# fuzz passes over the external-trace parsers, the sweep engine against
+# its reference model and the genome repair (the same targets as CI's
+# fuzz smoke),
 # plus the benchmark suite's own module, plus the paper exhibits against
 # their committed record.
 check: build vet test benchsuite-check exhibits-check
@@ -27,6 +29,8 @@ check: build vet test benchsuite-check exhibits-check
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseBinaryV2 -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseIndexFooter -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzTrustedIngestStats -fuzztime 5s
+	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzPerSetStacks -fuzztime 5s
+	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzSweepMatchesReferenceModel -fuzztime 5s
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzGenome -fuzztime 5s
 
 # The benchmark suite is a nested module (benchsuite/go.mod) that
@@ -48,8 +52,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The sweep-engine comparison (per-point vs batched vs inclusion vs
-# inclusion-parallel vs the single-group fan-out); the raw runs land in
-# BENCH_sweep.out for curation into BENCH_sweep.json.
+# inclusion-parallel, then one workload group sequential vs split in time
+# ranges, and forced-batched sequential vs its pass-unit fan-out); the
+# raw runs land in BENCH_sweep.out for curation into BENCH_sweep.json.
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkExploreSweep -benchmem -count 5 . | tee BENCH_sweep.out
 

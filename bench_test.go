@@ -169,8 +169,10 @@ func BenchmarkAblationReplacement(b *testing.B) {
 // reference path, the workload-grouped batched engine (forced, one
 // simulator per configuration), the inclusion engine (the default — one
 // LRU stack pass per (line, sets) group), and the inclusion engine with
-// worker parallelism. The numbers for the record live in
-// BENCH_sweep.json; refresh them with `make bench-sweep`.
+// worker parallelism; then the single-workload-group shape, where spare
+// workers split the one group: in time ranges for the inclusion engine,
+// across pass units for the forced batched engine. The numbers for the
+// record live in BENCH_sweep.json; refresh them with `make bench-sweep`.
 func BenchmarkExploreSweep(b *testing.B) {
 	n := kernels.Compress()
 	opts := core.DefaultOptions()
@@ -205,15 +207,25 @@ func BenchmarkExploreSweep(b *testing.B) {
 		run(b, func() ([]core.Metrics, error) { return core.ExploreParallelContext(ctx, n, opts, 4) })
 	})
 	// One workload group (single tiling): group-level parallelism has
-	// nothing to chew on, so the spare workers shard the group's pass
-	// units instead — the chunk fan-out path.
+	// nothing to chew on, so the workers split the group's trace into
+	// time ranges instead — the range executor.
 	single := opts
 	single.Tilings = []int{1}
 	b.Run("single-group", func(b *testing.B) {
 		run(b, func() ([]core.Metrics, error) { return core.ExploreContext(ctx, n, single) })
 	})
-	b.Run("single-group-fanout", func(b *testing.B) {
+	b.Run("single-group-ranges", func(b *testing.B) {
 		run(b, func() ([]core.Metrics, error) { return core.ExploreParallelContext(ctx, n, single, 4) })
+	})
+	// The forced batched engine on the same single group, alone and at 4
+	// workers: the pass-unit fan-out, Batch sweeps' only parallel path.
+	singleBatched := single
+	singleBatched.Engine = core.EngineBatched
+	b.Run("single-group-batched", func(b *testing.B) {
+		run(b, func() ([]core.Metrics, error) { return core.ExploreContext(ctx, n, singleBatched) })
+	})
+	b.Run("batched-parallel", func(b *testing.B) {
+		run(b, func() ([]core.Metrics, error) { return core.ExploreParallelContext(ctx, n, singleBatched, 4) })
 	})
 }
 
@@ -269,7 +281,7 @@ func BenchmarkExploreDinTrace(b *testing.B) {
 		b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	}
 	// workers=1 is the exact sequential engine; workers=2 adds the decode
-	// pipeline plus a two-shard fan-out; workers=numcpu is the default an
+	// pipeline plus two range workers; workers=numcpu is the default an
 	// ExploreTrace caller gets (Options.Workers = 0).
 	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
 	b.Run("workers=2", func(b *testing.B) { run(b, 2) })

@@ -78,7 +78,7 @@ func main() {
 		dominantEps = flag.Float64("dominant-eps", 0, "with -trace, skip blocks outside the dominant set covering 1-eps of transitions (needs a seekable file; 0 = off)")
 		convertPath = flag.String("convert", "", "with -trace, transcode the trace to columnar mxt v2 at this path instead of sweeping ('-' for stdout, .gz compresses)")
 		engineName  = flag.String("engine", "auto", "sweep engine: auto, per-point, batched, inclusion (debugging/benchmarking; results are identical)")
-		simWorkers  = flag.Int("workers", 0, "simulation workers fanning each trace chunk across pass-unit shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
+		simWorkers  = flag.Int("workers", 0, "simulation workers: LRU sweeps split the trace into time ranges, other policies fan each chunk across pass-unit shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		searchMode  = flag.Bool("search", false, "run a budgeted NSGA-II search over the configuration space instead of an exhaustive sweep")
 		budgetEvals = flag.Int("budget-evals", 0, "with -search, stop once this many distinct configurations have been evaluated (default 2000 when no other bound is set)")
 		budgetGens  = flag.Int("budget-gens", 0, "with -search, stop after this many generations (0 = unbounded)")

@@ -81,6 +81,8 @@ type stackLevel struct {
 	lineHist []uint64
 	// walk is the state of the walk currently driving the level.
 	walk *walkState
+	// rng is the range log of a forked level (ranges.go); nil otherwise.
+	rng *rangeLog
 }
 
 // init sizes the stacks and histograms once all members are known.
@@ -160,6 +162,9 @@ type lineWalk struct {
 	// span[i] is the deepest distance at levels[i] of the spanning
 	// reference in progress; zero between references.
 	span []int32
+	// coldLo[i] is the cold-touch count of levels[i] when the spanning
+	// reference in progress began (forks only).
+	coldLo []int32
 }
 
 // newLineWalk builds the walk over levels of one line size, which it

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,9 +10,10 @@ import (
 )
 
 // refModel is an intentionally naive, obviously-correct set-associative LRU
-// cache used to cross-check the optimized simulator: each set is a slice of
-// line addresses ordered most-recently-used first, and a map holds the
-// dirty bit of every resident line. It counts the memory traffic of its
+// or FIFO cache used to cross-check the optimized simulator: each set is a
+// slice of line addresses ordered most-recently-used (under FIFO,
+// most-recently-filled) first, and a map holds the dirty bit of every
+// resident line. It counts the memory traffic of its
 // write policy — lines fetched, write-backs and write-throughs — the way
 // Cache documents it. For 3C classification it keeps every line ever
 // touched in a map and a fully associative LRU cache of the same capacity
@@ -71,7 +73,9 @@ func (m *refModel) accessLine(la uint64, kind trace.Kind) (bool, MissClass) {
 	}
 	switch {
 	case hit:
-		m.sets[si], _ = touchLRU(set, la, m.cfg.Assoc)
+		if m.cfg.Replacement != FIFO { // a FIFO hit does not reorder the set
+			m.sets[si], _ = touchLRU(set, la, m.cfg.Assoc)
+		}
 		if write && m.cfg.WriteBack {
 			m.dirty[la] = true
 		}
@@ -351,7 +355,8 @@ func TestShadowLRU(t *testing.T) {
 // from a shape seed: for each of three line sizes, five set counts, each
 // with one to three associativities (so lone geometries are common) and a
 // write-back or write-through policy per configuration, plus one
-// no-write-allocate configuration per line size on the fallback path.
+// no-write-allocate and two FIFO configurations per line size on the
+// fallback path.
 func oracleConfigs(shape int64) []Config {
 	rng := rand.New(rand.NewSource(shape))
 	var cfgs []Config
@@ -367,6 +372,12 @@ func oracleConfigs(shape int64) []Config {
 		noAlloc := DefaultConfig(l*4*2, l, 2)
 		noAlloc.WriteAllocate = false
 		cfgs = append(cfgs, noAlloc)
+		for _, assoc := range []int{2, 4} {
+			fifo := DefaultConfig(l*2*assoc, l, assoc)
+			fifo.Replacement = FIFO
+			fifo.WriteBack = rng.Intn(2) == 0
+			cfgs = append(cfgs, fifo)
+		}
 	}
 	rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
 	return cfgs
@@ -401,19 +412,31 @@ func oracleRefs(data []byte) []trace.Ref {
 // FuzzSweepMatchesReferenceModel checks the sweep engine against the
 // naive model, not against another engine: every configuration's hits,
 // misses, lines fetched, write-backs and write-throughs must equal those
-// of one refModel, both for the whole sweep and for the sweep driven
-// through Shards(n), n = 1..4, in ragged blocks.
+// of one refModel, for the whole sweep, for the sweep driven through
+// Shards(n), n = 1..4, in ragged blocks, and for the sweep of the
+// level-only configurations run as 1–4 time ranges cut at the points in
+// cuts (Fork, ragged blocks, Absorb).
 func FuzzSweepMatchesReferenceModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{30, 300, 1500} {
 		seed := make([]byte, n)
 		rng.Read(seed)
-		f.Add(seed, int64(n))
+		f.Add(seed, int64(n), uint64(n)*0x9e3779b97f4a7c15)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, shape int64) {
+	f.Fuzz(func(t *testing.T, data []byte, shape int64, cuts uint64) {
 		refs := oracleRefs(data)
 		cfgs := oracleConfigs(shape)
 		want := make([]Stats, len(cfgs))
+		check := func(leg string, i int, got Stats) {
+			t.Helper()
+			w := want[i]
+			if got.Hits != w.Hits || got.Misses != w.Misses || got.LinesFetched != w.LinesFetched ||
+				got.WriteBacks != w.WriteBacks || got.WriteThroughs != w.WriteThroughs {
+				t.Fatalf("%s %v: sweep (hits %d, misses %d, fetched %d, wb %d, wt %d), model (%d, %d, %d, %d, %d)",
+					leg, cfgs[i], got.Hits, got.Misses, got.LinesFetched, got.WriteBacks, got.WriteThroughs,
+					w.Hits, w.Misses, w.LinesFetched, w.WriteBacks, w.WriteThroughs)
+			}
+		}
 		for i, cfg := range cfgs {
 			m := newTrafficModel(cfg)
 			for _, r := range refs {
@@ -445,15 +468,26 @@ func FuzzSweepMatchesReferenceModel(f *testing.F) {
 				start = end
 			}
 			for i, got := range s.Stats() {
-				w := want[i]
-				if got.Hits != w.Hits || got.Misses != w.Misses || got.LinesFetched != w.LinesFetched ||
-					got.WriteBacks != w.WriteBacks || got.WriteThroughs != w.WriteThroughs {
-					t.Fatalf("shards=%d %v: sweep (hits %d, misses %d, fetched %d, wb %d, wt %d), model (%d, %d, %d, %d, %d)",
-						n, cfgs[i], got.Hits, got.Misses, got.LinesFetched, got.WriteBacks, got.WriteThroughs,
-						w.Hits, w.Misses, w.LinesFetched, w.WriteBacks, w.WriteThroughs)
-				}
+				check(fmt.Sprintf("shards=%d", n), i, got)
 			}
 			s.Release()
+		}
+
+		// The ranges leg: 1–4 ranges of the level-only configurations,
+		// cut where the fuzzer says (16 bits per cut point).
+		var levelCfgs []Config
+		var levelIdx []int
+		for i, cfg := range cfgs {
+			if InclusionEligible(cfg) {
+				levelCfgs, levelIdx = append(levelCfgs, cfg), append(levelIdx, i)
+			}
+		}
+		points := make([]int, cuts%4)
+		for i := range points {
+			points[i] = int(cuts>>(2+16*i)&0xffff) % (len(refs) + 1)
+		}
+		for j, got := range sweepRanges(t, levelCfgs, refs, points, 1+int(shape&63)) {
+			check(fmt.Sprintf("ranges at %v", points), levelIdx[j], got)
 		}
 	})
 }

@@ -33,6 +33,7 @@ type SweepShard struct {
 	caches []*Cache
 	units  int
 	weight int
+	ranged bool // the walks of a Fork: they log what the range cannot resolve
 }
 
 // newSweepShard groups levels into one walk per line size (in order of
@@ -60,6 +61,10 @@ func newSweepShard(levels []*stackLevel, caches []*Cache) *SweepShard {
 // AccessBlock feeds a block of references to every unit of the shard.
 func (sh *SweepShard) AccessBlock(block []trace.Ref) {
 	for _, w := range sh.walks {
+		if sh.ranged {
+			w.accessRange(block)
+			continue
+		}
 		w.AccessBlock(block)
 	}
 	for _, c := range sh.caches {

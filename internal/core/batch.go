@@ -192,10 +192,10 @@ func groupConfigs(opts Options, points []ConfigPoint, g workloadGroup) []cachesi
 // runWorkloadGroup simulates every configuration of one workload group
 // in a single pass over its trace, fusing the Gray-code bus measurement
 // into the same traversal, and writes the scored Metrics into out at
-// the group's point indices. fanWorkers > 1 fans each trace chunk out
-// across that many pass-unit shards (see runSweepTrace); results are
-// bit-identical at any value.
-func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, points []ConfigPoint, g workloadGroup, out []Metrics, fanWorkers int) error {
+// the group's point indices. workers > 1 splits the trace across that
+// many goroutines (see runSweepTrace); results are bit-identical at any
+// value.
+func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, points []ConfigPoint, g workloadGroup, out []Metrics, workers int) error {
 	tr, err := c.trace(g.key)
 	if err != nil {
 		return fmt.Errorf("core: generating trace for %s/B%d: %w", c.nest.Name, g.key.tiling, err)
@@ -206,7 +206,7 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 		return fmt.Errorf("core: building sweep for %s/B%d: %w", c.nest.Name, g.key.tiling, err)
 	}
 	ctr := bus.NewSwitchCounter(bus.Gray)
-	stats, err := runSweepTrace(ctx, sweep, tr, func(r trace.Ref) { ctr.Drive(r.Addr) }, fanWorkers)
+	stats, err := runSweepTrace(ctx, sweep, tr, func(r trace.Ref) { ctr.Drive(r.Addr) }, workers)
 	c.release(g.key)
 	if err != nil {
 		// The only error source for an in-memory trace is the context.
@@ -228,52 +228,15 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 	return nil
 }
 
-// fanBudgets splits workers across groups when there are more workers
-// than groups: every group gets one coordinator, and the spare workers
-// are distributed proportionally to the groups' pass-unit counts (the
-// estimated per-reference cost of each group's single pass) by largest
-// remainder, ties to the earlier group — deterministic for given inputs.
-func fanBudgets(unitCounts []int, workers int) []int {
-	budgets := make([]int, len(unitCounts))
-	for i := range budgets {
-		budgets[i] = 1
-	}
-	extra := workers - len(unitCounts)
-	total := 0
-	for _, u := range unitCounts {
-		total += u
-	}
-	if extra <= 0 || total == 0 {
-		return budgets
-	}
-	rems := make([]int, len(unitCounts)) // remainder numerators, denominator total
-	assigned := 0
-	for i, u := range unitCounts {
-		q := extra * u
-		budgets[i] += q / total
-		assigned += q / total
-		rems[i] = q % total
-	}
-	for left := extra - assigned; left > 0; left-- {
-		best := -1
-		for i, r := range rems {
-			if best < 0 || r > rems[best] {
-				best = i
-			}
-		}
-		budgets[best]++
-		rems[best] = -1
-	}
-	return budgets
-}
-
 // exploreBatched is the workload-grouped engine behind ExploreContext
-// and ExploreParallelContext for non-classified sweeps. workers > 1
-// parallelizes across workload groups over a shared trace cache; when
-// there are more workers than groups — the one-giant-group shape every
-// external-trace-like sweep has — the surplus fans out inside groups
-// across pass-unit shards instead of idling. The returned metrics are
-// bit-identical to the per-point reference engine, in Space() order.
+// and ExploreParallelContext for non-classified sweeps. With at least
+// as many groups as workers, workers > 1 parallelizes across workload
+// groups over a shared trace cache. With more workers than groups — the
+// one-giant-group shape every external-trace-like sweep has — the
+// groups run one after another and each splits its trace across every
+// worker (runSweepTrace: time ranges for stack sweeps, the pass-unit
+// fan-out for Batch sweeps). The returned metrics are bit-identical to
+// the per-point reference engine, in Space() order.
 func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers int) ([]Metrics, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -286,47 +249,14 @@ func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers i
 	out := make([]Metrics, len(points))
 	cache := newWorkloadCache(n)
 
-	if workers <= 1 {
+	if workers <= 1 || workers > len(groups) {
 		for _, g := range groups {
 			if err := ctx.Err(); err != nil {
 				return nil, canceled(err)
 			}
-			if err := cache.runWorkloadGroup(ctx, opts, points, g, out, 1); err != nil {
+			if err := cache.runWorkloadGroup(ctx, opts, points, g, out, workers); err != nil {
 				return nil, err
 			}
-		}
-		return out, nil
-	}
-
-	if workers > len(groups) {
-		// More workers than groups: one goroutine per group, each given a
-		// shard fan-out budget proportional to the group's pass-unit count.
-		useInclusion := opts.Engine != EngineBatched && opts.inclusionEligible()
-		unitCounts := make([]int, len(groups))
-		for gi, g := range groups {
-			su, err := cachesim.ShardUnits(groupConfigs(opts, points, g), useInclusion, 1)
-			if err != nil {
-				return nil, fmt.Errorf("core: planning group fan-out: %w", err)
-			}
-			unitCounts[gi] = su[0]
-		}
-		budgets := fanBudgets(unitCounts, workers)
-		errs := make([]error, len(groups))
-		var wg sync.WaitGroup
-		for gi, g := range groups {
-			wg.Add(1)
-			go func(gi int, g workloadGroup) {
-				defer wg.Done()
-				if err := ctx.Err(); err != nil {
-					errs[gi] = canceled(err)
-					return
-				}
-				errs[gi] = cache.runWorkloadGroup(ctx, opts, points, g, out, budgets[gi])
-			}(gi, g)
-		}
-		wg.Wait()
-		if err := firstSweepError(errs); err != nil {
-			return nil, err
 		}
 		return out, nil
 	}

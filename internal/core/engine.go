@@ -84,11 +84,12 @@ type SweepPlan struct {
 	// FallbackConfigs is the number of points simulated individually
 	// (ineligible policies or a forced engine).
 	FallbackConfigs int
-	// Shards, when the plan is for a chunked trace sweep (TraceSweepPlan),
-	// is the pass-unit count of each simulation shard the pipelined engine
-	// will run under the options' worker setting — the cost-balanced
-	// partition of PassUnits() across workers. len(Shards) == 1 means the
-	// sweep runs sequentially. Nil for kernel-sweep plans.
+	// Shards, when the plan is for a chunked trace sweep (TraceSweepPlan)
+	// of Batch configurations at more than one worker, is the pass-unit
+	// count of each simulation shard the pass-unit fan-out will run — the
+	// cost-balanced partition of PassUnits() across workers. Nil
+	// otherwise: stack sweeps split the stream in time ranges instead,
+	// and kernel-sweep plans report no shards.
 	Shards []int
 }
 
@@ -160,15 +161,17 @@ func TraceSweepPlan(opts Options) (SweepPlan, error) {
 	}
 	plan := opts.Plan()
 	plan.Workloads = 1
-	// Report the shard partition the pipelined engine will use, via the
+	if plan.InclusionGroups > 0 || opts.effectiveWorkers() < 2 {
+		return plan, nil
+	}
+	// Report the shard partition the pass-unit fan-out will use, via the
 	// cachesim planning mirror (pinned against the built sweep by test).
 	points := opts.Space()
 	cfgs := make([]cachesim.Config, len(points))
 	for i, p := range points {
 		cfgs[i] = opts.cacheConfig(p.CacheSize, p.LineSize, p.Assoc)
 	}
-	useInclusion := opts.Engine != EngineBatched && opts.inclusionEligible()
-	shards, err := cachesim.ShardUnits(cfgs, useInclusion, opts.effectiveWorkers())
+	shards, err := cachesim.ShardUnits(cfgs, false, opts.effectiveWorkers())
 	if err != nil {
 		return SweepPlan{}, fmt.Errorf("core: planning trace-sweep shards: %w", err)
 	}

@@ -1,23 +1,25 @@
 package core
 
-// This file implements the pipelined, group-parallel execution engine
-// for chunked sweeps:
+// This file implements the parallel execution engines for sweeps:
 //
 //   - a decode producer goroutine fills []trace.Ref chunk slabs from the
 //     extrace.Reader into a small bounded ring, so parsing (and gzip
 //     inflation) overlaps simulation instead of stalling it; slabs are
 //     recycled through a sync.Pool;
-//   - each filled chunk is broadcast read-only to N shard workers, each
-//     owning a disjoint subset of the cachesim.Sweep's pass units
-//     (cachesim.SweepShard), with the Gray-code bus counter running on
-//     the coordinator as one more consumer;
-//   - a barrier per chunk keeps every consumer chunk-synchronous, so the
-//     engine's statistics are bit-identical to the sequential path in
-//     any worker count (each unit sees the same references in the same
-//     order; units never interact).
+//   - a coordinator filters each chunk, drives the Gray-code bus counter
+//     and hands the references to one of two executors:
+//   - the range executor (stack sweeps): the stream is cut into epochs of
+//     rangeEpochRefs references, dealt round-robin to the workers.
+//     Epoch 0 runs on the sweep itself, every later epoch on the
+//     worker's cachesim.Sweep.Fork, and the workers Absorb their epochs
+//     in stream order (cachesim/ranges.go);
+//   - the pass-unit fan-out (Batch sweeps, where a time split is
+//     unsound): each chunk is broadcast to shard workers that own
+//     disjoint pass units, with a barrier per chunk.
 //
-// The same fan-out drives in-memory kernel sweeps (runSweepTrace) when a
-// workload group has more workers than the group count can absorb.
+// Both keep the statistics bit-identical to the sequential path in any
+// worker count. The same executors drive in-memory kernel traces
+// (runSweepTrace), whose epochs are slices of the trace.
 
 import (
 	"context"
@@ -97,14 +99,217 @@ func (o Options) effectiveWorkers() int {
 	return o.Workers
 }
 
+// rangeEpochRefs is the epoch length of the range executor, in
+// (filtered) references; a stream chunk that straddles two epochs is
+// split between them. Longer epochs amortize the stitch; shorter ones
+// start the second worker sooner and keep the epoch buffers small.
+const rangeEpochRefs = 16384
+
+// epochSealed marks an epoch's published length as final.
+const epochSealed = int64(1) << 62
+
+// A pipeSink takes the coordinator's filtered chunks: the range
+// executor or the pass-unit fan-out.
+type pipeSink interface {
+	// feed consumes refs, which stay valid only until feed returns, and
+	// runs mid on the calling goroutine meanwhile.
+	feed(refs []trace.Ref, mid func())
+	// finish waits until the sweep holds every fed reference.
+	finish()
+	// stop abandons the stream and joins the workers; it is idempotent.
+	stop()
+}
+
+// epoch is one time range of the stream on a range worker.
+type epoch struct {
+	// refs is the range: a slice of an in-memory trace, or the worker's
+	// buffer that the coordinator fills while the worker simulates.
+	refs []trace.Ref
+	// state is the published length of refs, or'd with epochSealed once
+	// the range is complete.
+	state atomic.Int64
+	wake  chan struct{} // capacity 1: a nudge after each publish
+	// target is the sweep itself for epoch 0, the worker's fork after.
+	target *cachesim.Sweep
+	// prev is closed once the previous epoch is in the sweep, done once
+	// this one is.
+	prev <-chan struct{}
+	done chan struct{}
+}
+
+// publish makes refs[:n] visible to the worker, sealed when final.
+func (ep *epoch) publish(n int, final bool) {
+	st := int64(n)
+	if final {
+		st |= epochSealed
+	}
+	ep.state.Store(st)
+	select {
+	case ep.wake <- struct{}{}:
+	default:
+	}
+}
+
+// rangeWorker is one goroutine of the range executor. Its fork and its
+// epoch buffer are made when it first needs them.
+type rangeWorker struct {
+	jobs chan *epoch
+	fork *cachesim.Sweep
+	buf  []trace.Ref
+}
+
+// rangeExec runs a forkable sweep over consecutive epochs of a stream
+// on several workers and stitches them in stream order.
+type rangeExec struct {
+	sweep   *cachesim.Sweep
+	workers []*rangeWorker
+	epochs  int
+	open    *epoch        // the stream epoch being filled
+	filled  int           // references copied into open
+	last    chan struct{} // done of the latest epoch
+	quit    chan struct{}
+	once    sync.Once
+	wg      sync.WaitGroup
+}
+
+func newRangeExec(sweep *cachesim.Sweep, workers int) *rangeExec {
+	x := &rangeExec{sweep: sweep, workers: make([]*rangeWorker, workers), quit: make(chan struct{})}
+	x.last = make(chan struct{})
+	close(x.last) // nothing before epoch 0
+	for i := range x.workers {
+		w := &rangeWorker{jobs: make(chan *epoch)}
+		x.workers[i] = w
+		x.wg.Add(1)
+		go x.work(w)
+	}
+	return x
+}
+
+// start deals the next epoch to its worker, waiting until the worker
+// has stitched its previous one. refs nil asks for the worker's buffer.
+func (x *rangeExec) start(refs []trace.Ref) *epoch {
+	w := x.workers[x.epochs%len(x.workers)]
+	ep := &epoch{refs: refs, wake: make(chan struct{}, 1), target: x.sweep, prev: x.last, done: make(chan struct{})}
+	if x.epochs > 0 {
+		if w.fork == nil {
+			w.fork = x.sweep.Fork()
+		}
+		ep.target = w.fork
+	}
+	if refs == nil {
+		if w.buf == nil {
+			w.buf = make([]trace.Ref, rangeEpochRefs)
+		}
+		ep.refs = w.buf
+	}
+	x.epochs++
+	x.last = ep.done
+	w.jobs <- ep
+	return ep
+}
+
+// feed copies a stream chunk into the open epoch and publishes it; an
+// epoch closes once it holds rangeEpochRefs references, and the rest of
+// the chunk opens the next.
+func (x *rangeExec) feed(refs []trace.Ref, mid func()) {
+	for len(refs) > 0 {
+		if x.open == nil {
+			x.open, x.filled = x.start(nil), 0
+		}
+		n := copy(x.open.refs[x.filled:], refs)
+		refs, x.filled = refs[n:], x.filled+n
+		sealed := x.filled == len(x.open.refs)
+		x.open.publish(x.filled, sealed)
+		if sealed {
+			x.open = nil
+		}
+	}
+	if mid != nil {
+		mid()
+	}
+}
+
+// feedSlice is feed for a slice of an in-memory trace, which stays
+// valid for the whole sweep: the slice is a sealed epoch of its own,
+// simulated in place.
+func (x *rangeExec) feedSlice(refs []trace.Ref, mid func()) {
+	x.start(refs).publish(len(refs), true)
+	if mid != nil {
+		mid()
+	}
+}
+
+func (x *rangeExec) finish() {
+	if x.open != nil {
+		x.open.publish(x.filled, true)
+		x.open = nil
+	}
+	<-x.last
+	x.stop()
+}
+
+func (x *rangeExec) stop() {
+	x.once.Do(func() {
+		close(x.quit)
+		for _, w := range x.workers {
+			close(w.jobs)
+		}
+		x.wg.Wait()
+	})
+}
+
+// work simulates each epoch dealt to the worker as it is published,
+// then stitches it onto the sweep once the previous epoch is there.
+func (x *rangeExec) work(w *rangeWorker) {
+	defer x.wg.Done()
+	for ep := range w.jobs {
+		if !x.simulate(ep) {
+			continue
+		}
+		select {
+		case <-ep.prev:
+		case <-x.quit:
+			continue
+		}
+		if ep.target != x.sweep {
+			x.sweep.Absorb(ep.target)
+		}
+		close(ep.done)
+	}
+}
+
+// simulate feeds the epoch's published references to its target until
+// the epoch is sealed and consumed; false means the stream was
+// abandoned.
+func (x *rangeExec) simulate(ep *epoch) bool {
+	done := 0
+	for {
+		st := ep.state.Load()
+		if n := int(st &^ epochSealed); n > done {
+			ep.target.AccessBlock(ep.refs[done:n])
+			done = n
+			continue
+		}
+		if st&epochSealed != 0 {
+			return true
+		}
+		select {
+		case <-ep.wake:
+		case <-x.quit:
+			return false
+		}
+	}
+}
+
 // sweepFanout owns a set of worker goroutines, each consuming a
-// disjoint shard of a Sweep's pass units. process broadcasts one block
-// to every worker and returns only when all of them have consumed it —
-// the per-chunk barrier that keeps the sweep chunk-synchronous (and
-// makes the block's backing slab reusable the moment process returns).
+// disjoint shard of a Batch sweep's pass units. feed broadcasts one
+// block to every worker and returns only when all of them have consumed
+// it — the per-chunk barrier that keeps the sweep chunk-synchronous (and
+// makes the block's backing slab reusable the moment feed returns).
 type sweepFanout struct {
 	chans []chan []trace.Ref
 	ack   chan struct{}
+	once  sync.Once
 	wg    sync.WaitGroup
 }
 
@@ -130,11 +335,11 @@ func newSweepFanout(shards []*cachesim.SweepShard) *sweepFanout {
 	return f
 }
 
-// process broadcasts block to every shard worker, runs mid (when
-// non-nil) on the calling goroutine while the workers chew — the trace
-// engine drives the Gray-code bus counter there — and returns after
-// every worker has acknowledged the block.
-func (f *sweepFanout) process(block []trace.Ref, mid func()) {
+// feed broadcasts block to every shard worker, runs mid (when non-nil)
+// on the calling goroutine while the workers chew — the trace engine
+// drives the Gray-code bus counter there — and returns after every
+// worker has acknowledged the block.
+func (f *sweepFanout) feed(block []trace.Ref, mid func()) {
 	for _, ch := range f.chans {
 		ch <- block
 	}
@@ -146,37 +351,57 @@ func (f *sweepFanout) process(block []trace.Ref, mid func()) {
 	}
 }
 
-// stop shuts the workers down and joins them. It must not race a
-// process call.
+func (f *sweepFanout) finish() { f.stop() }
+
+// stop shuts the workers down and joins them. It must not race a feed
+// call.
 func (f *sweepFanout) stop() {
-	for _, ch := range f.chans {
-		close(ch)
-	}
-	f.wg.Wait()
+	f.once.Do(func() {
+		for _, ch := range f.chans {
+			close(ch)
+		}
+		f.wg.Wait()
+	})
 }
 
-// runSweepTrace drives an in-memory trace through the sweep in
-// CancelCheckInterval blocks, fanning each block out across up to
-// workers shard workers (sequentially when workers ≤ 1 or the sweep has
-// a single pass unit). observe, when non-nil, sees every reference on
-// the calling goroutine, overlapped with the shard workers. Statistics
-// are bit-identical to Sweep.RunTraceContext in any worker count.
-func runSweepTrace(ctx context.Context, sweep *cachesim.Sweep, tr *trace.Trace, observe func(trace.Ref), workers int) ([]cachesim.Stats, error) {
-	if workers <= 1 || sweep.PassUnits() < 2 {
-		return sweep.RunTraceContext(ctx, tr, observe)
+// newPipeSink picks the parallel executor of a sweep — the range
+// executor when the sweep forks, the pass-unit fan-out otherwise — and
+// reports how many workers it runs.
+func newPipeSink(sweep *cachesim.Sweep, workers int) (pipeSink, int) {
+	if sweep.Forkable() {
+		return newRangeExec(sweep, workers), workers
 	}
 	shards := sweep.Shards(workers)
-	if len(shards) <= 1 {
+	return newSweepFanout(shards), len(shards)
+}
+
+// runSweepTrace drives an in-memory trace through the sweep across up
+// to workers goroutines: a forkable sweep splits the trace into epochs
+// (slices, no copy; a trace of at most one epoch runs sequentially), a
+// Batch sweep fans CancelCheckInterval blocks out across pass-unit
+// shards. observe, when non-nil, sees every reference on the calling
+// goroutine, overlapped with the workers. Statistics are bit-identical
+// to Sweep.RunTraceContext in any worker count.
+func runSweepTrace(ctx context.Context, sweep *cachesim.Sweep, tr *trace.Trace, observe func(trace.Ref), workers int) ([]cachesim.Stats, error) {
+	refs := tr.Refs()
+	forkable, step := sweep.Forkable(), cachesim.CancelCheckInterval
+	if forkable {
+		step = rangeEpochRefs
+	}
+	if workers <= 1 || (forkable && len(refs) <= step) || (!forkable && sweep.PassUnits() < 2) {
 		return sweep.RunTraceContext(ctx, tr, observe)
 	}
-	f := newSweepFanout(shards)
-	defer f.stop()
-	refs := tr.Refs()
-	for start := 0; start < len(refs); start += cachesim.CancelCheckInterval {
+	sink, _ := newPipeSink(sweep, workers)
+	defer sink.stop()
+	feed := sink.feed
+	if x, ok := sink.(*rangeExec); ok {
+		feed = x.feedSlice
+	}
+	for start := 0; start < len(refs); start += step {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		block := refs[start:min(start+cachesim.CancelCheckInterval, len(refs))]
+		block := refs[start:min(start+step, len(refs))]
 		var mid func()
 		if observe != nil {
 			mid = func() {
@@ -185,8 +410,9 @@ func runSweepTrace(ctx context.Context, sweep *cachesim.Sweep, tr *trace.Trace, 
 				}
 			}
 		}
-		f.process(block, mid)
+		feed(block, mid)
 	}
+	sink.finish()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -270,16 +496,16 @@ func (p *chunkProducer) stop() {
 }
 
 // runTracePipeline is the parallel engine behind ExploreTraceReader: the
-// decode producer overlaps the shard fan-out, the bus counter rides the
-// coordinator, and a barrier per chunk keeps results bit-identical to
-// the sequential path. It consumes the reader to its end (or to the
-// first error / cancellation) and leaves the sweep ready for Stats.
+// decode producer overlaps simulation, the filter and the bus counter
+// ride the coordinator, and the sweep's executor (newPipeSink) keeps
+// results bit-identical to the sequential path. It consumes the reader
+// to its end (or to the first error / cancellation) and leaves the
+// sweep ready for Stats.
 func runTracePipeline(ctx context.Context, rd *extrace.Reader, sweep *cachesim.Sweep, drive func(uint64), workers int, filter *traceFilter) error {
 	progress := progressFrom(ctx)
-	shards := sweep.Shards(workers)
-	obsWorkers(len(shards))
-	fan := newSweepFanout(shards)
-	defer fan.stop()
+	sink, n := newPipeSink(sweep, workers)
+	obsWorkers(n)
+	defer sink.stop()
 	prod := startChunkProducer(rd)
 	defer prod.stop()
 
@@ -292,19 +518,20 @@ func runTracePipeline(ctx context.Context, rd *extrace.Reader, sweep *cachesim.S
 		if !ok {
 			// Producer exited without a terminal chunk: only possible
 			// after stop(), which we haven't called — treat as EOF.
+			sink.finish()
 			return nil
 		}
 		obsStall(time.Since(wait))
 		if len(msg.refs) > 0 {
 			// The filter runs here on the coordinator — chunks arrive in
-			// stream order and the slab is exclusively ours until the
-			// barrier — so thinning is deterministic at any worker count.
+			// stream order and the slab is exclusively ours until feed
+			// returns — so thinning is deterministic at any worker count.
 			refs := msg.refs
 			if filter != nil {
 				refs = filter.apply(refs)
 			}
 			if len(refs) > 0 {
-				fan.process(refs, func() {
+				sink.feed(refs, func() {
 					for _, r := range refs {
 						drive(r.Addr)
 					}
@@ -317,6 +544,7 @@ func runTracePipeline(ctx context.Context, rd *extrace.Reader, sweep *cachesim.S
 		}
 		chunkSlabPool.Put(msg.slab)
 		if msg.err == io.EOF {
+			sink.finish()
 			return nil
 		}
 		if msg.err != nil {

@@ -76,43 +76,75 @@ func TestPipelinedTraceSweepMatchesSequential(t *testing.T) {
 }
 
 // TestPipelinedTraceSweepProperty is the randomized determinism check:
-// random mixed-width traces, random sub-spaces, random policies and
-// random worker counts (including workers ≫ pass units) must all match
-// the sequential engine record-for-record. Run under -race by make check.
+// random mixed-width bodies of at least three epochs and random
+// sub-spaces, under each write policy and replacement (LRU runs on the
+// range executor, FIFO and random on the pass-unit fan-out) and each
+// filter mode — exact, sampled and
+// dominant-filtered — must match the sequential engine record for
+// record at workers 2–4. Run under -race by make check.
 func TestPipelinedTraceSweepProperty(t *testing.T) {
-	repls := []cachesim.Replacement{cachesim.LRU, cachesim.FIFO, cachesim.Random}
-	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomMixedTrace(rng, 500+rng.Intn(20000), 1<<(10+rng.Intn(4)))
-		var buf bytes.Buffer
-		if _, err := extrace.WriteBinary(&buf, tr.Reader()); err != nil {
-			t.Fatal(err)
-		}
-		encoded := buf.Bytes()
+	policies := []struct {
+		repl         cachesim.Replacement
+		writeThrough bool
+	}{{cachesim.LRU, false}, {cachesim.LRU, true}, {cachesim.FIFO, false}, {cachesim.Random, true}}
+	modes := []struct {
+		name    string
+		rate    float64
+		eps     float64
+		minRefs int // body length that keeps ≥ 3 epochs after filtering
+	}{
+		{"exact", 0, 0, 3 * rangeEpochRefs},
+		{"sampled", 0.5, 0, 7 * rangeEpochRefs},
+		{"dominant", 0, 0.05, 4 * rangeEpochRefs},
+	}
+	for seed := int64(1); seed <= int64(len(policies)); seed++ {
+		for _, mode := range modes {
+			rng := rand.New(rand.NewSource(seed))
+			n := mode.minRefs + rng.Intn(rangeEpochRefs)
+			// Small spans keep lines resident across epoch boundaries.
+			tr := randomMixedTrace(rng, n, 1<<(9+rng.Intn(3)))
+			var buf bytes.Buffer
+			if _, err := extrace.WriteBinary(&buf, tr.Reader()); err != nil {
+				t.Fatal(err)
+			}
+			encoded := buf.Bytes()
 
-		opts := DefaultOptions()
-		opts.CacheSizes = [][]int{{32, 64}, {64, 128, 256}, {32, 128, 512}}[rng.Intn(3)]
-		opts.LineSizes = [][]int{{8}, {8, 16}, {16, 32}}[rng.Intn(3)]
-		opts.Assocs = [][]int{{1, 2}, {1, 2, 4}, {2, 8}}[rng.Intn(3)]
-		opts.Replacement = repls[rng.Intn(len(repls))]
-		opts.WriteThrough = rng.Intn(2) == 0
-		workers := 2 + rng.Intn(31)
+			opts := DefaultOptions()
+			opts.CacheSizes = [][]int{{32, 64}, {64, 128, 256}, {32, 128, 512}}[rng.Intn(3)]
+			opts.LineSizes = [][]int{{8}, {8, 16}, {16, 32}}[rng.Intn(3)]
+			opts.Assocs = [][]int{{1, 2}, {1, 2, 4}, {2, 8}}[rng.Intn(3)]
+			opts.Replacement = policies[seed-1].repl
+			opts.WriteThrough = policies[seed-1].writeThrough
+			opts.Energy.CountWriteTraffic = true // write-backs reach the metrics
+			opts.SampleRate, opts.SampleSeed, opts.DominantEps = mode.rate, uint64(seed), mode.eps
 
-		opts.Workers = 1
-		wantMS, wantST, err := ExploreTraceReader(context.Background(), bytes.NewReader(encoded), opts, extrace.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Workers = workers
-		ms, st, err := ExploreTraceReader(context.Background(), bytes.NewReader(encoded), opts, extrace.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Records != wantST.Records || !reflect.DeepEqual(st, wantST) {
-			t.Errorf("seed %d workers %d: ingest stats diverge: %+v vs %+v", seed, workers, st, wantST)
-		}
-		if !reflect.DeepEqual(ms, wantMS) {
-			t.Errorf("seed %d workers %d (repl=%v): metrics diverge from sequential", seed, workers, opts.Replacement)
+			opts.Workers = 1
+			wantMS, wantST, err := ExploreTraceReader(context.Background(), bytes.NewReader(encoded), opts, extrace.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if simulated := wantMS[0].SampledRecords; mode.name != "exact" && simulated < 3*rangeEpochRefs {
+				t.Fatalf("seed %d %s: only %d records simulated, want ≥ 3 epochs", seed, mode.name, simulated)
+			}
+			for workers := 2; workers <= 4; workers++ {
+				opts.Workers = workers
+				// A non-seekable stream, except for the dominant filter's
+				// two reads.
+				var body io.Reader = iotest.HalfReader(bytes.NewReader(encoded))
+				if mode.eps > 0 {
+					body = bytes.NewReader(encoded)
+				}
+				ms, st, err := ExploreTraceReader(context.Background(), body, opts, extrace.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(st, wantST) {
+					t.Errorf("seed %d %s workers %d: ingest stats diverge: %+v vs %+v", seed, mode.name, workers, st, wantST)
+				}
+				if !reflect.DeepEqual(ms, wantMS) {
+					t.Errorf("seed %d %s workers %d (repl=%v): metrics diverge from sequential", seed, mode.name, workers, opts.Replacement)
+				}
+			}
 		}
 	}
 }
@@ -173,102 +205,78 @@ func TestExploreTraceReaderReleasesOnError(t *testing.T) {
 	}
 }
 
-// TestTraceSweepPlanShards pins the plan's shard report: the partition
-// covers every pass unit, collapses to one shard for Workers=1, and
-// never exceeds the worker count.
+// TestTraceSweepPlanShards pins the plan's shard report: a stack sweep
+// splits in time ranges and reports no shards at any worker count; a
+// Batch sweep at more than one worker reports a partition that covers
+// every pass unit and never exceeds the worker count.
 func TestTraceSweepPlanShards(t *testing.T) {
-	opts := pipelineTestOptions()
-	for _, workers := range []int{1, 2, 5, 100} {
-		opts.Workers = workers
-		plan, err := TraceSweepPlan(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plan.Shards) == 0 {
-			t.Fatalf("workers=%d: plan reports no shards", workers)
-		}
-		if workers == 1 && len(plan.Shards) != 1 {
-			t.Errorf("workers=1: plan reports %d shards", len(plan.Shards))
-		}
-		if len(plan.Shards) > workers {
-			t.Errorf("workers=%d: plan reports %d shards", workers, len(plan.Shards))
-		}
-		total := 0
-		for _, u := range plan.Shards {
-			if u == 0 {
-				t.Errorf("workers=%d: empty shard in %v", workers, plan.Shards)
+	for _, repl := range []cachesim.Replacement{cachesim.LRU, cachesim.FIFO} {
+		opts := pipelineTestOptions()
+		opts.Replacement = repl
+		for _, workers := range []int{1, 2, 5, 100} {
+			opts.Workers = workers
+			plan, err := TraceSweepPlan(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			total += u
-		}
-		if total != plan.PassUnits() {
-			t.Errorf("workers=%d: shards %v cover %d units, plan has %d", workers, plan.Shards, total, plan.PassUnits())
-		}
-	}
-}
-
-// TestFanBudgets pins the spare-worker split: one worker per group
-// minimum, surplus proportional to pass-unit counts, total preserved.
-func TestFanBudgets(t *testing.T) {
-	cases := []struct {
-		units   []int
-		workers int
-		want    []int
-	}{
-		{[]int{10}, 8, []int{8}},
-		{[]int{3, 1}, 2, []int{1, 1}},
-		{[]int{3, 1}, 6, []int{4, 2}},
-		{[]int{5, 5, 2}, 3, []int{1, 1, 1}},
-		{[]int{0, 0}, 5, []int{1, 1}}, // degenerate: no units, base budgets only
-	}
-	for _, tc := range cases {
-		got := fanBudgets(tc.units, tc.workers)
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("fanBudgets(%v, %d) = %v, want %v", tc.units, tc.workers, got, tc.want)
-		}
-	}
-	// Totals are preserved whenever workers ≥ groups.
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 50; i++ {
-		n := 1 + rng.Intn(6)
-		units := make([]int, n)
-		for j := range units {
-			units[j] = 1 + rng.Intn(20)
-		}
-		workers := n + rng.Intn(20)
-		got := fanBudgets(units, workers)
-		sum := 0
-		for _, b := range got {
-			sum += b
-		}
-		if sum != workers {
-			t.Fatalf("fanBudgets(%v, %d) = %v sums to %d", units, workers, got, sum)
+			if repl == cachesim.LRU || workers == 1 {
+				if plan.Shards != nil {
+					t.Errorf("%v workers=%d: plan reports shards %v, want none", repl, workers, plan.Shards)
+				}
+				continue
+			}
+			if len(plan.Shards) < 2 || len(plan.Shards) > workers {
+				t.Errorf("%v workers=%d: plan reports %d shards", repl, workers, len(plan.Shards))
+			}
+			total := 0
+			for _, u := range plan.Shards {
+				if u == 0 {
+					t.Errorf("workers=%d: empty shard in %v", workers, plan.Shards)
+				}
+				total += u
+			}
+			if total != plan.PassUnits() {
+				t.Errorf("workers=%d: shards %v cover %d units, plan has %d", workers, plan.Shards, total, plan.PassUnits())
+			}
 		}
 	}
 }
 
-// TestSingleGroupFanoutMatchesSequential pins the in-memory fan-out: a
+// TestSingleGroupFanoutMatchesSequential pins the in-memory range split: a
 // sweep whose space collapses to ONE workload group (sequential layout,
-// single tiling) used to serialize under any worker count; now the spare
-// workers shard its pass units. Results must stay bit-identical.
+// single tiling) splits its trace — several epochs long — across every
+// worker, in time ranges for LRU and across pass units for FIFO.
+// Results must stay bit-identical.
 func TestSingleGroupFanoutMatchesSequential(t *testing.T) {
-	n := kernels.Compress()
-	opts := pipelineTestOptions()
-	opts.Tilings = []int{1}
-	opts.OptimizeLayout = false // one workload group for the whole space
-	if g := groupWorkloads(opts, opts.Space()); len(g) != 1 {
-		t.Fatalf("test space has %d workload groups, want 1", len(g))
-	}
-	want, err := ExploreContext(context.Background(), n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 33} {
-		got, err := ExploreParallelContext(context.Background(), n, opts, workers)
+	n := kernels.MatMul()
+	for _, repl := range []cachesim.Replacement{cachesim.LRU, cachesim.FIFO} {
+		opts := pipelineTestOptions()
+		opts.Replacement = repl
+		opts.Tilings = []int{1}
+		opts.OptimizeLayout = false // one workload group for the whole space
+		if g := groupWorkloads(opts, opts.Space()); len(g) != 1 {
+			t.Fatalf("test space has %d workload groups, want 1", len(g))
+		}
+		cache := newWorkloadCache(n)
+		tr, err := cache.trace(traceKey{tiling: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: single-group fan-out diverges from sequential", workers)
+		if tr.Len() < 3*rangeEpochRefs {
+			t.Fatalf("%s trace has %d references, want ≥ 3 epochs", n.Name, tr.Len())
+		}
+		want, err := ExploreContext(context.Background(), n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 3, 4, 33} {
+			got, err := ExploreParallelContext(context.Background(), n, opts, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v workers=%d: single-group split diverges from sequential", repl, workers)
+			}
 		}
 	}
 }

@@ -178,7 +178,7 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		rd.SetChunkPolicy(filter.chunkVerdict)
 	}
 	ctr := bus.NewSwitchCounter(bus.Gray)
-	if workers := opts.effectiveWorkers(); workers > 1 && sweep.PassUnits() > 1 {
+	if workers := opts.effectiveWorkers(); workers > 1 && (sweep.Forkable() || sweep.PassUnits() > 1) {
 		err = runTracePipeline(ctx, rd, sweep, ctr.Drive, workers, filter)
 	} else {
 		obsWorkers(1)

@@ -20,6 +20,7 @@ package service
 // the IngestStats, which every shard computes identically.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -37,10 +38,10 @@ import (
 	"memexplore/internal/jobs"
 )
 
-// peerPollInterval paces child-job status polling. Peers are LAN-local
-// replicas; a short interval keeps shard latency low without SSE
-// plumbing.
-const peerPollInterval = 20 * time.Millisecond
+// maxPeerReply caps how much of a peer's reply the coordinator reads —
+// a job record, an error envelope or a job's whole event stream: a peer
+// response is untrusted input.
+const maxPeerReply = 64 << 20
 
 // effectiveShards resolves a request's distributed shard count: the
 // explicit shards value, with -1 (auto) meaning one shard per replica
@@ -99,7 +100,7 @@ func jobReporterFrom(ctx context.Context) *jobs.Reporter {
 // metrics back into Space() order. The merged result is bit-identical to
 // traceSweep's on the same bytes. Each local leg is a traceSweep, so in
 // a sync request it holds a slot only while it sweeps, never while the
-// coordinator polls a peer; in a job every leg runs on the job's slot.
+// coordinator follows a peer; in a job every leg runs on the job's slot.
 func (s *Server) distTraceSweep(ctx context.Context, body io.Reader, tq traceQuery, n int) ([]core.Metrics, extrace.IngestStats, error) {
 	data, err := io.ReadAll(body)
 	if err != nil {
@@ -230,7 +231,7 @@ func shardHeader(tq traceQuery, index, count int, traceRef string) string {
 
 // peerShard runs one shard on a peer replica: submit the child job
 // (trace_ref first when a blob was published, body on unknown_trace_ref
-// or when there is no shared store), poll it to a terminal state, and
+// or when there is no shared store), follow it to a terminal state, and
 // decode the shard metrics. Parent cancellation propagates: the child
 // job is canceled on the peer before the error returns.
 func (s *Server) peerShard(ctx context.Context, peer string, body []byte, blobRef string, tq traceQuery, index, count int, rep *jobs.Reporter) ([]core.Metrics, error) {
@@ -286,33 +287,64 @@ func (s *Server) submitPeerJob(ctx context.Context, peer, header string, body []
 	return s.doPeerJob(req, http.StatusAccepted)
 }
 
-// awaitPeerJob polls a child job to a terminal state. On parent
-// cancellation it cancels the child on the peer (best effort, fresh
-// context — the parent's is already dead) before returning.
+// awaitPeerJob follows a child job over its event stream
+// (GET /v1/jobs/{id}/events) to the terminal event, whose data is the
+// job record. A stream that fails or ends without a terminal event is a
+// peer failure, and parent cancellation ends the stream too: either way
+// the child is canceled on the peer (best effort) before the error
+// returns.
 func (s *Server) awaitPeerJob(ctx context.Context, peer, id string) (jobs.Record, error) {
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/jobs/"+id, nil)
-		if err != nil {
-			return jobs.Record{}, fmt.Errorf("service: building peer poll: %w", err)
+	rec, err := s.followPeerJob(ctx, peer, id)
+	if err != nil {
+		s.cancelPeerJob(peer, id)
+		if ctx.Err() != nil {
+			return jobs.Record{}, fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
 		}
-		rec, err := s.doPeerJob(req, http.StatusOK)
-		if err != nil {
-			if ctx.Err() != nil {
-				s.cancelPeerJob(peer, id)
-				return jobs.Record{}, fmt.Errorf("%w: %w", core.ErrCanceled, context.Cause(ctx))
+		return jobs.Record{}, err
+	}
+	return rec, nil
+}
+
+// followPeerJob reads a child job's event stream, through the
+// maxPeerReply cap, until its terminal event.
+func (s *Server) followPeerJob(ctx context.Context, peer, id string) (jobs.Record, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		return jobs.Record{}, fmt.Errorf("service: building peer event request: %w", err)
+	}
+	resp, err := s.peerClient.Do(req)
+	if err != nil {
+		return jobs.Record{}, fmt.Errorf("service: reaching peer %s: %w", req.URL.Host, err)
+	}
+	defer resp.Body.Close()
+	body := io.LimitReader(resp.Body, maxPeerReply)
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(body) // the status is the failure; the body only refines it
+		return jobs.Record{}, peerStatusError(resp.StatusCode, data)
+	}
+	sc := bufio.NewScanner(body)
+	sc.Buffer(nil, maxPeerReply)
+	terminal := false
+	for sc.Scan() {
+		line := sc.Bytes()
+		switch {
+		case bytes.HasPrefix(line, []byte("event: ")):
+			terminal = jobs.State(line[len("event: "):]).Terminal()
+		case terminal && bytes.HasPrefix(line, []byte("data: ")):
+			var rec jobs.Record
+			if err := json.Unmarshal(line[len("data: "):], &rec); err != nil {
+				return jobs.Record{}, fmt.Errorf("service: decoding peer job record: %w", err)
 			}
-			return jobs.Record{}, err
-		}
-		if rec.State.Terminal() {
+			if !rec.State.Terminal() {
+				return jobs.Record{}, fmt.Errorf("service: peer job %s: terminal event carries state %q", id, rec.State)
+			}
 			return rec, nil
 		}
-		select {
-		case <-time.After(peerPollInterval):
-		case <-ctx.Done():
-			s.cancelPeerJob(peer, id)
-			return jobs.Record{}, fmt.Errorf("%w: %w", core.ErrCanceled, ctx.Err())
-		}
 	}
+	if err := sc.Err(); err != nil {
+		return jobs.Record{}, fmt.Errorf("service: reading peer event stream: %w", err)
+	}
+	return jobs.Record{}, fmt.Errorf("service: peer job %s: event stream ended without a terminal event", id)
 }
 
 // cancelPeerJob DELETEs a child job on its peer under a short fresh
@@ -339,21 +371,27 @@ func (s *Server) doPeerJob(req *http.Request, wantStatus int) (jobs.Record, erro
 		return jobs.Record{}, fmt.Errorf("service: reaching peer %s: %w", req.URL.Host, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerReply))
 	if err != nil {
 		return jobs.Record{}, fmt.Errorf("service: reading peer reply: %w", err)
 	}
 	if resp.StatusCode != wantStatus {
-		var eb ErrorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Error.Code != "" {
-			return jobs.Record{}, &peerError{status: resp.StatusCode, detail: eb.Error}
-		}
-		return jobs.Record{}, &peerError{status: resp.StatusCode,
-			detail: ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("unexpected peer status %d", resp.StatusCode)}}
+		return jobs.Record{}, peerStatusError(resp.StatusCode, data)
 	}
 	var rec jobs.Record
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return jobs.Record{}, fmt.Errorf("service: decoding peer job record: %w", err)
 	}
 	return rec, nil
+}
+
+// peerStatusError maps an unexpected peer status through the peer's
+// error envelope.
+func peerStatusError(status int, data []byte) error {
+	var eb ErrorBody
+	if json.Unmarshal(data, &eb) == nil && eb.Error.Code != "" {
+		return &peerError{status: status, detail: eb.Error}
+	}
+	return &peerError{status: status,
+		detail: ErrorDetail{Code: CodeInternal, Message: fmt.Sprintf("unexpected peer status %d", status)}}
 }

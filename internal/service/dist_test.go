@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -244,5 +245,70 @@ func TestDistOneSlot(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("one-slot sync two-shard sweep deadlocked")
+	}
+}
+
+// TestDistPeerEventStream: the coordinator follows a child job over its
+// event stream and never polls GET /v1/jobs/{id}; a stream that ends
+// without a terminal event is a peer failure, so the leg falls back to
+// local execution and the response still matches the local sweep byte
+// for byte.
+func TestDistPeerEventStream(t *testing.T) {
+	din := kernelDin(t)
+	for _, truncate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("truncate=%v", truncate), func(t *testing.T) {
+			peer := MustNew(Config{MaxConcurrentSweeps: 2, CacheEntries: 8, MaxBodyBytes: 64 << 20})
+			var polls, streams atomic.Int64
+			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+					if !strings.HasSuffix(r.URL.Path, "/events") {
+						polls.Add(1)
+					} else if streams.Add(1); truncate {
+						w.Header().Set("Content-Type", "text/event-stream")
+						fmt.Fprint(w, "id: 0\nevent: progress\ndata: {}\n\n")
+						return
+					}
+				}
+				peer.ServeHTTP(w, r)
+			}))
+			coord := MustNew(Config{MaxConcurrentSweeps: 2, CacheEntries: 8, MaxBodyBytes: 64 << 20, Peers: []string{fake.URL}})
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				if err := coord.Shutdown(ctx); err != nil {
+					t.Errorf("coordinator shutdown: %v", err)
+				}
+				fake.Close()
+				if err := peer.Shutdown(ctx); err != nil {
+					t.Errorf("peer shutdown: %v", err)
+				}
+			})
+
+			local := doJSON(t, coord, "POST", "/v1/explore-trace", http.Header{OptionsHeader: {traceHeaderJSON}}, din)
+			if local.Code != http.StatusOK {
+				t.Fatalf("local sweep = %d: %s", local.Code, local.Body)
+			}
+			failures := vars.distPeerFailures.Value()
+			dist := doJSON(t, coord, "POST", "/v1/explore-trace", http.Header{OptionsHeader: {distHeaderJSON(2)}}, din)
+			if dist.Code != http.StatusOK {
+				t.Fatalf("dist sweep = %d: %s", dist.Code, dist.Body)
+			}
+			if dist.Body.String() != local.Body.String() {
+				t.Error("distributed response differs from the local sweep")
+			}
+			if n := polls.Load(); n != 0 {
+				t.Errorf("coordinator polled GET /v1/jobs/{id} %d times", n)
+			}
+			if n := streams.Load(); n != 1 {
+				t.Errorf("coordinator opened %d event streams, want 1", n)
+			}
+			d := vars.distPeerFailures.Value() - failures
+			if truncate && d != 1 {
+				t.Errorf("truncated stream: dist_peer_failures advanced by %d, want 1", d)
+			}
+			if !truncate && d != 0 {
+				t.Errorf("dist_peer_failures advanced by %d on a working stream", d)
+			}
+		})
 	}
 }

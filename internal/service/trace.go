@@ -46,7 +46,9 @@ type TraceRequest struct {
 	CycleBound    float64 `json:"cycle_bound,omitempty"`
 	EnergyBoundNJ float64 `json:"energy_bound_nj,omitempty"`
 	// Workers requests a simulation worker count (0 = server default);
-	// clamped to the server-side cap.
+	// clamped to the server-side cap. LRU sweeps split the stream into
+	// time ranges across the workers, other policies split their pass
+	// units.
 	Workers int `json:"workers,omitempty"`
 	// Shards requests distributed execution: the sweep's pass units are
 	// partitioned into up to this many disjoint shards, shard 0 runs
