@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-search bench-guard benchsuite-check figs exhibits exhibits-check fuzz cover clean check serve
+.PHONY: all build vet test short bench bench-sweep bench-trace bench-ingest bench-search bench-guard benchsuite-check figs exhibits exhibits-check fuzz cover clean check serve loc
 
 all: build vet test
 
@@ -51,10 +51,11 @@ short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The sweep-engine comparison (per-point vs batched vs inclusion vs
-# inclusion-parallel, then one workload group sequential vs split in time
-# ranges, and forced-batched sequential vs its pass-unit fan-out); the
-# raw runs land in BENCH_sweep.out for curation into BENCH_sweep.json.
+# The sweep-engine comparison (per-point vs FIFO fallback caches vs LRU
+# stack levels vs stack levels at 4 workers, then one workload group
+# sequential vs split in time ranges, and the group's fallback caches
+# sequential vs their pass-unit fan-out); the raw runs land in
+# BENCH_sweep.out for curation into BENCH_sweep.json.
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkExploreSweep -benchmem -count 5 . | tee BENCH_sweep.out
 
@@ -114,6 +115,12 @@ fuzz:
 
 cover:
 	$(GO) test -cover ./...
+
+# Go line counts of the root module, benchsuite/ and build outputs
+# excluded: non-test and test lines, the two figures each change records.
+loc:
+	@printf 'non-test %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchsuite/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$(find . -name '*_test.go' ! -path './benchsuite/*' ! -path './.bench_build/*' | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean ./...

@@ -166,24 +166,28 @@ func BenchmarkAblationReplacement(b *testing.B) {
 
 // BenchmarkExploreSweep measures the full DefaultOptions Compress sweep
 // (441 points, sequential layout) on the engine ladder: the per-point
-// reference path, the workload-grouped batched engine (forced, one
-// simulator per configuration), the inclusion engine (the default — one
-// LRU stack pass per (line, sets) group), and the inclusion engine with
-// worker parallelism; then the single-workload-group shape, where spare
-// workers split the one group: in time ranges for the inclusion engine,
-// across pass units for the forced batched engine. The numbers for the
-// record live in BENCH_sweep.json; refresh them with `make bench-sweep`.
+// reference path, the workload-grouped engine on fallback caches (FIFO
+// replacement, one simulator per configuration), the inclusion engine
+// (LRU, the default — one stack pass per (line, sets) group), and the
+// inclusion engine with worker parallelism; then the single-workload-
+// group shape, where spare workers split the one group: in time ranges
+// for the inclusion engine, across pass units for the fallback caches.
+// Legs named without "parallel" or "ranges" run at Workers 1. The
+// numbers for the record live in BENCH_sweep.json; refresh them with
+// `make bench-sweep`.
 func BenchmarkExploreSweep(b *testing.B) {
 	n := kernels.Compress()
 	opts := core.DefaultOptions()
 	opts.OptimizeLayout = false
 	ctx := context.Background()
 
-	run := func(b *testing.B, explore func() ([]core.Metrics, error)) {
+	type explore func(context.Context, *loopir.Nest, core.Options) ([]core.Metrics, error)
+	run := func(b *testing.B, explore explore, opts core.Options, workers int) {
 		b.Helper()
 		b.ReportAllocs()
+		opts.Workers = workers
 		for i := 0; i < b.N; i++ {
-			ms, err := explore()
+			ms, err := explore(ctx, n, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -193,40 +197,24 @@ func BenchmarkExploreSweep(b *testing.B) {
 		}
 	}
 	batched := opts
-	batched.Engine = core.EngineBatched
-	b.Run("per-point", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExplorePerPointContext(ctx, n, opts) })
-	})
-	b.Run("batched", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExploreContext(ctx, n, batched) })
-	})
-	b.Run("inclusion", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExploreContext(ctx, n, opts) })
-	})
-	b.Run("inclusion-parallel", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExploreParallelContext(ctx, n, opts, 4) })
-	})
+	batched.Replacement = cachesim.FIFO
+	b.Run("per-point", func(b *testing.B) { run(b, core.ExplorePerPointContext, opts, 1) })
+	b.Run("batched", func(b *testing.B) { run(b, core.ExploreContext, batched, 1) })
+	b.Run("inclusion", func(b *testing.B) { run(b, core.ExploreContext, opts, 1) })
+	b.Run("inclusion-parallel", func(b *testing.B) { run(b, core.ExploreContext, opts, 4) })
 	// One workload group (single tiling): group-level parallelism has
 	// nothing to chew on, so the workers split the group's trace into
 	// time ranges instead — the range executor.
 	single := opts
 	single.Tilings = []int{1}
-	b.Run("single-group", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExploreContext(ctx, n, single) })
-	})
-	b.Run("single-group-ranges", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExploreParallelContext(ctx, n, single, 4) })
-	})
-	// The forced batched engine on the same single group, alone and at 4
-	// workers: the pass-unit fan-out, Batch sweeps' only parallel path.
+	b.Run("single-group", func(b *testing.B) { run(b, core.ExploreContext, single, 1) })
+	b.Run("single-group-ranges", func(b *testing.B) { run(b, core.ExploreContext, single, 4) })
+	// The same single group on fallback caches, alone and at 4 workers:
+	// the pass-unit fan-out, the only parallel path of fallback sweeps.
 	singleBatched := single
-	singleBatched.Engine = core.EngineBatched
-	b.Run("single-group-batched", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExploreContext(ctx, n, singleBatched) })
-	})
-	b.Run("batched-parallel", func(b *testing.B) {
-		run(b, func() ([]core.Metrics, error) { return core.ExploreParallelContext(ctx, n, singleBatched, 4) })
-	})
+	singleBatched.Replacement = cachesim.FIFO
+	b.Run("single-group-batched", func(b *testing.B) { run(b, core.ExploreContext, singleBatched, 1) })
+	b.Run("batched-parallel", func(b *testing.B) { run(b, core.ExploreContext, singleBatched, 4) })
 }
 
 // BenchmarkExploreDinTrace measures the external-trace pipeline end to
@@ -440,9 +428,9 @@ func BenchmarkSearch(b *testing.B) {
 	}
 	opts = opts.Normalize()
 	ctx := context.Background()
-	workers := runtime.NumCPU()
+	opts.Workers = runtime.NumCPU()
 
-	full, err := core.ExploreParallelContext(ctx, n, opts, workers)
+	full, err := core.ExploreContext(ctx, n, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -457,7 +445,7 @@ func BenchmarkSearch(b *testing.B) {
 	b.Run("exhaustive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ms, err := core.ExploreParallelContext(ctx, n, opts, workers)
+			ms, err := core.ExploreContext(ctx, n, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -471,7 +459,7 @@ func BenchmarkSearch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := search.Kernel(ctx, n, opts, search.Options{Seed: 7},
-					search.Budget{MaxEvaluations: evals}, workers)
+					search.Budget{MaxEvaluations: evals})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -191,7 +192,7 @@ func fatal(err error) {
 }
 
 // runSweep simulates all requested sizes in one pass over the trace
-// (cachesim.Batch) and prints a table.
+// (cachesim.Sweep) and prints a table.
 func runSweep(base cachesim.Config, tr *trace.Trace, sizesCSV string) error {
 	var cfgs []cachesim.Config
 	for _, f := range strings.Split(sizesCSV, ",") {
@@ -216,7 +217,11 @@ func runSweep(base cachesim.Config, tr *trace.Trace, sizesCSV string) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("empty size list %q", sizesCSV)
 	}
-	stats, err := cachesim.RunBatch(cfgs, tr)
+	sweep, err := cachesim.NewSweep(cfgs)
+	if err != nil {
+		return err
+	}
+	stats, err := sweep.RunTraceContext(context.Background(), tr, nil)
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,6 @@ func main() {
 		energyBound = flag.Float64("energy-bound", 0, "report the min-time configuration under this energy bound (nJ)")
 		pareto      = flag.Bool("pareto", false, "print the cycles/energy Pareto frontier")
 		top         = flag.Int("top", 10, "print the N lowest-energy configurations (0 = all)")
-		workers     = flag.Int("parallel", 0, "explore with this many workers (0 = sequential)")
 		icacheMode  = flag.Bool("icache", false, "explore an instruction cache for the kernel instead of a data cache (§6 extension)")
 		program     = flag.String("program", "", "aggregate a whole program: 'mpeg' or a file of '<kernel|nestfile> <trip>' lines (§5)")
 		repl        = flag.String("repl", "lru", "replacement policy: lru, fifo, random")
@@ -77,8 +76,7 @@ func main() {
 		sampleSeed  = flag.Uint64("sample-seed", 0, "with -trace, hash seed selecting which blocks -sample-rate keeps")
 		dominantEps = flag.Float64("dominant-eps", 0, "with -trace, skip blocks outside the dominant set covering 1-eps of transitions (needs a seekable file; 0 = off)")
 		convertPath = flag.String("convert", "", "with -trace, transcode the trace to columnar mxt v2 at this path instead of sweeping ('-' for stdout, .gz compresses)")
-		engineName  = flag.String("engine", "auto", "sweep engine: auto, per-point, batched, inclusion (debugging/benchmarking; results are identical)")
-		simWorkers  = flag.Int("workers", 0, "simulation workers: LRU sweeps split the trace into time ranges, other policies fan each chunk across pass-unit shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
+		workers     = flag.Int("workers", 0, "goroutines per sweep, for kernel, -program, -search and -trace runs: LRU sweeps split the trace into time ranges, other policies fan each chunk across pass-unit shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		searchMode  = flag.Bool("search", false, "run a budgeted NSGA-II search over the configuration space instead of an exhaustive sweep")
 		budgetEvals = flag.Int("budget-evals", 0, "with -search, stop once this many distinct configurations have been evaluated (default 2000 when no other bound is set)")
 		budgetGens  = flag.Int("budget-gens", 0, "with -search, stop after this many generations (0 = unbounded)")
@@ -111,12 +109,7 @@ func main() {
 	}
 	opts.VictimLines = *victim
 	opts.WriteThrough = *writeThru
-	engine, err := memexplore.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Engine = engine
-	opts.Workers = *simWorkers
+	opts.Workers = *workers
 	opts.SampleRate = *sampleRate
 	opts.SampleSeed = *sampleSeed
 	opts.DominantEps = *dominantEps
@@ -178,7 +171,7 @@ func main() {
 		}
 		ing := memexplore.TraceIngestOptions{MaxRecords: *maxRecords, SkipMalformed: *skipBad}
 		err := runSearch(*kernelName, *kernelFile, *tracePath, opts, ing, sopts, budget,
-			*workers, *csvPath, *jsonPath,
+			*csvPath, *jsonPath,
 			reportOpts{top: *top, cycleBound: *cycleBound, energyBound: *energyBound, pareto: *pareto})
 		if err != nil {
 			fatal(err)
@@ -211,8 +204,6 @@ func main() {
 	switch {
 	case *icacheMode:
 		ms, err = memexplore.ExploreICache(kern, memexplore.DefaultCodeGen(), opts)
-	case *workers > 0:
-		ms, err = memexplore.ExploreParallel(kern, opts, *workers)
 	default:
 		ms, err = memexplore.Explore(kern, opts)
 	}
@@ -324,7 +315,7 @@ func reportSweep(ms []memexplore.Metrics, ro reportOpts) error {
 // only the archive survives the search).
 func runSearch(kernelName, kernelFile, tracePath string, opts memexplore.Options,
 	ing memexplore.TraceIngestOptions, sopts memexplore.SearchOptions,
-	budget memexplore.SearchBudget, workers int, csvPath, jsonPath string, ro reportOpts) error {
+	budget memexplore.SearchBudget, csvPath, jsonPath string, ro reportOpts) error {
 	var res memexplore.SearchResult
 	if tracePath != "" {
 		if tracePath == "-" {
@@ -347,7 +338,7 @@ func runSearch(kernelName, kernelFile, tracePath string, opts memexplore.Options
 			return err
 		}
 		fmt.Printf("kernel %s:\n%s\n", kern.Name, kern)
-		res, err = memexplore.SearchKernel(context.Background(), kern, opts, sopts, budget, workers)
+		res, err = memexplore.SearchKernel(context.Background(), kern, opts, sopts, budget)
 		if err != nil {
 			return err
 		}

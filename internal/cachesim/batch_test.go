@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,22 +9,42 @@ import (
 	"memexplore/internal/trace"
 )
 
-func TestBatchMatchesIndividual(t *testing.T) {
-	cfgs := []Config{
-		DefaultConfig(32, 4, 1),
-		DefaultConfig(64, 8, 2),
-		DefaultConfig(256, 16, 4),
-	}
-	tr := trace.Concat(
+// batchConfigs are configurations the stack model cannot represent, so
+// a Sweep simulates each on its own fallback cache: the batched path.
+func batchConfigs() []Config {
+	fifo := DefaultConfig(32, 4, 1)
+	fifo.Replacement = FIFO
+	random := DefaultConfig(64, 8, 2)
+	random.Replacement = Random
+	noAlloc := DefaultConfig(256, 16, 4)
+	noAlloc.WriteAllocate = false
+	victim := DefaultConfig(64, 8, 1)
+	victim.VictimLines = 2
+	victim.WriteBack = false
+	return []Config{fifo, random, noAlloc, victim}
+}
+
+func batchTestTrace() *trace.Trace {
+	return trace.Concat(
 		trace.Loop(0, 512, 4, 3),
 		trace.PingPong(0, 1024, 200),
+		randomMixedTrace(rand.New(rand.NewSource(5)), 2000, 1024),
 	)
-	batch, err := RunBatch(cfgs, tr)
+}
+
+func TestBatchMatchesIndividual(t *testing.T) {
+	cfgs := batchConfigs()
+	tr := batchTestTrace()
+	s, err := NewSweep(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != len(cfgs) {
-		t.Fatalf("batch results %d, want %d", len(batch), len(cfgs))
+	if s.FallbackConfigs() != len(cfgs) || s.InclusionGroups() != 0 {
+		t.Fatalf("sweep formed %d levels / %d fallbacks, want 0 / %d", s.InclusionGroups(), s.FallbackConfigs(), len(cfgs))
+	}
+	batch, err := s.RunTraceContext(context.Background(), tr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
 		solo, err := RunTraceFast(cfg, tr)
@@ -36,34 +57,28 @@ func TestBatchMatchesIndividual(t *testing.T) {
 	}
 }
 
-// TestBatchAccessBlockChunkInvariant checks that feeding a trace through
-// AccessBlock in arbitrary chunk sizes produces the same statistics as
-// one whole-trace pass — the property the streaming external-trace sweep
-// depends on.
+// TestBatchAccessBlockChunkInvariant checks that feeding a trace to the
+// fallback caches through AccessBlock in arbitrary chunk sizes produces
+// the same statistics as one whole-trace pass — the property the
+// streaming external-trace sweep depends on.
 func TestBatchAccessBlockChunkInvariant(t *testing.T) {
-	cfgs := []Config{
-		DefaultConfig(32, 4, 1),
-		DefaultConfig(64, 8, 2),
-		DefaultConfig(256, 16, 4),
-	}
-	tr := trace.Concat(
-		trace.Loop(0, 512, 4, 3),
-		trace.PingPong(0, 1024, 200),
-	)
-	whole, err := RunBatch(cfgs, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 7, 64, 1000, tr.Len() + 1} {
-		b, err := NewBatch(cfgs)
+	cfgs := batchConfigs()
+	tr := batchTestTrace()
+	refs := tr.Refs()
+	var whole []Stats
+	for _, chunk := range []int{len(refs), 1, 7, 64, 1000, len(refs) + 1} {
+		s, err := NewSweep(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := tr.Refs()
 		for start := 0; start < len(refs); start += chunk {
-			b.AccessBlock(refs[start:min(start+chunk, len(refs))])
+			s.AccessBlock(refs[start:min(start+chunk, len(refs))])
 		}
-		for i, st := range b.Stats() {
+		if whole == nil {
+			whole = s.Stats()
+			continue
+		}
+		for i, st := range s.Stats() {
 			if st != whole[i] {
 				t.Errorf("chunk %d config %d: %+v != whole-trace %+v", chunk, i, st, whole[i])
 			}
@@ -72,23 +87,27 @@ func TestBatchAccessBlockChunkInvariant(t *testing.T) {
 }
 
 func TestBatchErrors(t *testing.T) {
-	if _, err := NewBatch(nil); err == nil {
-		t.Error("empty batch should fail")
+	if _, err := NewSweep(nil); err == nil {
+		t.Error("empty sweep should fail")
 	}
-	if _, err := NewBatch([]Config{DefaultConfig(60, 8, 1)}); err == nil {
+	bad := DefaultConfig(60, 8, 1)
+	bad.Replacement = FIFO
+	if _, err := NewSweep([]Config{bad}); err == nil {
 		t.Error("invalid config should fail")
 	}
 }
 
 func TestBatchReset(t *testing.T) {
-	b, err := NewBatch([]Config{DefaultConfig(64, 8, 1)})
+	s, err := NewSweep(batchConfigs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Access(trace.Ref{Addr: 0})
-	b.Reset()
-	if got := b.Stats()[0]; got != (Stats{}) {
-		t.Errorf("stats after reset: %+v", got)
+	s.AccessBlock([]trace.Ref{{Addr: 0}, {Addr: 8, Kind: trace.Write}})
+	s.Reset()
+	for i, got := range s.Stats() {
+		if got != (Stats{}) {
+			t.Errorf("config %d: stats after reset: %+v", i, got)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -55,19 +56,27 @@ func BenchmarkAccessClassified(b *testing.B) {
 	}
 }
 
-// BenchmarkBatch8 measures the single-pass multi-configuration mode.
+// BenchmarkBatch8 measures the single-pass multi-configuration mode on
+// eight fallback (FIFO) caches of one sweep.
 func BenchmarkBatch8(b *testing.B) {
 	tr := benchTrace()
 	var cfgs []Config
 	for _, size := range []int{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-		cfgs = append(cfgs, DefaultConfig(size, 16, 2))
+		cfg := DefaultConfig(size, 16, 2)
+		cfg.Replacement = FIFO
+		cfgs = append(cfgs, cfg)
 	}
 	b.SetBytes(int64(tr.Len() * len(cfgs)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBatch(cfgs, tr); err != nil {
+		s, err := NewSweep(cfgs)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := s.RunTraceContext(context.Background(), tr, nil); err != nil {
+			b.Fatal(err)
+		}
+		s.Release()
 	}
 }
 

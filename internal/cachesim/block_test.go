@@ -77,30 +77,37 @@ func TestAccessBlockMatchesAccess(t *testing.T) {
 
 func TestRunTraceContextMatchesRun(t *testing.T) {
 	tr := blockTestTrace()
+	fifo := DefaultConfig(512, 8, 4)
+	fifo.Replacement = FIFO
 	cfgs := []Config{
 		DefaultConfig(64, 8, 1),
 		DefaultConfig(256, 16, 2),
 		DefaultConfig(512, 8, 4),
+		fifo,
 	}
-	want, err := RunBatch(cfgs, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBatch(cfgs)
+	s, err := NewSweep(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var observed int
-	got, err := b.RunTraceContext(context.Background(), tr, func(trace.Ref) { observed++ })
+	got, err := s.RunTraceContext(context.Background(), tr, func(trace.Ref) { observed++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if observed != tr.Len() {
 		t.Errorf("observe saw %d refs, want %d", observed, tr.Len())
 	}
-	for i := range cfgs {
-		if got[i] != want[i] {
-			t.Errorf("config %d: RunTraceContext %+v != Run %+v", i, got[i], want[i])
+	for i, cfg := range cfgs {
+		c, err := NewFast(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Run(tr.Reader())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("config %d: RunTraceContext %+v != Run %+v", i, got[i], want)
 		}
 	}
 }
@@ -112,7 +119,7 @@ func TestRunTraceContextCancel(t *testing.T) {
 	for i := 0; i < 3*CancelCheckInterval; i++ {
 		tr.Append(trace.Ref{Addr: uint64(i % 4096)})
 	}
-	b, err := NewBatch([]Config{DefaultConfig(64, 8, 1)})
+	b, err := NewSweep([]Config{DefaultConfig(64, 8, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

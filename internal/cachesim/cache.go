@@ -183,8 +183,8 @@ func (c *Cache) Access(r trace.Ref) AccessResult {
 // equivalent to calling Access on each (same statistics, same cache
 // contents), discarding the per-access results. Caches without 3C
 // classification and without a victim buffer take a specialized hot
-// path with the per-line lookup inlined — the batched sweep engine
-// processes the trace in blocks so each cache's state stays resident
+// path with the per-line lookup inlined — a Sweep feeds its fallback
+// caches the trace in blocks so each cache's state stays resident
 // while it runs, instead of fanning every reference across all caches.
 func (c *Cache) AccessBlock(refs []trace.Ref) {
 	if c.shadow != nil || c.cfg.VictimLines > 0 {
@@ -357,6 +357,9 @@ func (c *Cache) accessLine(lineAddr uint64, kind trace.Kind) (bool, MissClass) {
 		if entry, ok := c.victimTake(lineAddr); ok {
 			c.stats.VictimHits++
 			c.installLine(set, setIdx, tag, kind, entry.dirty)
+			if kind == trace.Write && !c.cfg.WriteBack {
+				c.stats.WriteThroughs++
+			}
 			return true, NotMiss
 		}
 	}

@@ -13,10 +13,10 @@ import (
 // configurations one stack level — per-set LRU stacks (PerSetStacks,
 // lrustack.go) whose distance histograms yield the exact Stats of every
 // associativity of the geometry at once — and simulates the rest (FIFO
-// and random replacement, no-write-allocate, victim buffers) through a
-// plain Batch. The levels of one line size are driven by one walk per
-// line touch (lineWalk). The combined results are bit-identical to
-// simulating every configuration individually with NewFast.
+// and random replacement, no-write-allocate, victim buffers) on one
+// fallback Cache each. The levels of one line size are driven by one
+// walk per line touch (lineWalk). The combined results are bit-identical
+// to simulating every configuration individually with NewFast.
 
 // InclusionEligible reports whether the inclusion engine can simulate the
 // configuration exactly: LRU replacement with write-allocate and no
@@ -28,8 +28,8 @@ func InclusionEligible(cfg Config) bool {
 }
 
 // sweepSlot maps one input configuration to where its statistics live:
-// member `member` of stack level `group`, or — when group is -1 — cache
-// `member` of the fallback batch.
+// member `member` of stack level `group`, or — when group is -1 —
+// fallback cache `member`.
 type sweepSlot struct {
 	group  int
 	member int
@@ -260,35 +260,30 @@ func (w *lineWalk) markDirty(from int, la uint64) {
 	}
 }
 
+// CancelCheckInterval is how many references Sweep.RunTraceContext
+// processes between context checks: a canceled context stops a running
+// sweep within one interval.
+const CancelCheckInterval = 8192
+
 // Sweep simulates many cache configurations in a single pass over a
-// trace, like Batch, but collapses the associativity dimension of every
-// inclusion-eligible (LineBytes, NumSets) geometry into one stack level
-// and walks the levels of each line size together. Statistics are
-// bit-identical to per-configuration simulation; the fallback Batch
-// covers ineligible configurations transparently.
+// trace — the Dinero IV trick: the trace is read once and fanned out to
+// every simulator. It collapses the associativity dimension of every
+// inclusion-eligible (LineBytes, NumSets) geometry into one stack level,
+// walks the levels of each line size together, and simulates every other
+// configuration on its own fallback cache. Statistics are bit-identical
+// to per-configuration simulation with NewFast.
 type Sweep struct {
 	levels []*stackLevel // canonical unit order: first encounter in cfgs
-	batch  *Batch        // fallback; nil when every config has a level
+	caches []*Cache      // fallback caches, in configuration order
 	slots  []sweepSlot
 	whole  *SweepShard // every pass unit: the AccessBlock traversal
 }
 
 // NewSweep builds a sweep over the configurations, giving every
 // (LineBytes, NumSets) geometry of inclusion-eligible configs (see
-// InclusionEligible) a stack level and simulating the rest through a
-// fallback Batch.
+// InclusionEligible) a stack level and every other configuration a
+// fallback cache.
 func NewSweep(cfgs []Config) (*Sweep, error) {
-	return newSweep(cfgs, true)
-}
-
-// NewBatchSweep builds a Sweep that simulates every configuration
-// individually through a Batch, with no inclusion groups — the forced
-// "batched" engine for debugging and benchmarking comparisons.
-func NewBatchSweep(cfgs []Config) (*Sweep, error) {
-	return newSweep(cfgs, false)
-}
-
-func newSweep(cfgs []Config, inclusion bool) (*Sweep, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cachesim: sweep needs at least one configuration")
 	}
@@ -300,11 +295,14 @@ func newSweep(cfgs []Config, inclusion bool) (*Sweep, error) {
 	type geom struct{ lineBytes, sets int }
 	s := &Sweep{slots: make([]sweepSlot, len(cfgs))}
 	levelIdx := make(map[geom]int)
-	var batchCfgs []Config
 	for i, cfg := range cfgs {
-		if !inclusion || !InclusionEligible(cfg) {
-			s.slots[i] = sweepSlot{group: -1, member: len(batchCfgs)}
-			batchCfgs = append(batchCfgs, cfg)
+		if !InclusionEligible(cfg) {
+			c, err := NewFast(cfg)
+			if err != nil {
+				return nil, err
+			}
+			s.slots[i] = sweepSlot{group: -1, member: len(s.caches)}
+			s.caches = append(s.caches, c)
 			continue
 		}
 		key := geom{cfg.LineBytes, cfg.NumSets()}
@@ -323,54 +321,41 @@ func newSweep(cfgs []Config, inclusion bool) (*Sweep, error) {
 			return nil, err
 		}
 	}
-	if len(batchCfgs) > 0 {
-		b, err := NewBatch(batchCfgs)
-		if err != nil {
-			return nil, err
-		}
-		s.batch = b
-	}
-	s.whole = newSweepShard(s.levels, s.fallbackCaches())
+	s.whole = newSweepShard(s.levels, s.caches)
 	return s, nil
-}
-
-// fallbackCaches returns the fallback batch's caches (nil without one).
-func (s *Sweep) fallbackCaches() []*Cache {
-	if s.batch == nil {
-		return nil
-	}
-	return s.batch.caches
 }
 
 // InclusionGroups returns how many stack levels — one per
 // (LineBytes, NumSets) geometry of eligible configs — the sweep formed.
 func (s *Sweep) InclusionGroups() int { return len(s.levels) }
 
-// FallbackConfigs returns how many configurations run on the fallback
-// Batch.
-func (s *Sweep) FallbackConfigs() int { return len(s.fallbackCaches()) }
+// FallbackConfigs returns how many configurations run on fallback
+// caches.
+func (s *Sweep) FallbackConfigs() int { return len(s.caches) }
 
 // PassUnits returns the number of independent simulation state machines
 // consuming the trace: one per stack level plus one per fallback cache.
 // Configs()/PassUnits() is the engine's collapse factor.
-func (s *Sweep) PassUnits() int { return len(s.levels) + s.FallbackConfigs() }
+func (s *Sweep) PassUnits() int { return len(s.levels) + len(s.caches) }
 
 // Configs returns the number of configurations the sweep covers.
 func (s *Sweep) Configs() int { return len(s.slots) }
 
 // AccessBlock feeds a block of references to every line-size walk and
-// fallback cache, each consuming the whole block before the next runs
-// (the cache-resident traversal of Batch.AccessBlock). It is the
-// chunk-granular entry point for streaming callers; statistics are
-// identical in any chunking.
+// fallback cache, each consuming the whole block before the next runs,
+// so each simulator's state stays resident instead of every reference
+// fanning out across all of them. It is the chunk-granular entry point
+// for streaming callers; statistics are identical in any chunking.
 func (s *Sweep) AccessBlock(block []trace.Ref) {
 	s.whole.AccessBlock(block)
 }
 
 // RunTraceContext drives an in-memory trace through the sweep in one
-// pass, mirroring Batch.RunTraceContext: the context is checked every
-// CancelCheckInterval references, and observe (when non-nil) sees every
-// reference in the same traversal.
+// pass, in CancelCheckInterval-sized blocks: the context is checked
+// before every block (a canceled context stops the pass within one
+// interval and returns ctx.Err()), and observe, when non-nil, sees every
+// reference in the same traversal, which lets callers fuse per-trace
+// measurements (e.g. address-bus switching) into the simulation pass.
 func (s *Sweep) RunTraceContext(ctx context.Context, tr *trace.Trace, observe func(trace.Ref)) ([]Stats, error) {
 	refs := tr.Refs()
 	for start := 0; ; start += CancelCheckInterval {
@@ -394,15 +379,11 @@ func (s *Sweep) RunTraceContext(ctx context.Context, tr *trace.Trace, observe fu
 
 // Stats returns the per-configuration statistics in input order.
 func (s *Sweep) Stats() []Stats {
-	var batchStats []Stats
-	if s.batch != nil {
-		batchStats = s.batch.Stats()
-	}
 	wbs := make([][]uint64, len(s.levels))
 	out := make([]Stats, len(s.slots))
 	for i, sl := range s.slots {
 		if sl.group < 0 {
-			out[i] = batchStats[sl.member]
+			out[i] = s.caches[sl.member].Stats()
 			continue
 		}
 		lv := s.levels[sl.group]
@@ -420,8 +401,8 @@ func (s *Sweep) Reset() {
 	for _, lv := range s.levels {
 		lv.Reset()
 	}
-	if s.batch != nil {
-		s.batch.Reset()
+	for _, c := range s.caches {
+		c.Reset()
 	}
 }
 
@@ -429,9 +410,8 @@ func (s *Sweep) Reset() {
 // pool for reuse by later sweeps. Call after the final Stats(); the
 // sweep must not be used afterwards.
 func (s *Sweep) Release() {
-	if s.batch != nil {
-		s.batch.Release()
-		s.batch = nil
+	for _, c := range s.caches {
+		c.release()
 	}
-	s.levels, s.slots, s.whole = nil, nil, nil
+	s.levels, s.caches, s.slots, s.whole = nil, nil, nil, nil
 }

@@ -35,7 +35,7 @@ func randomMixedTrace(rng *rand.Rand, n int, span uint64) *trace.Trace {
 // product under the given policies — multiple associativities per
 // (L, sets) geometry, so NewSweep forms real inclusion groups — plus,
 // when mixIneligible is set, interleaved FIFO/no-write-allocate/victim
-// configs exercising the fallback batch.
+// configs exercising the fallback caches.
 func sweepConfigs(writeBack, mixIneligible bool) []Config {
 	var cfgs []Config
 	for _, t := range []int{32, 64, 128} {
@@ -179,35 +179,6 @@ func TestSweepChunkingInvariance(t *testing.T) {
 	}
 }
 
-// TestNewBatchSweep checks the forced-batched construction: no inclusion
-// groups, identical statistics.
-func TestNewBatchSweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	tr := randomMixedTrace(rng, 1500, 1024)
-	cfgs := sweepConfigs(true, false)
-	forced, err := NewBatchSweep(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forced.InclusionGroups() != 0 || forced.FallbackConfigs() != len(cfgs) {
-		t.Fatalf("NewBatchSweep formed %d groups / %d fallbacks, want 0 / %d",
-			forced.InclusionGroups(), forced.FallbackConfigs(), len(cfgs))
-	}
-	got, err := forced.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		want, err := RunTraceFast(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Fatalf("%v diverges:\n sweep: %+v\n cache: %+v", cfg, got[i], want)
-		}
-	}
-}
-
 // TestSweepReset checks that a reset sweep reproduces its first run.
 func TestSweepReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -273,30 +244,29 @@ func TestSweepPassUnits(t *testing.T) {
 }
 
 // TestBatchReleaseReuse checks the backing-array pool round trip: a
-// released batch's arrays serve a subsequent batch without fresh zeroing
-// bugs (the reused cache must start cold).
+// released sweep's fallback arrays serve a subsequent sweep without
+// fresh zeroing bugs (the reused cache must start cold).
 func TestBatchReleaseReuse(t *testing.T) {
 	tr := trace.Sequential(0, 256, 4)
 	cfg := DefaultConfig(64, 8, 2)
-	b1, err := NewBatch([]Config{cfg})
-	if err != nil {
-		t.Fatal(err)
+	cfg.Replacement = FIFO
+	run := func() Stats {
+		s, err := NewSweep([]Config{cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.RunTraceContext(context.Background(), tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		puts := PoolPuts()
+		s.Release()
+		if PoolPuts() != puts+1 {
+			t.Fatalf("Release returned %d line arrays to the pool, want 1", PoolPuts()-puts)
+		}
+		return st[0]
 	}
-	first, err := b1.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
+	if first, second := run(), run(); first != second {
+		t.Fatalf("sweep on pooled arrays diverges:\n first: %+v\n second: %+v", first, second)
 	}
-	b1.Release()
-	b2, err := NewBatch([]Config{cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := b2.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first[0] != second[0] {
-		t.Fatalf("batch on pooled arrays diverges:\n first: %+v\n second: %+v", first[0], second[0])
-	}
-	b2.Release()
 }

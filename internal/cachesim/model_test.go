@@ -13,18 +13,21 @@ import (
 // or FIFO cache used to cross-check the optimized simulator: each set is a
 // slice of line addresses ordered most-recently-used (under FIFO,
 // most-recently-filled) first, and a map holds the dirty bit of every
-// resident line. It counts the memory traffic of its
-// write policy — lines fetched, write-backs and write-throughs — the way
-// Cache documents it. For 3C classification it keeps every line ever
-// touched in a map and a fully associative LRU cache of the same capacity
-// as one more such slice; a model without the map (newTrafficModel)
-// skips classification.
+// resident line. A victim buffer is an MRU-first list of the last
+// VictimLines evicted lines with their dirty bits: a main-cache miss
+// found there is a hit that moves the line back into its set. It counts
+// the memory traffic of its write policy — lines fetched, write-backs
+// and write-throughs — the way Cache documents it. For 3C classification
+// it keeps every line ever touched in a map and a fully associative LRU
+// cache of the same capacity as one more such slice; a model without the
+// map (newTrafficModel) skips classification.
 type refModel struct {
-	cfg   Config
-	sets  [][]uint64
-	dirty map[uint64]bool
-	seen  map[uint64]bool
-	full  []uint64
+	cfg    Config
+	sets   [][]uint64
+	dirty  map[uint64]bool
+	victim []victimEntry
+	seen   map[uint64]bool
+	full   []uint64
 
 	fetched, writeBacks, writeThroughs uint64
 }
@@ -67,9 +70,14 @@ func (m *refModel) accessLine(la uint64, kind trace.Kind) (bool, MissClass) {
 	}
 
 	set := m.sets[si]
-	hit := false
+	hit, vi := false, -1
 	for _, resident := range set {
 		hit = hit || resident == la
+	}
+	for i := 0; !hit && i < len(m.victim); i++ { // the line's victim-buffer entry, if any
+		if m.victim[i].lineAddr == la {
+			vi = i
+		}
 	}
 	switch {
 	case hit:
@@ -79,20 +87,24 @@ func (m *refModel) accessLine(la uint64, kind trace.Kind) (bool, MissClass) {
 		if write && m.cfg.WriteBack {
 			m.dirty[la] = true
 		}
-	case write && !m.cfg.WriteAllocate:
+	case vi < 0 && write && !m.cfg.WriteAllocate:
 		// The write goes around the cache, whatever the write policy.
 		m.writeThroughs++
 	default:
+		dirty := write && m.cfg.WriteBack
+		if vi >= 0 {
+			// A victim-buffer hit refills the line without a fetch.
+			dirty = dirty || m.victim[vi].dirty
+			m.victim = append(m.victim[:vi], m.victim[vi+1:]...)
+			hit = true
+		} else {
+			m.fetched++
+		}
 		if len(set) == m.cfg.Assoc {
-			victim := set[len(set)-1]
-			if m.dirty[victim] {
-				m.writeBacks++
-			}
-			delete(m.dirty, victim)
+			m.evict(set[len(set)-1])
 		}
 		m.sets[si], _ = touchLRU(set, la, m.cfg.Assoc)
-		m.dirty[la] = write && m.cfg.WriteBack
-		m.fetched++
+		m.dirty[la] = dirty
 	}
 	if write && !m.cfg.WriteBack && (hit || m.cfg.WriteAllocate) {
 		m.writeThroughs++
@@ -106,6 +118,25 @@ func (m *refModel) accessLine(la uint64, kind trace.Kind) (bool, MissClass) {
 		return false, Capacity
 	default:
 		return false, Conflict
+	}
+}
+
+// evict moves a line out of its set: into the victim buffer when there
+// is one, dropping the buffer's oldest entry beyond capacity, and to
+// memory when dirty.
+func (m *refModel) evict(la uint64) {
+	e := victimEntry{lineAddr: la, dirty: m.dirty[la]}
+	delete(m.dirty, la)
+	if m.cfg.VictimLines > 0 {
+		m.victim = append([]victimEntry{e}, m.victim...)
+		if len(m.victim) <= m.cfg.VictimLines {
+			return
+		}
+		e = m.victim[len(m.victim)-1]
+		m.victim = m.victim[:len(m.victim)-1]
+	}
+	if e.dirty {
+		m.writeBacks++
 	}
 }
 
@@ -132,15 +163,30 @@ var refGeometries = []Config{
 	DefaultConfig(1024, 32, 8),
 }
 
+// victimConfigs are two victim-buffer configurations of line size l, one
+// write-back and one write-through. The buffers are large next to the
+// caches, so victim hits — and the dirty lines they carry back — are
+// common even on short traces.
+func victimConfigs(l int) []Config {
+	wb := DefaultConfig(l*2, l, 1)
+	wb.VictimLines = 8
+	wt := DefaultConfig(l*4, l, 2)
+	wt.VictimLines = 4
+	wt.WriteBack = false
+	return []Config{wb, wt}
+}
+
 // TestQuickLRUMatchesReferenceModel drives random traces through both the
-// simulator and the naive model across a range of geometries and demands
-// identical per-access hit/miss outcomes.
+// simulator and the naive model across a range of geometries, with and
+// without a victim buffer, and demands identical per-access hit/miss
+// outcomes.
 func TestQuickLRUMatchesReferenceModel(t *testing.T) {
+	cfgs := append(append([]Config(nil), refGeometries...), victimConfigs(8)...)
 	f := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nRefs := int(n%2000) + 1
 		tr := trace.Random(rng, 0, 4096, nRefs)
-		for _, cfg := range refGeometries {
+		for _, cfg := range cfgs {
 			c, err := New(cfg)
 			if err != nil {
 				return false
@@ -355,8 +401,8 @@ func TestShadowLRU(t *testing.T) {
 // from a shape seed: for each of three line sizes, five set counts, each
 // with one to three associativities (so lone geometries are common) and a
 // write-back or write-through policy per configuration, plus one
-// no-write-allocate and two FIFO configurations per line size on the
-// fallback path.
+// no-write-allocate, two FIFO and two victim-buffer configurations per
+// line size on the fallback path.
 func oracleConfigs(shape int64) []Config {
 	rng := rand.New(rand.NewSource(shape))
 	var cfgs []Config
@@ -378,6 +424,7 @@ func oracleConfigs(shape int64) []Config {
 			fifo.WriteBack = rng.Intn(2) == 0
 			cfgs = append(cfgs, fifo)
 		}
+		cfgs = append(cfgs, victimConfigs(l)...)
 	}
 	rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
 	return cfgs

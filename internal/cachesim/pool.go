@@ -5,11 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// linePool recycles the flat per-cache backing arrays across batched
-// sweeps: a wide exploration builds and discards a Cache per fallback
+// linePool recycles the flat per-cache backing arrays across sweeps: a
+// wide exploration builds and discards a Cache per fallback
 // configuration per workload group, and those arrays dominate the
-// engine's allocation profile. Arrays are returned via Batch.Release /
-// Sweep.Release once their statistics have been read out.
+// engine's allocation profile. Arrays are returned via Sweep.Release
+// once their statistics have been read out.
 var linePool sync.Pool // stores *[]line
 
 // newLines returns a zeroed line array of length n, reusing a pooled

@@ -89,10 +89,10 @@ func (rl *rangeLog) decode(md int32) (j, c int32) {
 }
 
 // Forkable reports whether the sweep can run in time ranges: every
-// configuration has a stack level (a Batch fallback cache cannot be
+// configuration has a stack level (a fallback cache cannot be
 // stitched), and every level's symbolic marks fit an int32.
 func (s *Sweep) Forkable() bool {
-	if s.batch != nil {
+	if len(s.caches) > 0 {
 		return false
 	}
 	for _, lv := range s.levels {

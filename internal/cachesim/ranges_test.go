@@ -117,7 +117,7 @@ func TestRangesMatchSequentialSweep(t *testing.T) {
 	}
 }
 
-// TestForkRefusesFallbackSweeps: a sweep with a Batch fallback cannot
+// TestForkRefusesFallbackSweeps: a sweep with a fallback cache cannot
 // be stitched, so it does not fork.
 func TestForkRefusesFallbackSweeps(t *testing.T) {
 	fifo := DefaultConfig(64, 8, 2)

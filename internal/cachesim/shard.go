@@ -87,7 +87,7 @@ func (s *Sweep) unitWeights() []int {
 	for _, lv := range s.levels {
 		w = append(w, groupUnitBaseWeight+lv.maxA)
 	}
-	for range s.fallbackCaches() {
+	for range s.caches {
 		w = append(w, cacheUnitWeight)
 	}
 	return w
@@ -100,7 +100,6 @@ func (s *Sweep) unitWeights() []int {
 // AccessBlock, and read Stats from the parent before Release as usual.
 func (s *Sweep) Shards(n int) []*SweepShard {
 	assign := partitionWeights(s.unitWeights(), n)
-	caches := s.fallbackCaches()
 	shards := make([]*SweepShard, len(assign))
 	for i, units := range assign {
 		var levels []*stackLevel
@@ -109,7 +108,7 @@ func (s *Sweep) Shards(n int) []*SweepShard {
 			if u < len(s.levels) {
 				levels = append(levels, s.levels[u])
 			} else {
-				own = append(own, caches[u-len(s.levels)])
+				own = append(own, s.caches[u-len(s.levels)])
 			}
 		}
 		shards[i] = newSweepShard(levels, own)
@@ -167,23 +166,6 @@ func partitionWeights(weights []int, n int) [][]int {
 	return assign
 }
 
-// ShardUnits reports the per-shard pass-unit counts that Shards would
-// produce for the configurations, without building any simulator state —
-// the planning mirror used by core's SweepPlan. inclusion selects
-// between the NewSweep and NewBatchSweep grouping rules.
-func ShardUnits(cfgs []Config, inclusion bool, n int) ([]int, error) {
-	weights, err := unitWeightsFor(cfgs, inclusion)
-	if err != nil {
-		return nil, err
-	}
-	assign := partitionWeights(weights, n)
-	units := make([]int, len(assign))
-	for i, a := range assign {
-		units[i] = len(a)
-	}
-	return units, nil
-}
-
 // ShardConfigs partitions the configurations into at most n shards at
 // pass-unit granularity: each returned slice lists the configuration
 // indices (ascending) whose pass units one shard owns, following exactly
@@ -193,10 +175,10 @@ func ShardUnits(cfgs []Config, inclusion bool, n int) ([]int, error) {
 // configuration subset — which is what makes a shard-scoped sweep's
 // per-configuration statistics bit-identical to the full sweep's. This
 // is the serialization surface of distributed sweeps: a coordinator and
-// its peers re-derive the same partition from (cfgs, inclusion, n)
-// alone, so the wire carries only a shard index and count.
-func ShardConfigs(cfgs []Config, inclusion bool, n int) ([][]int, error) {
-	weights, units, err := unitConfigsFor(cfgs, inclusion)
+// its peers re-derive the same partition from (cfgs, n) alone, so the
+// wire carries only a shard index and count.
+func ShardConfigs(cfgs []Config, n int) ([][]int, error) {
+	weights, units, err := unitConfigsFor(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -220,11 +202,14 @@ func ShardConfigs(cfgs []Config, inclusion bool, n int) ([][]int, error) {
 	return out, nil
 }
 
-// unitConfigsFor mirrors unitWeightsFor but additionally reports, per
-// pass unit, the configuration indices the unit covers — stack levels
-// first (first-encounter order), then fallback configurations in
-// configuration order, exactly as newSweep forms them.
-func unitConfigsFor(cfgs []Config, inclusion bool) ([]int, [][]int, error) {
+// unitConfigsFor computes, in canonical unit order, the cost weight of
+// every pass unit NewSweep would form for the configurations and the
+// configuration indices each unit covers — stack levels first
+// (first-encounter order), then fallback configurations in
+// configuration order — with none of the construction cost (no stacks,
+// no line arrays). Pinned against the built Sweep by
+// TestShardUnitsMatchBuiltSweep.
+func unitConfigsFor(cfgs []Config) ([]int, [][]int, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, nil, err
@@ -234,10 +219,10 @@ func unitConfigsFor(cfgs []Config, inclusion bool) ([]int, [][]int, error) {
 	levelIdx := make(map[geom]int)
 	var levelMaxA []int
 	var levelCfgs [][]int
-	var fallback [][]int
+	var fallback []int
 	for ci, cfg := range cfgs {
-		if !inclusion || !InclusionEligible(cfg) {
-			fallback = append(fallback, []int{ci})
+		if !InclusionEligible(cfg) {
+			fallback = append(fallback, ci)
 			continue
 		}
 		key := geom{cfg.LineBytes, cfg.NumSets()}
@@ -257,18 +242,9 @@ func unitConfigsFor(cfgs []Config, inclusion bool) ([]int, [][]int, error) {
 		weights = append(weights, groupUnitBaseWeight+maxA)
 		units = append(units, levelCfgs[li])
 	}
-	for _, f := range fallback {
+	for _, ci := range fallback {
 		weights = append(weights, cacheUnitWeight)
-		units = append(units, f)
+		units = append(units, []int{ci})
 	}
 	return weights, units, nil
-}
-
-// unitWeightsFor computes the pass-unit cost weights newSweep would
-// form for the configurations, in the same canonical unit order, with
-// none of the construction cost (no stacks, no line arrays). Pinned
-// against the built Sweep by TestShardUnitsMatchBuiltSweep.
-func unitWeightsFor(cfgs []Config, inclusion bool) ([]int, error) {
-	weights, _, err := unitConfigsFor(cfgs, inclusion)
-	return weights, err
 }

@@ -112,44 +112,63 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardUnitsMatchBuiltSweep pins the planning mirror: ShardUnits
-// must predict exactly the partition Shards builds, for both grouping
-// rules.
+// fallbackOnly returns the configurations under FIFO replacement: a
+// sweep over them forms no stack level, so every pass unit is one
+// configuration.
+func fallbackOnly(cfgs []Config) []Config {
+	out := append([]Config(nil), cfgs...)
+	for i := range out {
+		out[i].Replacement = FIFO
+	}
+	return out
+}
+
+// TestShardUnitsMatchBuiltSweep pins the planning mirror: ShardConfigs
+// must predict exactly the partition Shards builds — the same unit
+// weights, and per shard the configurations whose pass units the built
+// shard owns — on a mixed sweep and on one where everything falls back.
 func TestShardUnitsMatchBuiltSweep(t *testing.T) {
-	cfgs := shardTestConfigs()
-	for _, inclusion := range []bool{true, false} {
+	for _, cfgs := range [][]Config{shardTestConfigs(), fallbackOnly(shardTestConfigs())} {
 		for _, n := range []int{1, 2, 4, 9, 50} {
-			var (
-				s   *Sweep
-				err error
-			)
-			if inclusion {
-				s, err = NewSweep(cfgs)
-			} else {
-				s, err = NewBatchSweep(cfgs)
-			}
+			s, err := NewSweep(cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := s.unitWeights(); true {
-				want, err := unitWeightsFor(cfgs, inclusion)
-				if err != nil {
-					t.Fatal(err)
+			want, _, err := unitConfigsFor(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.unitWeights(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("unitConfigsFor weights = %v, built sweep has %v", want, got)
+			}
+			owner := make(map[any]int) // stack level or fallback cache -> shard
+			shards := s.Shards(n)
+			for si, sh := range shards {
+				for _, w := range sh.walks {
+					for _, lv := range w.levels {
+						owner[lv] = si
+					}
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("inclusion=%v: unitWeightsFor = %v, built sweep has %v", inclusion, want, got)
+				for _, c := range sh.caches {
+					owner[c] = si
 				}
 			}
-			var built []int
-			for _, sh := range s.Shards(n) {
-				built = append(built, sh.Units())
+			built := make([][]int, len(shards))
+			for ci, sl := range s.slots {
+				var unit any
+				if sl.group >= 0 {
+					unit = s.levels[sl.group]
+				} else {
+					unit = s.caches[sl.member]
+				}
+				built[owner[unit]] = append(built[owner[unit]], ci)
 			}
-			planned, err := ShardUnits(cfgs, inclusion, n)
+			planned, err := ShardConfigs(cfgs, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(built, planned) {
-				t.Errorf("inclusion=%v n=%d: ShardUnits = %v, Shards built %v", inclusion, n, planned, built)
+				t.Errorf("n=%d: ShardConfigs = %v, Shards built %v", n, planned, built)
 			}
 			s.Release()
 		}
@@ -197,71 +216,59 @@ func TestPartitionWeightsDeterministic(t *testing.T) {
 
 // TestShardConfigsPartition pins the config-index view of the shard
 // plan: every config index appears in exactly one shard, indices are
-// ascending within a shard, the plan is deterministic, stack levels
-// never split across shards, and the per-shard unit counts agree with
-// ShardUnits on the same inputs.
+// ascending within a shard, the plan is deterministic, and stack levels
+// never split across shards.
 func TestShardConfigsPartition(t *testing.T) {
-	cfgs := shardTestConfigs()
-	for _, inclusion := range []bool{true, false} {
+	for _, cfgs := range [][]Config{shardTestConfigs(), fallbackOnly(shardTestConfigs())} {
 		for _, n := range []int{1, 2, 3, 5, 8, 50} {
-			plan, err := ShardConfigs(cfgs, inclusion, n)
+			plan, err := ShardConfigs(cfgs, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := ShardConfigs(cfgs, inclusion, n)
+			again, err := ShardConfigs(cfgs, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(plan, again) {
-				t.Fatalf("inclusion=%v n=%d: plan not deterministic", inclusion, n)
+				t.Fatalf("n=%d: plan not deterministic", n)
 			}
 
 			seen := make(map[int]int) // config index -> shard
 			for si, shard := range plan {
 				if len(shard) == 0 {
-					t.Errorf("inclusion=%v n=%d: empty shard %d", inclusion, n, si)
+					t.Errorf("n=%d: empty shard %d", n, si)
 				}
 				for i, ci := range shard {
 					if i > 0 && shard[i-1] >= ci {
-						t.Errorf("inclusion=%v n=%d: shard %d not ascending: %v", inclusion, n, si, shard)
+						t.Errorf("n=%d: shard %d not ascending: %v", n, si, shard)
 					}
 					if ci < 0 || ci >= len(cfgs) {
-						t.Fatalf("inclusion=%v n=%d: config index %d out of range", inclusion, n, ci)
+						t.Fatalf("n=%d: config index %d out of range", n, ci)
 					}
 					if prev, dup := seen[ci]; dup {
-						t.Errorf("inclusion=%v n=%d: config %d in shards %d and %d", inclusion, n, ci, prev, si)
+						t.Errorf("n=%d: config %d in shards %d and %d", n, ci, prev, si)
 					}
 					seen[ci] = si
 				}
 			}
 			if len(seen) != len(cfgs) {
-				t.Errorf("inclusion=%v n=%d: plan covers %d of %d configs", inclusion, n, len(seen), len(cfgs))
+				t.Errorf("n=%d: plan covers %d of %d configs", n, len(seen), len(cfgs))
 			}
 
-			units, err := ShardUnits(cfgs, inclusion, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(units) != len(plan) {
-				t.Fatalf("inclusion=%v n=%d: ShardConfigs has %d shards, ShardUnits %d", inclusion, n, len(plan), len(units))
-			}
-
-			if inclusion {
-				// Every stack level — the eligible configs sharing a
-				// (line, sets) geometry — must land whole in one shard.
-				type geom struct{ line, sets int }
-				home := make(map[geom]int)
-				for ci, shard := range seen {
-					c := cfgs[ci]
-					if !InclusionEligible(c) {
-						continue
-					}
-					g := geom{c.LineBytes, c.NumSets()}
-					if h, ok := home[g]; ok && h != shard {
-						t.Errorf("n=%d: stack level %+v split across shards %d and %d", n, g, h, shard)
-					}
-					home[g] = shard
+			// Every stack level — the eligible configs sharing a
+			// (line, sets) geometry — must land whole in one shard.
+			type geom struct{ line, sets int }
+			home := make(map[geom]int)
+			for ci, shard := range seen {
+				c := cfgs[ci]
+				if !InclusionEligible(c) {
+					continue
 				}
+				g := geom{c.LineBytes, c.NumSets()}
+				if h, ok := home[g]; ok && h != shard {
+					t.Errorf("n=%d: stack level %+v split across shards %d and %d", n, g, h, shard)
+				}
+				home[g] = shard
 			}
 		}
 	}

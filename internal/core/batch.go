@@ -10,7 +10,7 @@ package core
 // partitions Options.Space() by traceKey, generates each workload's
 // trace exactly once, measures its Gray-code address-bus switching in
 // the same traversal, and drives every cache configuration of the group
-// through one cachesim.Batch pass (the Dinero IV single-pass trick).
+// through one cachesim.Sweep pass (the Dinero IV single-pass trick).
 // Sequential-layout sweeps collapse the whole sizes×lines×assocs product
 // into one pass per tiling; optimized-layout sweeps collapse the
 // associativity dimension. Results are bit-identical to the per-point
@@ -166,18 +166,6 @@ func (c *workloadCache) release(key traceKey) {
 	c.mu.Unlock()
 }
 
-// newGroupSweep builds the simulation engine for one workload group's
-// configurations: the mixed inclusion/batch sweep by default (default-
-// policy configurations sharing a (line, sets) geometry collapse into
-// one LRU stack pass each), or a pure batch when the options force the
-// batched engine or use policies the stack model cannot represent.
-func newGroupSweep(opts Options, cfgs []cachesim.Config) (*cachesim.Sweep, error) {
-	if opts.Engine == EngineBatched || !opts.inclusionEligible() {
-		return cachesim.NewBatchSweep(cfgs)
-	}
-	return cachesim.NewSweep(cfgs)
-}
-
 // groupConfigs builds the simulator configurations of one workload
 // group's points, in group (= Space()) order.
 func groupConfigs(opts Options, points []ConfigPoint, g workloadGroup) []cachesim.Config {
@@ -201,7 +189,7 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 		return fmt.Errorf("core: generating trace for %s/B%d: %w", c.nest.Name, g.key.tiling, err)
 	}
 	cfgs := groupConfigs(opts, points, g)
-	sweep, err := newGroupSweep(opts, cfgs)
+	sweep, err := cachesim.NewSweep(cfgs)
 	if err != nil {
 		return fmt.Errorf("core: building sweep for %s/B%d: %w", c.nest.Name, g.key.tiling, err)
 	}
@@ -229,14 +217,14 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 }
 
 // exploreBatched is the workload-grouped engine behind ExploreContext
-// and ExploreParallelContext for non-classified sweeps. With at least
-// as many groups as workers, workers > 1 parallelizes across workload
-// groups over a shared trace cache. With more workers than groups — the
-// one-giant-group shape every external-trace-like sweep has — the
-// groups run one after another and each splits its trace across every
-// worker (runSweepTrace: time ranges for stack sweeps, the pass-unit
-// fan-out for Batch sweeps). The returned metrics are bit-identical to
-// the per-point reference engine, in Space() order.
+// for non-classified sweeps. With at least as many groups as workers,
+// workers > 1 parallelizes across workload groups over a shared trace
+// cache. With more workers than groups — the one-giant-group shape every
+// external-trace-like sweep has — the groups run one after another and
+// each splits its trace across every worker (runSweepTrace: time ranges
+// for stack sweeps, the pass-unit fan-out for sweeps with fallback
+// caches). The returned metrics are bit-identical to the per-point
+// reference engine, in Space() order.
 func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers int) ([]Metrics, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -14,11 +14,12 @@ import (
 )
 
 // TestBatchedMatchesPerPoint pins the tentpole invariant: the
-// workload-grouped engine — mixed inclusion/batch by default, and with
-// each engine forced explicitly — returns bit-identical metrics to the
-// per-point reference engine for every layout/policy combination, in the
-// same Space() order. Write traffic is charged into the energy model so
-// a write-back accounting bug cannot hide.
+// workload-grouped engine — stack levels for LRU write-allocate caches
+// without a victim buffer, fallback caches for everything else — returns
+// bit-identical metrics to the per-point reference engine for every
+// layout/policy combination, in the same Space() order, at one worker
+// and at four. Write traffic is charged into the energy model so a
+// write-back accounting bug cannot hide.
 func TestBatchedMatchesPerPoint(t *testing.T) {
 	n := kernels.Compress()
 	base := DefaultOptions()
@@ -47,32 +48,16 @@ func TestBatchedMatchesPerPoint(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							got, err := ExploreContext(ctx, n, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Errorf("batched metrics differ from per-point reference")
-								reportFirstDiff(t, got, want)
-							}
-							par, err := ExploreParallelContext(ctx, n, opts, 4)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(par, want) {
-								t.Errorf("parallel batched metrics differ from per-point reference")
-								reportFirstDiff(t, par, want)
-							}
-							for _, eng := range []Engine{EnginePerPoint, EngineBatched, EngineInclusion} {
-								fopts := opts
-								fopts.Engine = eng
-								forced, err := ExploreContext(ctx, n, fopts)
+							for _, workers := range []int{1, 4} {
+								wopts := opts
+								wopts.Workers = workers
+								got, err := ExploreContext(ctx, n, wopts)
 								if err != nil {
 									t.Fatal(err)
 								}
-								if !reflect.DeepEqual(forced, want) {
-									t.Errorf("forced %v engine differs from per-point reference", eng)
-									reportFirstDiff(t, forced, want)
+								if !reflect.DeepEqual(got, want) {
+									t.Errorf("batched metrics at %d workers differ from per-point reference", workers)
+									reportFirstDiff(t, got, want)
 								}
 							}
 						})
@@ -105,7 +90,9 @@ func TestBatchedMatchesPerPoint(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("opt=true/kernel=%s/workers=%d", name, workers), func(t *testing.T) {
-				got, err := ExploreParallelContext(context.Background(), kn, opts, workers)
+				wopts := opts
+				wopts.Workers = workers
+				got, err := ExploreContext(context.Background(), kn, wopts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,8 +169,9 @@ func reportFirstDiff(t *testing.T, got, want []Metrics) {
 }
 
 // TestBatchedMatchesPerPointClassify checks the classified sweep too:
-// Classify routes both entry points through the per-point engine, so the
-// results must trivially agree — this pins the routing.
+// Classify routes ExploreContext through the per-point engine, its
+// points split across workers, so the results must agree at any worker
+// count — this pins the routing.
 func TestBatchedMatchesPerPointClassify(t *testing.T) {
 	n := kernels.Compress()
 	opts := DefaultOptions()
@@ -198,19 +186,15 @@ func TestBatchedMatchesPerPointClassify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExploreContext(ctx, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("classified sweep differs between entry points")
-	}
-	par, err := ExploreParallelContext(ctx, n, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, want) {
-		t.Error("classified parallel sweep differs from reference")
+	for _, workers := range []int{1, 3} {
+		opts.Workers = workers
+		got, err := ExploreContext(ctx, n, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("classified sweep at %d workers differs from reference", workers)
+		}
 	}
 }
 

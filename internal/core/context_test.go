@@ -80,11 +80,12 @@ func TestExploreContextUncanceledMatchesExplore(t *testing.T) {
 	}
 }
 
-func TestExploreParallelContextCancel(t *testing.T) {
+func TestExploreContextCancelWorkers(t *testing.T) {
 	opts := DefaultOptions() // big enough that the parallel path engages
+	opts.Workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ExploreParallelContext(ctx, kernels.Compress(), opts, 4)
+	_, err := ExploreContext(ctx, kernels.Compress(), opts)
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled parallel sweep: %v", err)
 	}

@@ -166,7 +166,7 @@ type Options struct {
 	// addresses keeps a deterministic ~SampleRate fraction of the address
 	// space, counts are rescaled, and each Metrics carries the estimation
 	// envelope (SampledRecords, MissRateCI). 0 or 1 is exact. Unlike
-	// Engine and Workers, sampling changes results, so these fields ARE
+	// Workers, sampling changes results, so these fields ARE
 	// part of the wire form and the cache key. Kernel sweeps reject it:
 	// generated traces are cheap to produce exactly.
 	SampleRate float64 `json:"sample_rate,omitempty"`
@@ -181,16 +181,13 @@ type Options struct {
 	// seekable trace source. Like SampleRate it is part of the wire form
 	// and the cache key.
 	DominantEps float64 `json:"dominant_eps,omitempty"`
-	// Engine forces a sweep execution engine (default auto). Results are
-	// bit-identical across engines, so the choice is not part of the wire
-	// form or the cache key — it is a local debugging/benchmarking knob.
-	Engine Engine `json:"-"`
-	// Workers is the simulation worker count for chunked sweeps: the
-	// sweep's pass units are partitioned into that many cost-balanced
-	// shards, each advanced by its own goroutine with a barrier per
-	// chunk. 0 means GOMAXPROCS; 1 selects the exact sequential engine.
-	// Like Engine, results are bit-identical at any value, so Workers is
-	// not part of the wire form or the cache key.
+	// Workers is the worker goroutine count of every sweep: 0 means
+	// GOMAXPROCS, 1 runs sequentially. A kernel sweep runs its workload
+	// groups in parallel, or, with more workers than groups, splits each
+	// group's trace across them; a trace sweep splits the stream; a
+	// classified sweep splits its points. Results are bit-identical at
+	// any value, so Workers is not part of the wire form or the cache
+	// key.
 	Workers int `json:"-"`
 }
 
@@ -203,6 +200,16 @@ func (o Options) cacheConfig(size, line, assoc int) cachesim.Config {
 	cfg.WriteAllocate = !o.NoWriteAllocate
 	cfg.VictimLines = o.VictimLines
 	return cfg
+}
+
+// cacheConfigs builds the simulator configurations of the points under
+// the options' policies, in point order.
+func cacheConfigs(o Options, points []ConfigPoint) []cachesim.Config {
+	cfgs := make([]cachesim.Config, len(points))
+	for i, p := range points {
+		cfgs[i] = o.cacheConfig(p.CacheSize, p.LineSize, p.Assoc)
+	}
+	return cfgs
 }
 
 // DefaultOptions returns the paper's sweep: T ∈ 16..1024, L ∈ 4..64,
@@ -580,9 +587,10 @@ func Explore(n *loopir.Nest, opts Options) ([]Metrics, error) {
 
 // ExploreContext is Explore with cancellation: the context is checked
 // between workload groups and every few thousand references inside a
-// running batch, so a canceled or expired context stops the sweep within
+// running pass, so a canceled or expired context stops the sweep within
 // one check interval. The returned error then wraps both ErrCanceled and
-// ctx.Err().
+// ctx.Err(). Options.Workers sets how many goroutines run the sweep;
+// results are identical at any value.
 //
 // Non-classified sweeps run on the workload-grouped engine (see
 // batch.go): each distinct trace is generated and traversed once for all
@@ -592,21 +600,22 @@ func Explore(n *loopir.Nest, opts Options) ([]Metrics, error) {
 // at once (see internal/cachesim's inclusion engine). Classified sweeps
 // (Options.Classify) keep the per-point reference path, because 3C
 // classification carries per-cache shadow state that dominates the cost
-// anyway; Options.Engine forces a specific engine for debugging.
+// anyway.
 func ExploreContext(ctx context.Context, n *loopir.Nest, opts Options) ([]Metrics, error) {
 	if err := opts.rejectSampling(); err != nil {
 		return nil, err
 	}
-	if opts.Classify || opts.Engine == EnginePerPoint {
-		return ExplorePerPointContext(ctx, n, opts)
+	if opts.Classify {
+		return exploreClassified(ctx, n, opts, opts.effectiveWorkers())
 	}
-	return exploreBatched(ctx, n, opts, 1)
+	return exploreBatched(ctx, n, opts, opts.effectiveWorkers())
 }
 
 // ExplorePerPointContext is the reference engine: one full
 // trace-simulation pass per configuration point, exactly the paper's §1
-// loop nest. ExploreContext routes here for classified sweeps; it also
-// serves as the independent oracle the batched engine is equivalence-
+// loop nest, on one goroutine whatever Options.Workers says.
+// ExploreContext routes a classified sweep here when it runs on one
+// goroutine; it also serves as the independent oracle the batched engine is equivalence-
 // tested and benchmarked against. Results are identical to
 // ExploreContext (same points, same deterministic order).
 func ExplorePerPointContext(ctx context.Context, n *loopir.Nest, opts Options) ([]Metrics, error) {

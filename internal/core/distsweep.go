@@ -39,12 +39,7 @@ func TraceShardPlan(opts Options, n int) ([][]int, error) {
 	if len(points) == 0 {
 		return nil, invalidOptions("cache_sizes", "the options admit no legal (T, L, S) configuration")
 	}
-	cfgs := make([]cachesim.Config, len(points))
-	for i, p := range points {
-		cfgs[i] = opts.cacheConfig(p.CacheSize, p.LineSize, p.Assoc)
-	}
-	useInclusion := opts.Engine != EngineBatched && opts.inclusionEligible()
-	shards, err := cachesim.ShardConfigs(cfgs, useInclusion, n)
+	shards, err := cachesim.ShardConfigs(cacheConfigs(opts, points), n)
 	if err != nil {
 		return nil, fmt.Errorf("core: planning distributed shards: %w", err)
 	}

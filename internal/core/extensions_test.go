@@ -61,14 +61,16 @@ func TestMinEDP(t *testing.T) {
 	}
 }
 
-func TestExploreParallelMatchesSequential(t *testing.T) {
+func TestExploreWorkersMatchSequential(t *testing.T) {
 	opts := smallOptions()
+	opts.Workers = 1
 	seq, err := Explore(kernels.SOR(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 3, 8} {
-		par, err := ExploreParallel(kernels.SOR(), opts, workers)
+	for _, workers := range []int{0, 2, 3, 8} {
+		opts.Workers = workers
+		par, err := Explore(kernels.SOR(), opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -83,14 +85,16 @@ func TestExploreParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestExploreParallelPropagatesErrors(t *testing.T) {
+func TestExploreWorkersPropagateErrors(t *testing.T) {
 	opts := smallOptions()
-	opts.LineSizes = nil
-	if _, err := ExploreParallel(kernels.SOR(), opts, 4); err == nil {
+	opts.Workers = 4
+	noLines := opts
+	noLines.LineSizes = nil
+	if _, err := Explore(kernels.SOR(), noLines); err == nil {
 		t.Error("invalid options should fail")
 	}
 	bad := &loopir.Nest{Name: "bad"}
-	if _, err := ExploreParallel(bad, smallOptions(), 4); err == nil {
+	if _, err := Explore(bad, opts); err == nil {
 		t.Error("invalid nest should fail")
 	}
 }

@@ -3,42 +3,21 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"memexplore/internal/loopir"
 )
 
-// ExploreParallel is Explore with the sweep points distributed across
-// worker goroutines. Results are identical to Explore (same points, same
-// order); workers ≤ 0 uses GOMAXPROCS. It is ExploreParallelContext with
-// a background context.
-func ExploreParallel(n *loopir.Nest, opts Options, workers int) ([]Metrics, error) {
-	return ExploreParallelContext(context.Background(), n, opts, workers)
-}
-
-// ExploreParallelContext is ExploreParallel with cancellation: every
-// worker checks the context between workload groups (and the batch pass
-// checks it every few thousand references), so a canceled or expired
-// context stops the sweep early. The returned error then wraps both
-// ErrCanceled and ctx.Err().
-//
-// Non-classified sweeps parallelize across workload groups on the
-// batched engine, sharing one mutex-guarded trace cache, so every trace
-// is generated exactly once per sweep and traversed once per group.
-// Classified sweeps (Options.Classify) keep the per-point path below,
-// where each worker owns a private Explorer — a small, bounded trace
-// duplication that buys linear scaling of the classification work.
-func ExploreParallelContext(ctx context.Context, n *loopir.Nest, opts Options, workers int) ([]Metrics, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !opts.Classify && opts.Engine != EnginePerPoint {
-		return exploreBatched(ctx, n, opts, workers)
-	}
+// exploreClassified runs a classified sweep (Options.Classify) on the
+// per-point path with its points split across workers, each owning a
+// private Explorer — a small, bounded trace duplication that buys linear
+// scaling of the classification work. One worker, or too few points to
+// share, runs ExplorePerPointContext. Every worker checks the context
+// between points. Results are identical at any worker count.
+func exploreClassified(ctx context.Context, n *loopir.Nest, opts Options, workers int) ([]Metrics, error) {
 	points := opts.Space()
 	if workers == 1 || len(points) < 2*workers {
-		return ExploreContext(ctx, n, opts)
+		return ExplorePerPointContext(ctx, n, opts)
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -83,21 +62,8 @@ func ExploreParallelContext(ctx context.Context, n *loopir.Nest, opts Options, w
 		}(w)
 	}
 	wg.Wait()
-	// Prefer a non-cancellation error if any worker hit one: it is the
-	// more specific diagnosis.
-	var cancelErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if isCanceled(err) {
-			cancelErr = err
-			continue
-		}
+	if err := firstSweepError(errs); err != nil {
 		return nil, err
-	}
-	if cancelErr != nil {
-		return nil, cancelErr
 	}
 	return out, nil
 }

@@ -13,8 +13,8 @@ package core
 //     Epoch 0 runs on the sweep itself, every later epoch on the
 //     worker's cachesim.Sweep.Fork, and the workers Absorb their epochs
 //     in stream order (cachesim/ranges.go);
-//   - the pass-unit fan-out (Batch sweeps, where a time split is
-//     unsound): each chunk is broadcast to shard workers that own
+//   - the pass-unit fan-out (sweeps with fallback caches, where a time
+//     split is unsound): each chunk is broadcast to shard workers that own
 //     disjoint pass units, with a barrier per chunk.
 //
 // Both keep the statistics bit-identical to the sequential path in any
@@ -302,7 +302,7 @@ func (x *rangeExec) simulate(ep *epoch) bool {
 }
 
 // sweepFanout owns a set of worker goroutines, each consuming a
-// disjoint shard of a Batch sweep's pass units. feed broadcasts one
+// disjoint shard of a fallback sweep's pass units. feed broadcasts one
 // block to every worker and returns only when all of them have consumed
 // it — the per-chunk barrier that keeps the sweep chunk-synchronous (and
 // makes the block's backing slab reusable the moment feed returns).
@@ -378,8 +378,8 @@ func newPipeSink(sweep *cachesim.Sweep, workers int) (pipeSink, int) {
 // runSweepTrace drives an in-memory trace through the sweep across up
 // to workers goroutines: a forkable sweep splits the trace into epochs
 // (slices, no copy; a trace of at most one epoch runs sequentially), a
-// Batch sweep fans CancelCheckInterval blocks out across pass-unit
-// shards. observe, when non-nil, sees every reference on the calling
+// sweep with fallback caches fans CancelCheckInterval blocks out across
+// pass-unit shards. observe, when non-nil, sees every reference on the calling
 // goroutine, overlapped with the workers. Statistics are bit-identical
 // to Sweep.RunTraceContext in any worker count.
 func runSweepTrace(ctx context.Context, sweep *cachesim.Sweep, tr *trace.Trace, observe func(trace.Ref), workers int) ([]cachesim.Stats, error) {

@@ -18,7 +18,7 @@ import (
 
 // pipelineTestOptions is a small mixed space: stack levels with several
 // associativities per geometry and one-config levels; the FIFO and
-// random policies below send the same space to the fallback batch.
+// random policies below send the same space to the fallback caches.
 func pipelineTestOptions() Options {
 	opts := DefaultOptions()
 	opts.CacheSizes = []int{32, 64, 128, 256}
@@ -207,7 +207,7 @@ func TestExploreTraceReaderReleasesOnError(t *testing.T) {
 
 // TestTraceSweepPlanShards pins the plan's shard report: a stack sweep
 // splits in time ranges and reports no shards at any worker count; a
-// Batch sweep at more than one worker reports a partition that covers
+// fallback sweep at more than one worker reports a partition that covers
 // every pass unit and never exceeds the worker count.
 func TestTraceSweepPlanShards(t *testing.T) {
 	for _, repl := range []cachesim.Replacement{cachesim.LRU, cachesim.FIFO} {
@@ -265,12 +265,14 @@ func TestSingleGroupFanoutMatchesSequential(t *testing.T) {
 		if tr.Len() < 3*rangeEpochRefs {
 			t.Fatalf("%s trace has %d references, want ≥ 3 epochs", n.Name, tr.Len())
 		}
+		opts.Workers = 1
 		want, err := ExploreContext(context.Background(), n, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 4, 33} {
-			got, err := ExploreParallelContext(context.Background(), n, opts, workers)
+			opts.Workers = workers
+			got, err := ExploreContext(context.Background(), n, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

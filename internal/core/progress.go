@@ -21,7 +21,7 @@ type ProgressEvent struct {
 	// Points is the number of sweep configuration points completed.
 	Points int64
 	// PassUnits is the number of simulation pass units completed
-	// (inclusion stack groups plus batch fallback configurations).
+	// (inclusion stack groups plus fallback configurations).
 	PassUnits int64
 }
 

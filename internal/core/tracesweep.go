@@ -1,7 +1,7 @@
 package core
 
 // This file implements the external-trace sweep: the grouped engines of
-// batch.go (the inclusion-property stack sweep with its batch fallback)
+// batch.go (the inclusion-property stack sweep with its fallback caches)
 // driven not by a generated kernel trace but by an arbitrary application
 // trace streamed through internal/extrace. The whole (T, L, S) space is
 // evaluated in ONE sequential pass over the stream in constant memory —
@@ -21,9 +21,9 @@ import (
 )
 
 // traceChunkRefs is the streaming chunk size: the reader fills a chunk,
-// the bus counter and every cache of the batch consume it, and the
-// context is checked before the next chunk. It matches the batch
-// engine's cancellation granularity.
+// the bus counter and every pass unit of the sweep consume it, and the
+// context is checked before the next chunk. It matches the kernel
+// sweep's cancellation granularity.
 const traceChunkRefs = cachesim.CancelCheckInterval
 
 // traceSpace restricts sweep options to what an external trace can vary.
@@ -35,9 +35,6 @@ const traceChunkRefs = cachesim.CancelCheckInterval
 func traceSpace(opts Options) (Options, error) {
 	if opts.Classify {
 		return Options{}, invalidOptions("classify", "3C classification is not supported for external-trace sweeps")
-	}
-	if opts.Engine == EnginePerPoint {
-		return Options{}, invalidOptions("engine", "the per-point engine is not supported for external-trace sweeps: the stream is read once")
 	}
 	opts.Tilings = []int{1}
 	opts.OptimizeLayout = false
@@ -105,11 +102,8 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		}
 		points = sel
 	}
-	cfgs := make([]cachesim.Config, len(points))
-	for i, p := range points {
-		cfgs[i] = opts.cacheConfig(p.CacheSize, p.LineSize, p.Assoc)
-	}
-	sweep, err := newGroupSweep(opts, cfgs)
+	cfgs := cacheConfigs(opts, points)
+	sweep, err := cachesim.NewSweep(cfgs)
 	if err != nil {
 		return nil, extrace.IngestStats{}, fmt.Errorf("core: building trace-sweep engine: %w", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -97,24 +96,5 @@ func TestTraceSweepMatchesPerPointOracle(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestTraceSweepRejectsPerPointEngine pins the engine gate: a recorded
-// stream is read once, so the per-point engine cannot serve it.
-func TestTraceSweepRejectsPerPointEngine(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Engine = EnginePerPoint
-	var buf bytes.Buffer
-	if _, err := extrace.WriteBinary(&buf, trace.Sequential(0, 64, 4).Reader()); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := ExploreTraceReader(context.Background(), &buf, opts, extrace.Options{})
-	var inv *ErrInvalidOptions
-	if !errors.As(err, &inv) || inv.Field != "engine" {
-		t.Fatalf("per-point trace sweep error = %v, want engine ErrInvalidOptions", err)
-	}
-	if _, err := TraceSweepPlan(opts); err == nil {
-		t.Fatal("TraceSweepPlan accepted the per-point engine")
 	}
 }

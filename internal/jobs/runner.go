@@ -261,12 +261,14 @@ func (r *Runner) Submit(kind, contentKey string, fn Fn) (Record, error) {
 	r.mu.Unlock()
 	r.hooks.submitted()
 	r.hooks.queued(+1)
+	// Snapshot before the job starts: a fast job could otherwise
+	// already be running or done in the record Submit returns.
+	rec, _, _ := t.snapshot()
 	go func() {
 		defer r.wg.Done()
 		defer cancel()
 		r.run(ctx, t, fn)
 	}()
-	rec, _, _ := t.snapshot()
 	return rec, nil
 }
 
@@ -308,18 +310,28 @@ func (r *Runner) run(ctx context.Context, t *task, fn Fn) {
 	}
 }
 
-// settle moves the task to its terminal state, persists the record, and
-// publishes content-keyed results to the shared tier. The task leaves
-// the live map only after a successful persist, so a failing store
-// degrades to in-memory-only visibility instead of losing the job.
+// settle persists the task's terminal record, publishes a content-keyed
+// result to the shared tier, and only then moves the live task to its
+// terminal state: once Get, Watch or an event stream report the job
+// finished, a replica sharing the store already finds the record and
+// the result. The task leaves the live map only after a successful
+// persist, so a failing store degrades to in-memory-only visibility
+// instead of losing the job.
 func (r *Runner) settle(t *task, state State, result []byte, failure *Failure) {
 	finished := time.Now().UTC()
-	t.bump(func(rec *Record) {
+	terminal := func(rec *Record) {
 		rec.State = state
 		rec.FinishedAt = &finished
 		rec.Result = result
 		rec.Error = failure
-	})
+	}
+	rec, _, _ := t.snapshot()
+	terminal(&rec)
+	persisted := r.store.Put(rec.ID, rec) == nil
+	if persisted && state == StateDone && rec.ContentKey != "" {
+		// Best-effort publication to the shared result tier.
+		_ = r.store.Put(rec.ContentKey, rec)
+	}
 	switch state {
 	case StateDone:
 		r.hooks.completed()
@@ -328,17 +340,12 @@ func (r *Runner) settle(t *task, state State, result []byte, failure *Failure) {
 	case StateCanceled:
 		r.hooks.canceled()
 	}
-	rec, _, _ := t.snapshot()
-	if err := r.store.Put(rec.ID, rec); err != nil {
-		return // keep the task live; Get still serves it from memory
+	t.bump(terminal)
+	if persisted {
+		r.mu.Lock()
+		delete(r.live, rec.ID)
+		r.mu.Unlock()
 	}
-	if state == StateDone && rec.ContentKey != "" {
-		// Best-effort publication to the shared result tier.
-		_ = r.store.Put(rec.ContentKey, rec)
-	}
-	r.mu.Lock()
-	delete(r.live, rec.ID)
-	r.mu.Unlock()
 }
 
 // Get returns the job's current record: the live snapshot while it is

@@ -538,3 +538,79 @@ func TestRunnerDrainRace(t *testing.T) {
 		}
 	}
 }
+
+// gatedStore holds the first Put of a terminal record until release is
+// closed; entered is closed when that Put arrives.
+type gatedStore struct {
+	Store
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (s *gatedStore) Put(key string, rec Record) error {
+	if rec.State.Terminal() {
+		s.once.Do(func() {
+			close(s.entered)
+			<-s.release
+		})
+	}
+	return s.Store.Put(key, rec)
+}
+
+// TestRunnerPersistsBeforeTerminal pins the settle order: while the
+// store is still writing a finished job's record, Get and Watch report
+// the job running, so no client learns it is done before a replica
+// sharing the store can read the record and its content-keyed result.
+func TestRunnerPersistsBeforeTerminal(t *testing.T) {
+	store := &gatedStore{Store: NewMemStore(0, 0), entered: make(chan struct{}), release: make(chan struct{})}
+	r := NewRunner(store, 1, nil, Hooks{})
+	rec, err := r.Submit("explore", "content", func(ctx context.Context, rep *Reporter) ([]byte, error) {
+		return []byte(`{"ok":true}`), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-store.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the terminal record never reached the store")
+	}
+
+	if got, ok, err := r.Get(rec.ID); err != nil || !ok || got.State != StateRunning {
+		t.Errorf("Get during the terminal Put = %s (found %v, err %v), want running", got.State, ok, err)
+	}
+	stop := errors.New("stop")
+	var current Record
+	if _, err := r.Watch(context.Background(), rec.ID, func(rec Record) error {
+		current = rec
+		return stop
+	}); !errors.Is(err, stop) || current.State != StateRunning {
+		t.Errorf("Watch during the terminal Put = %s (err %v), want running", current.State, err)
+	}
+	watched := make(chan Record, 1)
+	go func() {
+		var last Record
+		if _, err := r.Watch(context.Background(), rec.ID, func(rec Record) error {
+			last = rec
+			return nil
+		}); err != nil {
+			t.Errorf("Watch: %v", err)
+		}
+		watched <- last
+	}()
+
+	close(store.release)
+	select {
+	case final := <-watched:
+		if final.State != StateDone {
+			t.Fatalf("final state = %s", final.State)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Watch never reported the terminal state")
+	}
+	for _, key := range []string{rec.ID, "content"} {
+		if got, ok, err := store.Store.Get(key); err != nil || !ok || got.State != StateDone {
+			t.Errorf("store[%s] = %s (found %v, err %v), want done", key, got.State, ok, err)
+		}
+	}
+}

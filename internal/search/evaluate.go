@@ -55,19 +55,19 @@ func uniqueDim(points []core.ConfigPoint, get func(core.ConfigPoint) int) []int 
 }
 
 // kernelEvaluator batch-evaluates generated-kernel workloads through
-// core.ExploreParallelContext. Results are bit-identical at any worker
-// count, so workers does not affect the archive.
+// core.ExploreContext at the options' worker count. Results are
+// bit-identical at any worker count, so Workers does not affect the
+// archive.
 type kernelEvaluator struct {
-	nest    *loopir.Nest
-	opts    core.Options
-	workers int
+	nest *loopir.Nest
+	opts core.Options
 }
 
 func (e *kernelEvaluator) evaluate(ctx context.Context, points []core.ConfigPoint) ([]core.Metrics, error) {
 	// The inner sweep is silenced (nil progress): the run loop emits one
 	// event per generation retirement instead, so job progress counts
 	// evaluations and generations, not engine pass units.
-	return core.ExploreParallelContext(core.WithProgress(ctx, nil), e.nest, unionOptions(e.opts, points), e.workers)
+	return core.ExploreContext(core.WithProgress(ctx, nil), e.nest, unionOptions(e.opts, points))
 }
 
 // traceEvaluator batch-evaluates a recorded trace by rewinding the

@@ -163,10 +163,10 @@ type Result struct {
 	Stopped string `json:"stopped"`
 }
 
-// Kernel runs the search for a generated-kernel workload. workers is the
-// inner sweep's worker count (0 = GOMAXPROCS); the archive is
+// Kernel runs the search for a generated-kernel workload. opts.Workers
+// is the inner sweeps' worker count (0 = GOMAXPROCS); the archive is
 // bit-identical at any value.
-func Kernel(ctx context.Context, n *loopir.Nest, opts core.Options, sopts Options, budget Budget, workers int) (Result, error) {
+func Kernel(ctx context.Context, n *loopir.Nest, opts core.Options, sopts Options, budget Budget) (Result, error) {
 	opts = opts.Normalize()
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -178,7 +178,7 @@ func Kernel(ctx context.Context, n *loopir.Nest, opts core.Options, sopts Option
 	if err != nil {
 		return Result{}, err
 	}
-	return run(ctx, space, &kernelEvaluator{nest: n, opts: opts, workers: workers}, sopts, budget)
+	return run(ctx, space, &kernelEvaluator{nest: n, opts: opts}, sopts, budget)
 }
 
 // Trace runs the search over a recorded trace. The source must be

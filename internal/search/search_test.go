@@ -26,7 +26,8 @@ func TestKernelDeterministicAcrossWorkers(t *testing.T) {
 	budget := Budget{MaxGenerations: 4}
 	var want []byte
 	for _, workers := range []int{1, 4, 8} {
-		res, err := Kernel(context.Background(), n, opts, searchOpts(42), budget, workers)
+		opts.Workers = workers
+		res, err := Kernel(context.Background(), n, opts, searchOpts(42), budget)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -43,7 +44,8 @@ func TestKernelDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// And re-running with the same seed replays the identical run.
-	res, err := Kernel(context.Background(), n, opts, searchOpts(42), budget, 2)
+	opts.Workers = 2
+	res, err := Kernel(context.Background(), n, opts, searchOpts(42), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +57,11 @@ func TestKernelDeterministicAcrossWorkers(t *testing.T) {
 
 func TestKernelSeedChangesRun(t *testing.T) {
 	n := kernels.Compress()
-	a, err := Kernel(context.Background(), n, testOptions(), searchOpts(1), Budget{MaxGenerations: 2}, 0)
+	a, err := Kernel(context.Background(), n, testOptions(), searchOpts(1), Budget{MaxGenerations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Kernel(context.Background(), n, testOptions(), searchOpts(2), Budget{MaxGenerations: 2}, 0)
+	b, err := Kernel(context.Background(), n, testOptions(), searchOpts(2), Budget{MaxGenerations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestKernelSeedChangesRun(t *testing.T) {
 func TestBudgetStopReasons(t *testing.T) {
 	n := kernels.Compress()
 
-	res, err := Kernel(context.Background(), n, testOptions(), searchOpts(3), Budget{MaxGenerations: 3}, 0)
+	res, err := Kernel(context.Background(), n, testOptions(), searchOpts(3), Budget{MaxGenerations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestBudgetStopReasons(t *testing.T) {
 		t.Errorf("generations bound: got %d generations, stopped=%q", res.Generations, res.Stopped)
 	}
 
-	res, err = Kernel(context.Background(), n, testOptions(), searchOpts(3), Budget{MaxEvaluations: 30}, 0)
+	res, err = Kernel(context.Background(), n, testOptions(), searchOpts(3), Budget{MaxEvaluations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestBudgetStopReasons(t *testing.T) {
 		Assocs:     []int{1, 2},
 		Tilings:    []int{1, 2},
 	}
-	res, err = Kernel(context.Background(), n, tiny, searchOpts(3), Budget{MaxGenerations: 100}, 0)
+	res, err = Kernel(context.Background(), n, tiny, searchOpts(3), Budget{MaxGenerations: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,28 +135,28 @@ func TestInvalidInputs(t *testing.T) {
 	n := kernels.Compress()
 	var ie *InvalidError
 
-	_, err := Kernel(context.Background(), n, testOptions(), searchOpts(0), Budget{}, 0)
+	_, err := Kernel(context.Background(), n, testOptions(), searchOpts(0), Budget{})
 	if !errors.As(err, &ie) || ie.Field != "budget" {
 		t.Errorf("empty budget: err = %v, want InvalidError{budget}", err)
 	}
 
-	_, err = Kernel(context.Background(), n, testOptions(), searchOpts(0), Budget{MaxEvaluations: -1}, 0)
+	_, err = Kernel(context.Background(), n, testOptions(), searchOpts(0), Budget{MaxEvaluations: -1})
 	if !errors.As(err, &ie) || ie.Field != "budget" {
 		t.Errorf("negative budget: err = %v, want InvalidError{budget}", err)
 	}
 
-	_, err = Kernel(context.Background(), n, testOptions(), Options{PopSize: 1}, Budget{MaxGenerations: 1}, 0)
+	_, err = Kernel(context.Background(), n, testOptions(), Options{PopSize: 1}, Budget{MaxGenerations: 1})
 	if !errors.As(err, &ie) || ie.Field != "search.pop_size" {
 		t.Errorf("pop size 1: err = %v, want InvalidError{search.pop_size}", err)
 	}
 
-	_, err = Kernel(context.Background(), n, testOptions(), Options{PopSize: 2, MutationRate: 1.5}, Budget{MaxGenerations: 1}, 0)
+	_, err = Kernel(context.Background(), n, testOptions(), Options{PopSize: 2, MutationRate: 1.5}, Budget{MaxGenerations: 1})
 	if !errors.As(err, &ie) || ie.Field != "search.mutation_rate" {
 		t.Errorf("mutation rate 1.5: err = %v, want InvalidError{search.mutation_rate}", err)
 	}
 
 	bad := core.Options{CacheSizes: []int{16}, LineSizes: []int{32}, Assocs: []int{1}, Tilings: []int{1}}
-	if _, err := Kernel(context.Background(), n, bad, searchOpts(0), Budget{MaxGenerations: 1}, 0); err == nil {
+	if _, err := Kernel(context.Background(), n, bad, searchOpts(0), Budget{MaxGenerations: 1}); err == nil {
 		t.Error("empty space accepted")
 	}
 }
@@ -162,7 +164,7 @@ func TestInvalidInputs(t *testing.T) {
 func TestKernelCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Kernel(ctx, kernels.Compress(), testOptions(), searchOpts(0), Budget{MaxGenerations: 2}, 0)
+	_, err := Kernel(ctx, kernels.Compress(), testOptions(), searchOpts(0), Budget{MaxGenerations: 2})
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -199,7 +201,7 @@ func TestTraceSearchMatchesKernel(t *testing.T) {
 	kopts := opts
 	kopts.Tilings = []int{1}
 	kopts.OptimizeLayout = false
-	want, err := Kernel(context.Background(), n, kopts, searchOpts(9), budget, 0)
+	want, err := Kernel(context.Background(), n, kopts, searchOpts(9), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +241,7 @@ func TestSearchBeatsRandomSampling(t *testing.T) {
 	}
 
 	budget := Budget{MaxEvaluations: 1500}
-	res, err := Kernel(context.Background(), n, opts, Options{Seed: 17, PopSize: 16}, budget, 0)
+	res, err := Kernel(context.Background(), n, opts, Options{Seed: 17, PopSize: 16}, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestSearchBeatsRandomSampling(t *testing.T) {
 
 	// Ground truth: the exhaustive sweep, from which random sampling draws
 	// without replacement at the search's actual evaluation count.
-	all, err := core.ExploreParallel(n, opts.Normalize(), 0)
+	all, err := core.Explore(n, opts.Normalize())
 	if err != nil {
 		t.Fatal(err)
 	}

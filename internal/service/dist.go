@@ -214,8 +214,8 @@ func isUnknownTraceRef(err error) bool {
 }
 
 // shardHeader builds the X-Memexplore-Options document of a child shard
-// job: the parent's normalized options (Workers and Engine are local
-// knobs outside the wire form, so the peer resolves its own), the ingest
+// job: the parent's normalized options (Workers is a local knob outside
+// the wire form, so the peer resolves its own), the ingest
 // limits that shape the metrics, and the shard address. Bounds are
 // omitted: Best is recomputed by the coordinator over the merged sweep.
 func shardHeader(tq traceQuery, index, count int, traceRef string) string {

@@ -124,7 +124,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 // ResultMeta is the success-envelope header every sweep response
 // embeds: whether the result was recalled from a cache tier, which
-// engine executed, the sweep plan that was (or would be) run, and — for
+// engine executed ("per-point", "inclusion" or "batched"), the sweep plan that was (or would be) run, and — for
 // sampled or prefiltered trace sweeps only — the estimation envelope.
 type ResultMeta struct {
 	Cached bool        `json:"cached"`
@@ -187,17 +187,16 @@ func planInfo(plan core.SweepPlan, kernels int) *PlanInfo {
 }
 
 // engineName reports which engine a sweep with these options and plan
-// executes: per-point for classified or forced-per-point sweeps,
-// inclusion when the plan formed at least one stack group, batched
-// otherwise.
+// executes: per-point for classified sweeps, inclusion when the plan
+// formed at least one stack group, batched otherwise.
 func engineName(opts core.Options, plan core.SweepPlan) string {
 	switch {
-	case opts.Classify || opts.Engine == core.EnginePerPoint:
-		return core.EnginePerPoint.String()
+	case opts.Classify:
+		return "per-point"
 	case plan.InclusionGroups > 0:
-		return core.EngineInclusion.String()
+		return "inclusion"
 	default:
-		return core.EngineBatched.String()
+		return "batched"
 	}
 }
 

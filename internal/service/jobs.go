@@ -166,7 +166,7 @@ func (s *Server) submitTraceJob(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprint(tq.ing.MaxRecords), fmt.Sprint(tq.ing.SkipMalformed),
 		fmt.Sprint(tq.cycleBound), fmt.Sprint(tq.energyBoundNJ),
 		fmt.Sprint(tq.shards), shardSpec, string(body))
-	tq.opts.Workers = s.traceWorkerCount(tq.workers)
+	tq.opts.Workers = s.sweepWorkers(tq.workers)
 	rec, err := s.runner.Submit(KindExploreTrace, s.recallKey(key), func(ctx context.Context, rep *jobs.Reporter) ([]byte, error) {
 		if tq.shard != nil {
 			// A shard job's totals are its slice of the plan, not the space.

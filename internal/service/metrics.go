@@ -45,7 +45,7 @@ type counters struct {
 	// Trace-pipeline observability (see core.PipelineObserver).
 	// traceWorkers is the simulation worker count of the most recently
 	// started trace sweep — range workers for stack sweeps, pass-unit
-	// shards for Batch sweeps, 1 on the sequential path — a gauge. chunksInflight is the
+	// shards for fallback sweeps, 1 on the sequential path — a gauge. chunksInflight is the
 	// number of decoded chunks currently sitting in pipeline rings — a
 	// gauge summed across concurrent sweeps. chunkStall histograms how
 	// long the simulation coordinator waited for the decode producer per

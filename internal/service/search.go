@@ -135,7 +135,8 @@ func resolveSearch(req SearchRequest) (searchParams, error) {
 // Result.SpacePoints/Evaluations report what it covered instead.
 func (s *Server) searchBody(ctx context.Context, p searchParams) ([]byte, error) {
 	begin := time.Now()
-	r, err := search.Kernel(ctx, p.nest, p.opts, p.sopts, p.budget, s.cfg.SweepWorkers)
+	p.opts.Workers = s.sweepWorkers(0)
+	r, err := search.Kernel(ctx, p.nest, p.opts, p.sopts, p.budget)
 	if err != nil {
 		return nil, err
 	}

@@ -59,8 +59,9 @@ type Config struct {
 	// rest queue until a slot frees or their context is canceled.
 	// Default 4.
 	MaxConcurrentSweeps int
-	// SweepWorkers is the per-sweep goroutine count handed to
-	// core.ExploreParallelContext. Default 0 = GOMAXPROCS.
+	// SweepWorkers is the per-sweep goroutine count (core.Options.Workers)
+	// of every explore, aggregate, search and trace sweep, sync or job;
+	// a trace request may ask for fewer. Default 0 = GOMAXPROCS.
 	SweepWorkers int
 	// CacheEntries is the capacity of the in-memory store, which holds
 	// job records and content-keyed result bodies. Default 256; negative
@@ -390,7 +391,8 @@ func resolveExplore(req ExploreRequest) (exploreParams, error) {
 // is what keeps the two identical.
 func (s *Server) exploreBody(ctx context.Context, p exploreParams) ([]byte, error) {
 	begin := time.Now()
-	ms, err := core.ExploreParallelContext(ctx, p.nest, p.opts, s.cfg.SweepWorkers)
+	p.opts.Workers = s.sweepWorkers(0)
+	ms, err := core.ExploreContext(ctx, p.nest, p.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -445,6 +447,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	keyParts = append(keyParts, mustJSON(opts), fmt.Sprint(req.CycleBound), fmt.Sprint(req.EnergyBoundNJ))
+	opts.Workers = s.sweepWorkers(0)
 
 	s.writeDo(r.Context(), w, cacheKey(keyParts...), func(ctx context.Context) ([]byte, error) {
 		begin := time.Now()

@@ -209,7 +209,7 @@ func (s *Server) handleExploreTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve the worker count here so the engine's observer reports the
 	// actual shard count through the trace_workers gauge.
-	tq.opts.Workers = s.traceWorkerCount(tq.workers)
+	tq.opts.Workers = s.sweepWorkers(tq.workers)
 	resp, err := s.runTrace(r.Context(), body, tq)
 	if err != nil {
 		s.writeError(w, err)
@@ -218,11 +218,11 @@ func (s *Server) handleExploreTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// traceWorkerCount resolves the simulation worker count of one trace
-// sweep: the client's workers= request clamped to the server-side cap —
-// Config.SweepWorkers when set, else GOMAXPROCS. A request of 0 (or no
-// workers= at all) selects the cap.
-func (s *Server) traceWorkerCount(requested int) int {
+// sweepWorkers resolves the worker count (core.Options.Workers) of one
+// sweep: the requested count — only trace requests carry one — clamped
+// to the server-side cap, Config.SweepWorkers when set, else GOMAXPROCS.
+// A request of 0 selects the cap.
+func (s *Server) sweepWorkers(requested int) int {
 	cap := s.cfg.SweepWorkers
 	if cap <= 0 {
 		cap = runtime.GOMAXPROCS(0)
@@ -261,7 +261,7 @@ func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery) (*
 	if saved := len(ms) - 1; saved > 0 {
 		vars.passesSaved.Add(int64(saved))
 	}
-	meta := ResultMeta{Engine: core.EngineBatched.String()}
+	meta := ResultMeta{Engine: "batched"}
 	if plan, perr := core.TraceSweepPlan(tq.opts); perr == nil {
 		vars.inclusionGroups.Add(int64(plan.InclusionGroups))
 		if u := plan.PassUnits(); u > 0 {

@@ -29,9 +29,11 @@
 // # Cancellation and typed errors
 //
 // Every explore entry point has a context-aware variant — ExploreContext,
-// ExploreParallelContext, AggregateContext — that checks the context
-// between config points, so long sweeps honor cancellation and deadlines;
-// the plain variants are these with context.Background(). Failures at the
+// AggregateContext — that checks the context between config points, so
+// long sweeps honor cancellation and deadlines; the plain variants are
+// these with context.Background(). Options.Workers sets how many
+// goroutines a sweep runs on (0 = GOMAXPROCS, 1 = sequential); results
+// are identical at any value. Failures at the
 // API boundary are typed: ErrUnknownKernel (Kernel), *ErrInvalidOptions
 // (Options.Validate and the explore entry points), and ErrCanceled (the
 // context variants, wrapped alongside ctx.Err()). Options, ConfigPoint
@@ -148,7 +150,7 @@ func Explore(n *Nest, opts Options) ([]Metrics, error) { return core.Explore(n, 
 
 // ExploreContext is Explore with cancellation: the context is checked
 // between workload groups and every few thousand references inside a
-// batch pass, and a canceled or expired context yields an error wrapping
+// sweep pass, and a canceled or expired context yields an error wrapping
 // both ErrCanceled and ctx.Err().
 func ExploreContext(ctx context.Context, n *Nest, opts Options) ([]Metrics, error) {
 	return core.ExploreContext(ctx, n, opts)
@@ -271,29 +273,6 @@ type (
 // MinEDP returns the configuration with the lowest energy–delay product.
 func MinEDP(ms []Metrics) (Metrics, bool) { return core.MinEDP(ms) }
 
-// Engine selects the sweep execution engine (Options.Engine). Results
-// are bit-identical across engines; the knob exists for debugging and
-// benchmarking.
-type Engine = core.Engine
-
-// Sweep engines for Options.Engine.
-const (
-	// EngineAuto picks the fastest exact engine (the default).
-	EngineAuto = core.EngineAuto
-	// EnginePerPoint forces one full trace pass per configuration point.
-	EnginePerPoint = core.EnginePerPoint
-	// EngineBatched forces the workload-grouped batched engine without
-	// inclusion grouping.
-	EngineBatched = core.EngineBatched
-	// EngineInclusion is EngineAuto under its explicit name: inclusion
-	// grouping with per-configuration fallback.
-	EngineInclusion = core.EngineInclusion
-)
-
-// ParseEngine parses an engine name: "auto" (or ""), "per-point",
-// "batched", "inclusion".
-func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
-
 // SweepPlan describes how a sweep partitions into simulation pass units
 // before it runs: trace-generation workloads, inclusion groups (one
 // per-set LRU stack level covering every associativity of a (line, sets)
@@ -304,19 +283,6 @@ type SweepPlan = core.SweepPlan
 // TraceSweepPlan is Options.Plan for an external-trace sweep (the options
 // restricted to what a recorded trace can vary, a single trace pass).
 func TraceSweepPlan(opts Options) (SweepPlan, error) { return core.TraceSweepPlan(opts) }
-
-// ExploreParallel is Explore with the batched sweep's workload groups
-// distributed over worker goroutines sharing one trace cache; results
-// are identical to Explore.
-func ExploreParallel(n *Nest, opts Options, workers int) ([]Metrics, error) {
-	return core.ExploreParallel(n, opts, workers)
-}
-
-// ExploreParallelContext is ExploreParallel with cancellation checked by
-// every worker between workload groups (and inside each batch pass).
-func ExploreParallelContext(ctx context.Context, n *Nest, opts Options, workers int) ([]Metrics, error) {
-	return core.ExploreParallelContext(ctx, n, opts, workers)
-}
 
 // EvaluateTrace scores an arbitrary pre-generated trace under one cache
 // configuration with the §2.2/§2.3 models.
@@ -606,10 +572,10 @@ type (
 func DefaultSearchOptions() SearchOptions { return search.DefaultOptions() }
 
 // SearchKernel runs a budgeted NSGA-II search over a kernel workload's
-// configuration space; workers parallelizes the inner sweeps without
+// configuration space; opts.Workers parallelizes the inner sweeps without
 // affecting the archive.
-func SearchKernel(ctx context.Context, n *Nest, opts Options, sopts SearchOptions, budget SearchBudget, workers int) (SearchResult, error) {
-	return search.Kernel(ctx, n, opts, sopts, budget, workers)
+func SearchKernel(ctx context.Context, n *Nest, opts Options, sopts SearchOptions, budget SearchBudget) (SearchResult, error) {
+	return search.Kernel(ctx, n, opts, sopts, budget)
 }
 
 // SearchTrace runs the search over a recorded trace. The source must be

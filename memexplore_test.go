@@ -195,7 +195,8 @@ func TestFacadeExtensions(t *testing.T) {
 	opts.LineSizes = []int{4, 8}
 	opts.Assocs = []int{1}
 	opts.Tilings = []int{1}
-	ms, err := memexplore.ExploreParallel(kern, opts, 2)
+	opts.Workers = 2
+	ms, err := memexplore.Explore(kern, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
