@@ -171,7 +171,9 @@ func BenchmarkAblationReplacement(b *testing.B) {
 // (LRU, the default — one stack pass per (line, sets) group), and the
 // inclusion engine with worker parallelism; then the single-workload-
 // group shape, where spare workers split the one group: in time ranges
-// for the inclusion engine, across pass units for the fallback caches.
+// for the inclusion engine, across pass units for the fallback caches;
+// then optimized layouts, which run the §4.1 guard per (tiling, L, T/L)
+// workload: Compress over the default space, and matmul at tiling 1.
 // Legs named without "parallel" or "ranges" run at Workers 1. The
 // numbers for the record live in BENCH_sweep.json; refresh them with
 // `make bench-sweep`.
@@ -182,7 +184,7 @@ func BenchmarkExploreSweep(b *testing.B) {
 	ctx := context.Background()
 
 	type explore func(context.Context, *loopir.Nest, core.Options) ([]core.Metrics, error)
-	run := func(b *testing.B, explore explore, opts core.Options, workers int) {
+	runOn := func(b *testing.B, n *loopir.Nest, explore explore, opts core.Options, workers int) {
 		b.Helper()
 		b.ReportAllocs()
 		opts.Workers = workers
@@ -195,6 +197,10 @@ func BenchmarkExploreSweep(b *testing.B) {
 				b.ReportMetric(float64(len(ms)), "points")
 			}
 		}
+	}
+	run := func(b *testing.B, explore explore, opts core.Options, workers int) {
+		b.Helper()
+		runOn(b, n, explore, opts, workers)
 	}
 	batched := opts
 	batched.Replacement = cachesim.FIFO
@@ -215,6 +221,12 @@ func BenchmarkExploreSweep(b *testing.B) {
 	singleBatched.Replacement = cachesim.FIFO
 	b.Run("single-group-batched", func(b *testing.B) { run(b, core.ExploreContext, singleBatched, 1) })
 	b.Run("batched-parallel", func(b *testing.B) { run(b, core.ExploreContext, singleBatched, 4) })
+	// The §4.1 layout guard: optimized layouts over Compress's default
+	// space, and matmul at one tiling, where the padded plans mostly win.
+	optimized := core.DefaultOptions()
+	b.Run("optimized", func(b *testing.B) { run(b, core.ExploreContext, optimized, 1) })
+	optimized.Tilings = []int{1}
+	b.Run("optimized-matmul", func(b *testing.B) { runOn(b, kernels.MatMul(), core.ExploreContext, optimized, 1) })
 }
 
 // BenchmarkExploreDinTrace measures the external-trace pipeline end to

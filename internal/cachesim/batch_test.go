@@ -39,8 +39,8 @@ func TestBatchMatchesIndividual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.FallbackConfigs() != len(cfgs) || s.InclusionGroups() != 0 {
-		t.Fatalf("sweep formed %d levels / %d fallbacks, want 0 / %d", s.InclusionGroups(), s.FallbackConfigs(), len(cfgs))
+	if len(s.caches) != len(cfgs) || len(s.levels) != 0 {
+		t.Fatalf("sweep formed %d levels / %d fallbacks, want 0 / %d", len(s.levels), len(s.caches), len(cfgs))
 	}
 	batch, err := s.RunTraceContext(context.Background(), tr, nil)
 	if err != nil {

@@ -335,7 +335,9 @@ func (c *Cache) accessLine(lineAddr uint64, kind trace.Kind) (bool, MissClass) {
 	// classification reflects the same reference stream.
 	var shadowHit, everSeen bool
 	if c.shadow != nil {
-		everSeen, shadowHit = c.shadow.touch(lineAddr)
+		var level int
+		everSeen, level = c.shadow.touch(lineAddr)
+		shadowHit = level == 0
 	}
 
 	for i := range set {

@@ -325,21 +325,10 @@ func NewSweep(cfgs []Config) (*Sweep, error) {
 	return s, nil
 }
 
-// InclusionGroups returns how many stack levels — one per
-// (LineBytes, NumSets) geometry of eligible configs — the sweep formed.
-func (s *Sweep) InclusionGroups() int { return len(s.levels) }
-
-// FallbackConfigs returns how many configurations run on fallback
-// caches.
-func (s *Sweep) FallbackConfigs() int { return len(s.caches) }
-
 // PassUnits returns the number of independent simulation state machines
 // consuming the trace: one per stack level plus one per fallback cache.
-// Configs()/PassUnits() is the engine's collapse factor.
+// Configurations per pass unit is the engine's collapse factor.
 func (s *Sweep) PassUnits() int { return len(s.levels) + len(s.caches) }
-
-// Configs returns the number of configurations the sweep covers.
-func (s *Sweep) Configs() int { return len(s.slots) }
 
 // AccessBlock feeds a block of references to every line-size walk and
 // fallback cache, each consuming the whole block before the next runs,

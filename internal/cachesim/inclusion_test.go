@@ -88,7 +88,7 @@ func TestSweepMatchesIndividualCaches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s.InclusionGroups() == 0 {
+				if len(s.levels) == 0 {
 					t.Fatal("configuration set formed no inclusion groups")
 				}
 				got, err := s.RunTraceContext(context.Background(), tr, nil)
@@ -128,7 +128,7 @@ func TestSweepMixedWritePolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.InclusionGroups(); got != 1 {
+	if got := len(s.levels); got != 1 {
 		t.Fatalf("InclusionGroups = %d, want 1 (same geometry throughout)", got)
 	}
 	got, err := s.RunTraceContext(context.Background(), tr, nil)
@@ -237,9 +237,9 @@ func TestSweepPassUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.InclusionGroups() != 2 || s.FallbackConfigs() != 1 || s.PassUnits() != 3 || s.Configs() != 5 {
+	if len(s.levels) != 2 || len(s.caches) != 1 || s.PassUnits() != 3 || len(s.slots) != 5 {
 		t.Fatalf("partition = %d groups, %d fallbacks, %d pass units (want 2, 1, 3)",
-			s.InclusionGroups(), s.FallbackConfigs(), s.PassUnits())
+			len(s.levels), len(s.caches), s.PassUnits())
 	}
 }
 

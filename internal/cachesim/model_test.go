@@ -176,16 +176,24 @@ func victimConfigs(l int) []Config {
 	return []Config{wb, wt}
 }
 
-// TestQuickLRUMatchesReferenceModel drives random traces through both the
-// simulator and the naive model across a range of geometries, with and
-// without a victim buffer, and demands identical per-access hit/miss
-// outcomes.
+// TestQuickLRUMatchesReferenceModel drives random traces, a seeded
+// quarter of whose references are writes, through both the simulator and
+// the naive model across a range of geometries, with and without a
+// victim buffer (write-back and write-through), and demands identical
+// per-access hit/miss outcomes and, at the end, identical memory traffic:
+// lines fetched, write-backs and write-throughs.
 func TestQuickLRUMatchesReferenceModel(t *testing.T) {
 	cfgs := append(append([]Config(nil), refGeometries...), victimConfigs(8)...)
 	f := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nRefs := int(n%2000) + 1
 		tr := trace.Random(rng, 0, 4096, nRefs)
+		refs := tr.Refs()
+		for i := range refs {
+			if rng.Intn(4) == 0 {
+				refs[i].Kind = trace.Write
+			}
+		}
 		for _, cfg := range cfgs {
 			c, err := New(cfg)
 			if err != nil {
@@ -200,6 +208,12 @@ func TestQuickLRUMatchesReferenceModel(t *testing.T) {
 					t.Logf("cfg %v ref %d addr %#x: sim hit=%v model hit=%v", cfg, i, r.Addr, got, want)
 					return false
 				}
+			}
+			st := c.Stats()
+			if st.LinesFetched != m.fetched || st.WriteBacks != m.writeBacks || st.WriteThroughs != m.writeThroughs {
+				t.Logf("cfg %v: sim traffic (fetched %d, write-backs %d, write-throughs %d), model (%d, %d, %d)",
+					cfg, st.LinesFetched, st.WriteBacks, st.WriteThroughs, m.fetched, m.writeBacks, m.writeThroughs)
+				return false
 			}
 		}
 		return true
@@ -387,9 +401,9 @@ func TestShadowLRU(t *testing.T) {
 		{1, true, false},  // evicted by 2's return
 		{2, true, true},
 	} {
-		seen, hit := s.touch(step.line)
-		if seen != step.seen || hit != step.hit {
-			t.Errorf("step %d touch(%d) = (seen %v, hit %v), want (%v, %v)", i, step.line, seen, hit, step.seen, step.hit)
+		seen, level := s.touch(step.line)
+		if hit := level == 0; seen != step.seen || hit != step.hit {
+			t.Errorf("step %d touch(%d) = (seen %v, level %d), want (%v, hit %v)", i, step.line, seen, level, step.seen, step.hit)
 		}
 	}
 	if s.resident != 2 {

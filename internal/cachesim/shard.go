@@ -72,13 +72,6 @@ func (sh *SweepShard) AccessBlock(block []trace.Ref) {
 	}
 }
 
-// Units returns the number of pass units the shard owns.
-func (sh *SweepShard) Units() int { return sh.units }
-
-// Weight returns the shard's estimated per-reference cost (the sum of
-// its units' weights) — the quantity the partition balances.
-func (sh *SweepShard) Weight() int { return sh.weight }
-
 // unitWeights returns the estimated cost weight of every pass unit in
 // canonical unit order: stack levels first (level order), then the
 // fallback caches (configuration order).

@@ -52,11 +52,11 @@ func TestShardsCoverAllUnits(t *testing.T) {
 		shards := s.Shards(n)
 		units, weight := 0, 0
 		for _, sh := range shards {
-			if sh.Units() == 0 {
+			if sh.units == 0 {
 				t.Errorf("n=%d: empty shard", n)
 			}
-			units += sh.Units()
-			weight += sh.Weight()
+			units += sh.units
+			weight += sh.weight
 		}
 		if units != s.PassUnits() {
 			t.Errorf("n=%d: shards cover %d units, sweep has %d", n, units, s.PassUnits())

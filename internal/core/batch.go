@@ -13,9 +13,10 @@ package core
 // through one cachesim.Sweep pass (the Dinero IV single-pass trick).
 // Sequential-layout sweeps collapse the whole sizes×lines×assocs product
 // into one pass per tiling; optimized-layout sweeps collapse the
-// associativity dimension. Results are bit-identical to the per-point
-// reference engine (ExplorePerPointContext), in the same deterministic
-// Space() order.
+// associativity dimension, and every geometry whose §4.1 guard keeps the
+// sequential layout joins its tiling's one pass over the sequential
+// trace. Results are bit-identical to the per-point reference engine
+// (ExplorePerPointContext), in the same deterministic Space() order.
 
 import (
 	"context"
@@ -80,129 +81,166 @@ func (o Options) Workloads() int {
 	return len(seen)
 }
 
-// workloadCache generates the workload traces of one sweep. It is safe
-// for concurrent use: the mutex guards the maps, and the per-entry once
-// lets distinct workloads generate concurrently while a shared tiled
-// nest or sequential trace is still built only once. An optimized-layout
-// workload starts from its tiling's sequential trace, which the §4.1
-// guard compares the plan against; layout.OptimizeTrace hands back the
-// trace of the layout it chose, so no workload is generated twice. Each
-// group's trace is released as soon as the group has run.
+// workloadCache holds the per-tiling state of one sweep's workload
+// groups: the tiling's sequential layout (its trace, generated once, and
+// the §4.1 guard's counts of it, one pass per line size), how many of the
+// tiling's groups have yet to settle their trace, and the groups whose
+// trace is the sequential one. An optimized-layout group takes its trace
+// from layout.OptimizeTrace, which hands back the sequential trace
+// itself when the guard keeps the sequential layout; every group of a
+// sequential-layout sweep has that trace too. All groups of a tiling
+// that share the sequential trace run in one sweep pass over it, as soon
+// as the tiling's last group has settled. A padded plan's trace is
+// dropped once its group has run, and a tiling's state once its last
+// group has. It is safe for concurrent use.
 type workloadCache struct {
 	nest *loopir.Nest
 
-	mu     sync.Mutex
-	tiled  map[int]*onceNest
-	traces map[traceKey]*onceTrace
+	mu      sync.Mutex
+	tilings map[int]*tilingWork
 }
 
-type onceNest struct {
+// tilingWork is the shared state of one tiling's groups.
+type tilingWork struct {
 	once sync.Once
-	n    *loopir.Nest
+	seq  *layout.Sequential
 	err  error
+
+	geoms   []layout.Geometry // the guard geometries of the tiling's groups
+	pending int               // groups whose trace has not settled yet
+	onSeq   []workloadGroup   // settled groups whose trace is the sequential one
 }
 
-type onceTrace struct {
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
-func newWorkloadCache(n *loopir.Nest) *workloadCache {
-	return &workloadCache{
-		nest:   n,
-		tiled:  make(map[int]*onceNest),
-		traces: make(map[traceKey]*onceTrace),
+func newWorkloadCache(n *loopir.Nest, groups []workloadGroup) *workloadCache {
+	c := &workloadCache{nest: n, tilings: make(map[int]*tilingWork)}
+	for _, g := range groups {
+		tw := c.tilings[g.key.tiling]
+		if tw == nil {
+			tw = &tilingWork{}
+			c.tilings[g.key.tiling] = tw
+		}
+		tw.pending++
+		if g.key.optimized {
+			tw.geoms = append(tw.geoms, layout.Geometry{LineBytes: g.key.lineBytes, Sets: g.key.sets})
+		}
 	}
+	return c
 }
 
-func (c *workloadCache) tiledNest(b int) (*loopir.Nest, error) {
+// sequential returns tiling b's sequential layout, tiling the nest on
+// first use.
+func (c *workloadCache) sequential(b int) (*layout.Sequential, error) {
 	c.mu.Lock()
-	e, ok := c.tiled[b]
-	if !ok {
-		e = &onceNest{}
-		c.tiled[b] = e
-	}
+	tw := c.tilings[b]
 	c.mu.Unlock()
-	e.once.Do(func() { e.n, e.err = loopir.TileAll(c.nest, b) })
-	return e.n, e.err
+	tw.once.Do(func() {
+		n, err := loopir.TileAll(c.nest, b)
+		if err != nil {
+			tw.err = err
+			return
+		}
+		tw.seq = layout.NewSequential(n, tw.geoms)
+	})
+	return tw.seq, tw.err
 }
 
-func (c *workloadCache) trace(key traceKey) (*trace.Trace, error) {
+// settle records that g's trace is known, and whether it is the
+// sequential one. When g was its tiling's last group to settle, the
+// tiling's state is dropped and the groups to sweep over the sequential
+// trace are returned.
+func (c *workloadCache) settle(g workloadGroup, onSeq bool) []workloadGroup {
 	c.mu.Lock()
-	e, ok := c.traces[key]
-	if !ok {
-		e = &onceTrace{}
-		c.traces[key] = e
+	defer c.mu.Unlock()
+	tw := c.tilings[g.key.tiling]
+	if onSeq {
+		tw.onSeq = append(tw.onSeq, g)
 	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.tr, e.err = c.generate(key) })
-	return e.tr, e.err
+	if tw.pending--; tw.pending > 0 {
+		return nil
+	}
+	delete(c.tilings, g.key.tiling)
+	return tw.onSeq
 }
 
-func (c *workloadCache) generate(key traceKey) (*trace.Trace, error) {
-	n, err := c.tiledNest(key.tiling)
-	if err != nil {
-		return nil, err
-	}
-	if !key.optimized {
-		return n.Generate(loopir.SequentialLayout(n, 0))
-	}
-	seq, err := c.trace(traceKey{tiling: key.tiling})
-	if err != nil {
-		return nil, err
-	}
-	_, tr, err := layout.OptimizeTrace(n, key.lineBytes, key.sets, seq)
-	return tr, err
-}
-
-// release drops a group's trace once the group has run. Every group key
-// belongs to exactly one group, so nothing reads it again. The
-// sequential traces that optimized workloads start from are not group
-// keys of an optimized sweep; they stay until the sweep ends.
-func (c *workloadCache) release(key traceKey) {
-	c.mu.Lock()
-	delete(c.traces, key)
-	c.mu.Unlock()
-}
-
-// groupConfigs builds the simulator configurations of one workload
-// group's points, in group (= Space()) order.
-func groupConfigs(opts Options, points []ConfigPoint, g workloadGroup) []cachesim.Config {
-	cfgs := make([]cachesim.Config, len(g.indices))
-	for i, pi := range g.indices {
+// appendGroupConfigs appends the simulator configurations of one
+// workload group's points to dst, in group (= Space()) order.
+func appendGroupConfigs(dst []cachesim.Config, opts Options, points []ConfigPoint, g workloadGroup) []cachesim.Config {
+	for _, pi := range g.indices {
 		p := points[pi]
-		cfgs[i] = opts.cacheConfig(p.CacheSize, p.LineSize, p.Assoc)
+		dst = append(dst, opts.cacheConfig(p.CacheSize, p.LineSize, p.Assoc))
 	}
-	return cfgs
+	return dst
 }
 
-// runWorkloadGroup simulates every configuration of one workload group
-// in a single pass over its trace, fusing the Gray-code bus measurement
-// into the same traversal, and writes the scored Metrics into out at
-// the group's point indices. workers > 1 splits the trace across that
-// many goroutines (see runSweepTrace); results are bit-identical at any
-// value.
+// runWorkloadGroup settles one workload group's trace and runs the
+// group: on its own over a padded plan's trace, otherwise in its
+// tiling's pass over the sequential trace, which this call runs when the
+// group is the tiling's last to settle. workers > 1 splits each trace
+// across that many goroutines (see runSweepTrace); results are
+// bit-identical at any value.
 func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, points []ConfigPoint, g workloadGroup, out []Metrics, workers int) error {
-	tr, err := c.trace(g.key)
+	b := g.key.tiling
+	seq, err := c.sequential(b)
 	if err != nil {
-		return fmt.Errorf("core: generating trace for %s/B%d: %w", c.nest.Name, g.key.tiling, err)
+		return fmt.Errorf("core: generating trace for %s/B%d: %w", c.nest.Name, b, err)
 	}
-	cfgs := groupConfigs(opts, points, g)
+	seqTr, err := seq.Trace()
+	if err != nil {
+		return fmt.Errorf("core: generating trace for %s/B%d: %w", c.nest.Name, b, err)
+	}
+	tr := seqTr
+	if g.key.optimized {
+		if _, tr, err = layout.OptimizeTrace(ctx, seq, g.key.lineBytes, g.key.sets); err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return canceled(ctxErr)
+			}
+			return fmt.Errorf("core: generating trace for %s/B%d: %w", c.nest.Name, b, err)
+		}
+	}
+	if tr != seqTr {
+		if err := c.runSweep(ctx, opts, points, []workloadGroup{g}, tr, out, workers); err != nil {
+			return err
+		}
+	}
+	if onSeq := c.settle(g, tr == seqTr); len(onSeq) > 0 {
+		return c.runSweep(ctx, opts, points, onSeq, seqTr, out, workers)
+	}
+	return nil
+}
+
+// runSweep simulates every configuration of groups, which share tiling
+// and trace, in a single pass over tr, fusing the Gray-code bus
+// measurement into the same traversal, and writes the scored Metrics
+// into out at the groups' point indices.
+func (c *workloadCache) runSweep(ctx context.Context, opts Options, points []ConfigPoint, groups []workloadGroup, tr *trace.Trace, out []Metrics, workers int) error {
+	b := groups[0].key.tiling
+	n := 0
+	for _, g := range groups {
+		n += len(g.indices)
+	}
+	cfgs := make([]cachesim.Config, 0, n)
+	indices := make([]int, 0, n)
+	units := 0
+	for _, g := range groups {
+		start := len(cfgs)
+		cfgs = appendGroupConfigs(cfgs, opts, points, g)
+		levels, _, fallback := sweepUnits(cfgs[start:])
+		units += levels + fallback
+		indices = append(indices, g.indices...)
+	}
 	sweep, err := cachesim.NewSweep(cfgs)
 	if err != nil {
-		return fmt.Errorf("core: building sweep for %s/B%d: %w", c.nest.Name, g.key.tiling, err)
+		return fmt.Errorf("core: building sweep for %s/B%d: %w", c.nest.Name, b, err)
 	}
 	ctr := bus.NewSwitchCounter(bus.Gray)
 	stats, err := runSweepTrace(ctx, sweep, tr, func(r trace.Ref) { ctr.Drive(r.Addr) }, workers)
-	c.release(g.key)
 	if err != nil {
 		// The only error source for an in-memory trace is the context.
 		return canceled(err)
 	}
 	addBS := ctr.PerDrive()
-	for i, pi := range g.indices {
-		m, err := scoreStats(cfgs[i], points[pi].Tiling, opts.Energy, stats[i], addBS)
+	for i, pi := range indices {
+		m, err := scoreStats(cfgs[i], b, opts.Energy, stats[i], addBS)
 		if err != nil {
 			return fmt.Errorf("core: evaluating %s/%v: %w", c.nest.Name, points[pi], err)
 		}
@@ -210,7 +248,9 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 		out[pi] = m
 	}
 	if progress := progressFrom(ctx); progress != nil {
-		progress(ProgressEvent{Points: int64(len(g.indices)), PassUnits: int64(sweep.PassUnits())})
+		// Report the pass units the plan counts for these groups, so
+		// that a job's completed units reach its planned total.
+		progress(ProgressEvent{Points: int64(len(indices)), PassUnits: int64(units)})
 	}
 	sweep.Release()
 	return nil
@@ -235,7 +275,7 @@ func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers i
 	points := opts.Space()
 	groups := groupWorkloads(opts, points)
 	out := make([]Metrics, len(points))
-	cache := newWorkloadCache(n)
+	cache := newWorkloadCache(n, groups)
 
 	if workers <= 1 || workers > len(groups) {
 		for _, g := range groups {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"memexplore/internal/cachesim"
@@ -67,12 +66,16 @@ func TestBatchedMatchesPerPoint(t *testing.T) {
 		}
 	}
 
-	// Optimized layouts beyond Compress: on these kernels the §4.1 guard
-	// keeps the padded plan for some workloads and the sequential layout
-	// for others, so both outcomes of the shared-sequential-trace path run
-	// against the per-point engine's independent Optimize + Generate.
-	for _, name := range []string{"matmul", "sor", "mpeg_idct"} {
-		kn, err := kernels.ByName(name)
+	// Optimized layouts beyond Compress. On the first three kernels the
+	// §4.1 guard hands some workloads the sequential trace, which they
+	// sweep in their tiling's shared pass, and keeps padded plans for
+	// the others; on dequant every workload keeps its plan. Both paths
+	// run against the per-point engine's independent Optimize + Generate.
+	for _, c := range []struct {
+		name  string
+		share bool // some workloads, but not all, sweep the sequential trace
+	}{{"matmul", true}, {"sor", true}, {"mpeg_idct", true}, {"dequant", false}} {
+		kn, err := kernels.ByName(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,15 +84,16 @@ func TestBatchedMatchesPerPoint(t *testing.T) {
 		opts.LineSizes = []int{4, 16}
 		opts.Tilings = []int{1, 4}
 		opts.Energy.CountWriteTraffic = true
-		if seqWins, total := guardOutcomes(t, kn, opts); seqWins == 0 || seqWins == total {
-			t.Fatalf("%s: the guard keeps the sequential layout for %d of %d workloads; want both outcomes", name, seqWins, total)
+		onSeq, total := guardOutcomes(t, kn, opts)
+		if c.share && (onSeq == 0 || onSeq == total) || !c.share && onSeq > 0 {
+			t.Fatalf("%s: %d of %d workloads sweep the sequential trace", c.name, onSeq, total)
 		}
 		want, err := ExplorePerPointContext(context.Background(), kn, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2} {
-			t.Run(fmt.Sprintf("opt=true/kernel=%s/workers=%d", name, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("opt=true/kernel=%s/workers=%d", c.name, workers), func(t *testing.T) {
 				wopts := opts
 				wopts.Workers = workers
 				got, err := ExploreContext(context.Background(), kn, wopts)
@@ -105,52 +109,71 @@ func TestBatchedMatchesPerPoint(t *testing.T) {
 	}
 }
 
-// guardOutcomes counts the optimized-layout workloads of opts for which
-// the §4.1 guard keeps the sequential layout, out of all of them.
-func guardOutcomes(t *testing.T, n *loopir.Nest, opts Options) (seqWins, total int) {
+// guardOutcomes counts the optimized-layout workloads of opts whose §4.1
+// guard hands back the sequential trace, out of all of them.
+func guardOutcomes(t *testing.T, n *loopir.Nest, opts Options) (onSeq, total int) {
 	t.Helper()
+	seqs := map[int]*layout.Sequential{}
 	for _, g := range groupWorkloads(opts, opts.Space()) {
-		tn, err := loopir.TileAll(n, g.key.tiling)
+		seq := seqs[g.key.tiling]
+		if seq == nil {
+			tn, err := loopir.TileAll(n, g.key.tiling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq = layout.NewSequential(tn, nil)
+			seqs[g.key.tiling] = seq
+		}
+		seqTr, err := seq.Trace()
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := layout.Optimize(tn, g.key.lineBytes, g.key.sets)
+		_, tr, err := layout.OptimizeTrace(context.Background(), seq, g.key.lineBytes, g.key.sets)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total++
-		if last := len(plan.Notes) - 1; last >= 0 && strings.HasPrefix(plan.Notes[last], "natural packed layout beats") {
-			seqWins++
+		if tr == seqTr {
+			onSeq++
 		}
 	}
-	return seqWins, total
+	return onSeq, total
 }
 
-// TestWorkloadCacheReleasesGroupTraces checks that a group's trace is
-// dropped as soon as the group has run, while the sequential trace its
-// tiling's optimized workloads start from stays for the rest of the sweep.
+// TestWorkloadCacheReleasesGroupTraces checks that a tiling's shared
+// state — its sequential trace and the guard's counts of it — stays while
+// any of its groups has yet to settle and is dropped once the last one
+// has run, and that every group of the sweep runs exactly once.
 func TestWorkloadCacheReleasesGroupTraces(t *testing.T) {
 	opts := DefaultOptions()
 	opts.CacheSizes = []int{32, 256}
 	opts.LineSizes = []int{4, 16}
-	opts.Tilings = []int{1}
+	opts.Tilings = []int{1, 2}
 	points := opts.Space()
 	groups := groupWorkloads(opts, points)
-	c := newWorkloadCache(kernels.MatMul())
+	c := newWorkloadCache(kernels.MatMul(), groups)
 	out := make([]Metrics, len(points))
+	left := map[int]int{}
+	for _, g := range groups {
+		left[g.key.tiling]++
+	}
 	for _, g := range groups {
 		if err := c.runWorkloadGroup(context.Background(), opts, points, g, out, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, held := c.traces[g.key]; held {
-			t.Errorf("workload %+v: trace still held after its group ran", g.key)
+		left[g.key.tiling]--
+		_, held := c.tilings[g.key.tiling]
+		if want := left[g.key.tiling] > 0; held != want {
+			t.Errorf("workload %+v: tiling state held = %v with %d groups left", g.key, held, left[g.key.tiling])
 		}
 	}
-	if _, held := c.traces[traceKey{tiling: 1}]; !held {
-		t.Error("sequential trace of tiling 1 released while the sweep could still need it")
+	if len(c.tilings) != 0 {
+		t.Errorf("cache holds %d tilings after the sweep, want none", len(c.tilings))
 	}
-	if len(c.traces) != 1 {
-		t.Errorf("cache holds %d traces after the sweep, want only the sequential one", len(c.traces))
+	for i, m := range out {
+		if m.Accesses == 0 {
+			t.Errorf("point %v never ran", points[i])
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"memexplore/internal/cachesim"
 	"memexplore/internal/extrace"
 	"memexplore/internal/kernels"
+	"memexplore/internal/loopir"
 )
 
 // pipelineTestOptions is a small mixed space: stack levels with several
@@ -257,8 +258,11 @@ func TestSingleGroupFanoutMatchesSequential(t *testing.T) {
 		if g := groupWorkloads(opts, opts.Space()); len(g) != 1 {
 			t.Fatalf("test space has %d workload groups, want 1", len(g))
 		}
-		cache := newWorkloadCache(n)
-		tr, err := cache.trace(traceKey{tiling: 1})
+		tn, err := loopir.TileAll(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := tn.Generate(loopir.SequentialLayout(tn, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

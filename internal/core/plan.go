@@ -67,21 +67,31 @@ func (o Options) Plan() SweepPlan {
 	}
 	groups := groupWorkloads(o, points)
 	plan.Workloads = len(groups)
-	type geom struct{ line, sets int }
 	for _, g := range groups {
-		seen := make(map[geom]bool)
-		for _, pi := range g.indices {
-			p := points[pi]
-			if !cachesim.InclusionEligible(o.cacheConfig(p.CacheSize, p.LineSize, p.Assoc)) {
-				plan.FallbackConfigs++
-				continue
-			}
-			seen[geom{p.LineSize, p.CacheSize / (p.LineSize * p.Assoc)}] = true
-			plan.InclusionConfigs++
-		}
-		plan.InclusionGroups += len(seen)
+		levels, inclusion, fallback := sweepUnits(appendGroupConfigs(nil, o, points, g))
+		plan.InclusionGroups += levels
+		plan.InclusionConfigs += inclusion
+		plan.FallbackConfigs += fallback
 	}
 	return plan
+}
+
+// sweepUnits counts how cachesim.NewSweep splits cfgs into pass units:
+// inclusion configurations, those cachesim.InclusionEligible admits,
+// share one stack level per (line, sets) geometry, and each of the
+// fallback others runs on a cache of its own.
+func sweepUnits(cfgs []cachesim.Config) (levels, inclusion, fallback int) {
+	type geom struct{ line, sets int }
+	seen := make(map[geom]bool)
+	for _, cfg := range cfgs {
+		if !cachesim.InclusionEligible(cfg) {
+			fallback++
+			continue
+		}
+		seen[geom{cfg.LineBytes, cfg.NumSets()}] = true
+		inclusion++
+	}
+	return len(seen), inclusion, fallback
 }
 
 // TraceSweepPlan is Plan for an external-trace sweep: the options are

@@ -8,7 +8,8 @@ import (
 
 // TestPlanMatchesSweepPartition checks that Options.Plan predicts exactly
 // the partition the engines build: the same workload grouping, and per
-// workload the same inclusion-group/fallback split cachesim reports.
+// workload the pass units cachesim builds, split into stack levels and a
+// fallback cache per configuration cachesim.InclusionEligible rejects.
 func TestPlanMatchesSweepPartition(t *testing.T) {
 	for _, optimized := range []bool{false, true} {
 		for _, repl := range []cachesim.Replacement{cachesim.LRU, cachesim.FIFO} {
@@ -19,14 +20,20 @@ func TestPlanMatchesSweepPartition(t *testing.T) {
 			groups := groupWorkloads(opts, points)
 			var wantGroups, wantIncl, wantFallback int
 			for _, g := range groups {
-				cfgs := groupConfigs(opts, points, g)
+				cfgs := appendGroupConfigs(nil, opts, points, g)
 				s, err := cachesim.NewSweep(cfgs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantGroups += s.InclusionGroups()
-				wantFallback += s.FallbackConfigs()
-				wantIncl += len(cfgs) - s.FallbackConfigs()
+				fallback := 0
+				for _, cfg := range cfgs {
+					if !cachesim.InclusionEligible(cfg) {
+						fallback++
+					}
+				}
+				wantGroups += s.PassUnits() - fallback
+				wantFallback += fallback
+				wantIncl += len(cfgs) - fallback
 				s.Release()
 			}
 			plan := opts.Plan()

@@ -31,6 +31,7 @@
 package layout
 
 import (
+	"context"
 	"fmt"
 
 	"memexplore/internal/cachesim"
@@ -89,32 +90,25 @@ type caseGroup struct {
 // Optimize computes the conflict-avoiding assignment of the nest's arrays
 // for a cache with the given line size and number of sets. For a
 // direct-mapped cache pass cfg.NumSets() == cfg.NumLines(). It is
-// OptimizeTrace with the nest's sequential-layout trace generated here.
+// OptimizeTrace over a Sequential built for this one geometry.
 func Optimize(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
-	plan, err := assign(n, lineBytes, sets)
-	if err != nil {
-		return nil, err
-	}
-	seq, err := n.Generate(loopir.SequentialLayout(n, 0))
-	if err != nil {
-		return nil, err
-	}
-	plan, _, err = guard(n, plan, seq)
+	plan, _, err := OptimizeTrace(context.TODO(), NewSequential(n, []Geometry{{lineBytes, sets}}), lineBytes, sets)
 	return plan, err
 }
 
-// OptimizeTrace is Optimize for a caller that already holds seq, the
-// nest's trace under loopir.SequentialLayout(n, 0), and reuses it across
-// geometries. It returns the same plan as Optimize together with the
-// trace of the layout the plan chose, so the caller need not generate it
-// again. The returned trace is seq itself when the sequential layout
-// wins; callers must treat both as read-only.
-func OptimizeTrace(n *loopir.Nest, lineBytes, sets int, seq *trace.Trace) (*Plan, *trace.Trace, error) {
-	plan, err := assign(n, lineBytes, sets)
+// OptimizeTrace is Optimize for the nest of seq, which callers reuse
+// across the geometries of a sweep so that its trace is generated once
+// and its side of the guard is counted once per line size. It returns
+// the same plan as Optimize together with the trace of the layout the
+// plan chose, so the caller need not generate it again. The returned
+// trace is seq's own whenever the chosen layout is the sequential one;
+// callers must treat it as read-only. The guard's counting honours ctx.
+func OptimizeTrace(ctx context.Context, seq *Sequential, lineBytes, sets int) (*Plan, *trace.Trace, error) {
+	plan, err := assign(seq.nest, lineBytes, sets)
 	if err != nil {
 		return nil, nil, err
 	}
-	return guard(n, plan, seq)
+	return guard(ctx, seq, plan)
 }
 
 // assign builds the analytical assignment, before the guard.
@@ -162,7 +156,7 @@ func assign(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
 			// Strides: pad the varying dimension (or, in lockstep cases,
 			// the row dimension) so one row advances strideAdv lines.
 			dec.strides = chooseStrides(n, arr, chain, strideAdv, lineBytes, sets, plan)
-			for ci, c := range chain {
+			for _, c := range chain {
 				w, err := c.Lines(n, lineBytes)
 				if err != nil {
 					return nil, err
@@ -174,7 +168,6 @@ func assign(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
 				dec.slots = append(dec.slots, cursor%sets)
 				dec.widths = append(dec.widths, width)
 				cursor += width
-				_ = ci
 			}
 			decisions[arrName] = dec
 		}
@@ -204,43 +197,76 @@ func assign(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
 
 // guard is the final check: the analytical construction can lose to the
 // natural packed layout when odd natural strides already skew rows across
-// sets (e.g. 33-byte rows). It simulates the plan's trace and seq, the
-// sequential layout's, on a direct-mapped cache of the plan's geometry and
-// keeps the better placement — fewer conflicts, then fewer misses — with
-// a note when the sequential layout wins. It returns the chosen plan and
-// its trace. Geometries the simulator cannot model keep the plan.
-func guard(n *loopir.Nest, plan *Plan, seq *trace.Trace) (*Plan, *trace.Trace, error) {
+// sets (e.g. 33-byte rows). It counts the misses and conflict misses of
+// the plan's trace and of the sequential layout's on a direct-mapped
+// cache of the plan's geometry and keeps the better placement — fewer
+// conflicts, then fewer misses; the plan on a tie — with a note when the
+// sequential layout wins. The plan's count stops once its conflicts
+// exceed the sequential layout's, which settles the verdict. It returns
+// the chosen plan and its trace. A plan whose placement is the
+// sequential layout ties by construction and costs nothing; geometries
+// the simulator cannot model keep the plan.
+func guard(ctx context.Context, seq *Sequential, plan *Plan) (*Plan, *trace.Trace, error) {
+	n := seq.nest
+	if isSequential(n, plan.Layout) {
+		tr, err := seq.Trace()
+		if err != nil {
+			return nil, nil, err
+		}
+		return plan, tr, nil
+	}
 	planTr, err := n.Generate(plan.Layout)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := cachesim.DefaultConfig(plan.Sets*plan.LineBytes, plan.LineBytes, 1)
-	if cfg.Validate() != nil {
+	g := Geometry{plan.LineBytes, plan.Sets}
+	if !g.valid() {
 		return plan, planTr, nil
 	}
-	planStats, err := cachesim.RunTrace(cfg, planTr)
+	seqCounts, err := seq.counts(ctx, g)
 	if err != nil {
 		return nil, nil, err
 	}
-	seqStats, err := cachesim.RunTrace(cfg, seq)
+	counts, complete, err := cachesim.CountDirectMapped(ctx, planTr, g.LineBytes, []int{g.Sets}, seqCounts.ConflictMisses)
 	if err != nil {
 		return nil, nil, err
 	}
-	if seqStats.ConflictMisses < planStats.ConflictMisses ||
-		(seqStats.ConflictMisses == planStats.ConflictMisses && seqStats.Misses < planStats.Misses) {
-		out := &Plan{
-			Nest:      plan.Nest,
-			LineBytes: plan.LineBytes,
-			Sets:      plan.Sets,
-			Feasible:  plan.Feasible,
-			Layout:    loopir.SequentialLayout(n, 0),
-			Notes: append(append([]string(nil), plan.Notes...),
-				fmt.Sprintf("natural packed layout beats the padded construction on this geometry (%d vs %d conflicts); using it",
-					seqStats.ConflictMisses, planStats.ConflictMisses)),
+	planCounts := counts[0]
+	var why string
+	switch {
+	case !complete:
+		why = fmt.Sprintf("%d conflicts, the padded construction more", seqCounts.ConflictMisses)
+	case planCounts.ConflictMisses == seqCounts.ConflictMisses && seqCounts.Misses < planCounts.Misses:
+		why = fmt.Sprintf("%d conflicts each, %d vs %d misses", seqCounts.ConflictMisses, seqCounts.Misses, planCounts.Misses)
+	default:
+		return plan, planTr, nil
+	}
+	seqTr, err := seq.Trace()
+	if err != nil {
+		return nil, nil, err
+	}
+	out := &Plan{
+		Nest:      plan.Nest,
+		LineBytes: plan.LineBytes,
+		Sets:      plan.Sets,
+		Feasible:  plan.Feasible,
+		Layout:    loopir.SequentialLayout(n, 0),
+		Notes: append(append([]string(nil), plan.Notes...),
+			fmt.Sprintf("natural packed layout beats the padded construction on this geometry (%s); using it", why)),
+	}
+	return out, seqTr, nil
+}
+
+// isSequential reports whether the layout places every array of n where
+// loopir.SequentialLayout(n, 0) does, with natural strides.
+func isSequential(n *loopir.Nest, l loopir.Layout) bool {
+	seq := loopir.SequentialLayout(n, 0)
+	for name, p := range seq {
+		if q, ok := l[name]; !ok || q.Base != p.Base || q.StrideBytes != nil {
+			return false
 		}
-		return out, seq, nil
 	}
-	return plan, planTr, nil
+	return true
 }
 
 // groupCases partitions classes into cases, each case listing its arrays in

@@ -1,0 +1,107 @@
+package layout
+
+import (
+	"context"
+	"math"
+	"slices"
+	"sync"
+
+	"memexplore/internal/cachesim"
+	"memexplore/internal/loopir"
+	"memexplore/internal/trace"
+)
+
+// Geometry is the direct-mapped cache mapping a plan targets.
+type Geometry struct {
+	LineBytes int
+	Sets      int
+}
+
+// valid reports whether the simulator can model the geometry.
+func (g Geometry) valid() bool {
+	return cachesim.DefaultConfig(g.Sets*g.LineBytes, g.LineBytes, 1).Validate() == nil
+}
+
+// Sequential is one nest's sequential layout as the guard sees it: the
+// nest's trace under loopir.SequentialLayout(n, 0), and that trace's
+// direct-mapped misses and conflict misses. The trace is generated on
+// first use. The counts of one line size come from one pass over the
+// trace, at every set count the Sequential was built for, the first time
+// a guard asks for that line size. A Sequential is safe for concurrent
+// use: distinct line sizes are counted concurrently, each at most once.
+type Sequential struct {
+	nest  *loopir.Nest
+	lines map[int]*lineCounts // by line size; read-only after NewSequential
+
+	traceOnce sync.Once
+	tr        *trace.Trace
+	trErr     error
+}
+
+// lineCounts is the counting of one line size.
+type lineCounts struct {
+	sets   []int // ascending set counts to count
+	once   sync.Once
+	counts []cachesim.DirectMappedCounts // parallel to sets
+	err    error
+}
+
+// NewSequential prepares the sequential layout of n for guards at the
+// given geometries. Geometries the simulator cannot model are skipped;
+// the guard never counts them.
+func NewSequential(n *loopir.Nest, geoms []Geometry) *Sequential {
+	s := &Sequential{nest: n, lines: make(map[int]*lineCounts)}
+	for _, g := range geoms {
+		if !g.valid() {
+			continue
+		}
+		lc := s.lines[g.LineBytes]
+		if lc == nil {
+			lc = &lineCounts{}
+			s.lines[g.LineBytes] = lc
+		}
+		if !slices.Contains(lc.sets, g.Sets) {
+			lc.sets = append(lc.sets, g.Sets)
+		}
+	}
+	for _, lc := range s.lines {
+		slices.Sort(lc.sets)
+	}
+	return s
+}
+
+// Trace returns the nest's trace under the sequential layout, generating
+// it on the first call. Callers must treat it as read-only.
+func (s *Sequential) Trace() (*trace.Trace, error) {
+	s.traceOnce.Do(func() { s.tr, s.trErr = s.nest.Generate(loopir.SequentialLayout(s.nest, 0)) })
+	return s.tr, s.trErr
+}
+
+// counts returns the sequential trace's direct-mapped counts at g, a
+// geometry the simulator can model. A geometry the Sequential was not
+// built for is counted on its own.
+func (s *Sequential) counts(ctx context.Context, g Geometry) (cachesim.DirectMappedCounts, error) {
+	tr, err := s.Trace()
+	if err != nil {
+		return cachesim.DirectMappedCounts{}, err
+	}
+	lc := s.lines[g.LineBytes]
+	i, ok := 0, false
+	if lc != nil {
+		i, ok = slices.BinarySearch(lc.sets, g.Sets)
+	}
+	if !ok {
+		c, _, err := cachesim.CountDirectMapped(ctx, tr, g.LineBytes, []int{g.Sets}, math.MaxUint64)
+		if err != nil {
+			return cachesim.DirectMappedCounts{}, err
+		}
+		return c[0], nil
+	}
+	lc.once.Do(func() {
+		lc.counts, _, lc.err = cachesim.CountDirectMapped(ctx, tr, g.LineBytes, lc.sets, math.MaxUint64)
+	})
+	if lc.err != nil {
+		return cachesim.DirectMappedCounts{}, lc.err
+	}
+	return lc.counts[i], nil
+}
