@@ -19,8 +19,9 @@ test:
 # subsystem, the context-aware exploration core, the pooled sweep
 # engines and the guided search) under the race detector, plus short
 # fuzz passes over the external-trace parsers, the sweep engine against
-# its reference model and the genome repair (the same targets as CI's
-# fuzz smoke),
+# its reference model, the genome repair, the kernel parser and the
+# trace generator against its checked evaluator (the same targets as
+# CI's fuzz smoke),
 # plus the benchmark suite's own module, plus the paper exhibits against
 # their committed record.
 check: build vet test benchsuite-check exhibits-check
@@ -32,6 +33,8 @@ check: build vet test benchsuite-check exhibits-check
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzPerSetStacks -fuzztime 5s
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzSweepMatchesReferenceModel -fuzztime 5s
 	$(GO) test ./internal/search -run '^$$' -fuzz FuzzGenome -fuzztime 5s
+	$(GO) test ./internal/loopir -run '^$$' -fuzz 'FuzzParse$$' -fuzztime 5s
+	$(GO) test ./internal/loopir -run '^$$' -fuzz FuzzGenerate -fuzztime 5s
 
 # The benchmark suite is a nested module (benchsuite/go.mod) that
 # compiles against the service, trace-reader and core APIs; root
@@ -54,10 +57,12 @@ bench:
 # The sweep-engine comparison (per-point vs FIFO fallback caches vs LRU
 # stack levels vs stack levels at 4 workers, then one workload group
 # sequential vs split in time ranges, and the group's fallback caches
-# sequential vs their pass-unit fan-out); the raw runs land in
-# BENCH_sweep.out for curation into BENCH_sweep.json.
+# sequential vs their pass-unit fan-out), then kernel trace generation;
+# the raw runs land in BENCH_sweep.out for curation into
+# BENCH_sweep.json.
 bench-sweep:
 	$(GO) test -run '^$$' -bench BenchmarkExploreSweep -benchmem -count 5 . | tee BENCH_sweep.out
+	$(GO) test -run '^$$' -bench BenchmarkGenerate -benchmem -count 5 ./internal/loopir | tee -a BENCH_sweep.out
 
 # The external-trace ingestion pipeline: din text → streaming sweep at
 # workers = 1 / 2 / NumCPU, plus the billion-record levers (columnar mxt
@@ -105,6 +110,7 @@ exhibits-check:
 fuzz:
 	$(GO) test ./internal/loopir -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/loopir -fuzz FuzzParseExpr -fuzztime 30s
+	$(GO) test ./internal/loopir -fuzz FuzzGenerate -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseDin -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseBinaryV2 -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseIndexFooter -fuzztime 30s

@@ -82,17 +82,19 @@ func (o Options) Workloads() int {
 }
 
 // workloadCache holds the per-tiling state of one sweep's workload
-// groups: the tiling's sequential layout (its trace, generated once, and
-// the §4.1 guard's counts of it, one pass per line size), how many of the
+// groups: the tiling's layout.Sequential (the tiled nest compiled once,
+// its trace under the sequential layout, generated once, and the §4.1
+// guard's counts of it, one pass per line size), how many of the
 // tiling's groups have yet to settle their trace, and the groups whose
 // trace is the sequential one. An optimized-layout group takes its trace
 // from layout.OptimizeTrace, which hands back the sequential trace
 // itself when the guard keeps the sequential layout; every group of a
 // sequential-layout sweep has that trace too. All groups of a tiling
 // that share the sequential trace run in one sweep pass over it, as soon
-// as the tiling's last group has settled. A padded plan's trace is
-// dropped once its group has run, and a tiling's state once its last
-// group has. It is safe for concurrent use.
+// as the tiling's last group has settled. A padded plan's trace goes
+// back to the guard's buffer pool once its group has run, and a tiling's
+// state is dropped once its last group has. It is safe for concurrent
+// use.
 type workloadCache struct {
 	nest *loopir.Nest
 
@@ -139,7 +141,7 @@ func (c *workloadCache) sequential(b int) (*layout.Sequential, error) {
 			tw.err = err
 			return
 		}
-		tw.seq = layout.NewSequential(n, tw.geoms)
+		tw.seq, tw.err = layout.NewSequential(n, tw.geoms)
 	})
 	return tw.seq, tw.err
 }
@@ -198,7 +200,11 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 		}
 	}
 	if tr != seqTr {
-		if err := c.runSweep(ctx, opts, points, []workloadGroup{g}, tr, out, workers); err != nil {
+		// runSweep has joined every goroutine that read the plan's trace
+		// by the time it returns, so its buffer can go back to the pool.
+		err := c.runSweep(ctx, opts, points, []workloadGroup{g}, tr, out, workers)
+		seq.Release(tr)
+		if err != nil {
 			return err
 		}
 	}

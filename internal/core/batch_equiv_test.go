@@ -121,7 +121,9 @@ func guardOutcomes(t *testing.T, n *loopir.Nest, opts Options) (onSeq, total int
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq = layout.NewSequential(tn, nil)
+			if seq, err = layout.NewSequential(tn, nil); err != nil {
+				t.Fatal(err)
+			}
 			seqs[g.key.tiling] = seq
 		}
 		seqTr, err := seq.Trace()
@@ -136,6 +138,7 @@ func guardOutcomes(t *testing.T, n *loopir.Nest, opts Options) (onSeq, total int
 		if tr == seqTr {
 			onSeq++
 		}
+		seq.Release(tr)
 	}
 	return onSeq, total
 }

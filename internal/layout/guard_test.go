@@ -51,14 +51,21 @@ func guardVerdicts(t *testing.T, n *loopir.Nest, b int) {
 			}
 		}
 	}
-	seq := NewSequential(tn, geoms)
+	seq, err := NewSequential(tn, geoms)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seqTr, err := seq.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes, err := seq.reuseClasses()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqLayout := loopir.SequentialLayout(tn, 0)
 	for _, g := range geoms {
-		plan, err := assign(tn, g.LineBytes, g.Sets)
+		plan, err := assign(tn, classes, g.LineBytes, g.Sets)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +91,7 @@ func guardVerdicts(t *testing.T, n *loopir.Nest, b int) {
 		if onSeq := reflect.DeepEqual(want, seqLayout); onSeq != (tr == seqTr) {
 			t.Errorf("B%d %+v: returned the sequential trace = %v, want %v", b, g, tr == seqTr, onSeq)
 		}
+		seq.Release(tr)
 	}
 }
 
@@ -98,8 +106,9 @@ func runTrace(t *testing.T, cfg cachesim.Config, tr *trace.Trace) cachesim.Stats
 
 // TestSequentialConcurrentGuards runs the guards of every geometry of
 // one Sequential from several goroutines at once, so that line sizes are
-// counted concurrently and guards of one line size wait for its count,
-// and checks each verdict against a guard on a Sequential of its own.
+// counted concurrently, guards of one line size wait for its count and
+// plan traces go back to the buffer pool and out again concurrently, and
+// checks each verdict against a guard on a Sequential of its own.
 func TestSequentialConcurrentGuards(t *testing.T) {
 	n, err := kernels.ByName("sor")
 	if err != nil {
@@ -111,7 +120,14 @@ func TestSequentialConcurrentGuards(t *testing.T) {
 			geoms = append(geoms, Geometry{l, sets})
 		}
 	}
-	seq := NewSequential(n, geoms)
+	seq, err := NewSequential(n, geoms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqTr, err := seq.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := make([]*Plan, len(geoms))
 	errs := make([]error, len(geoms))
 	var wg sync.WaitGroup
@@ -119,7 +135,12 @@ func TestSequentialConcurrentGuards(t *testing.T) {
 		wg.Add(1)
 		go func(i int, g Geometry) {
 			defer wg.Done()
-			got[i], _, errs[i] = OptimizeTrace(context.Background(), seq, g.LineBytes, g.Sets)
+			var tr *trace.Trace
+			got[i], tr, errs[i] = OptimizeTrace(context.Background(), seq, g.LineBytes, g.Sets)
+			if tr != nil && tr.Len() != seqTr.Len() {
+				t.Errorf("%+v: %d references, the sequential trace has %d", g, tr.Len(), seqTr.Len())
+			}
+			seq.Release(tr)
 		}(i, g)
 	}
 	wg.Wait()

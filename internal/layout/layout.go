@@ -92,36 +92,43 @@ type caseGroup struct {
 // direct-mapped cache pass cfg.NumSets() == cfg.NumLines(). It is
 // OptimizeTrace over a Sequential built for this one geometry.
 func Optimize(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
-	plan, _, err := OptimizeTrace(context.TODO(), NewSequential(n, []Geometry{{lineBytes, sets}}), lineBytes, sets)
+	seq, err := NewSequential(n, []Geometry{{lineBytes, sets}})
+	if err != nil {
+		return nil, err
+	}
+	plan, tr, err := OptimizeTrace(context.TODO(), seq, lineBytes, sets)
+	seq.Release(tr)
 	return plan, err
 }
 
 // OptimizeTrace is Optimize for the nest of seq, which callers reuse
-// across the geometries of a sweep so that its trace is generated once
-// and its side of the guard is counted once per line size. It returns
-// the same plan as Optimize together with the trace of the layout the
-// plan chose, so the caller need not generate it again. The returned
-// trace is seq's own whenever the chosen layout is the sequential one;
-// callers must treat it as read-only. The guard's counting honours ctx.
+// across the geometries of a sweep so that the nest is compiled and
+// analysed once, its sequential trace generated once, and its side of
+// the guard counted once per line size. It returns the same plan as
+// Optimize together with the trace of the layout the plan chose, so the
+// caller need not generate it again. The returned trace is seq's own
+// whenever the chosen layout is the sequential one; callers must treat
+// it as read-only. A padded plan's trace lives in a pooled buffer:
+// callers hand it back with seq.Release once done with it, and nothing
+// may touch it after that, neither the caller nor any goroutine it
+// shared the trace with. The guard's counting honours ctx.
 func OptimizeTrace(ctx context.Context, seq *Sequential, lineBytes, sets int) (*Plan, *trace.Trace, error) {
-	plan, err := assign(seq.nest, lineBytes, sets)
+	classes, err := seq.reuseClasses()
+	if err != nil {
+		return nil, nil, err
+	}
+	plan, err := assign(seq.nest, classes, lineBytes, sets)
 	if err != nil {
 		return nil, nil, err
 	}
 	return guard(ctx, seq, plan)
 }
 
-// assign builds the analytical assignment, before the guard.
-func assign(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
+// assign builds the analytical assignment, before the guard, from the
+// valid nest n and its reuse classes, which it does not modify.
+func assign(n *loopir.Nest, classes []reuse.Class, lineBytes, sets int) (*Plan, error) {
 	if lineBytes <= 0 || sets <= 0 {
 		return nil, fmt.Errorf("layout: invalid geometry: line=%d sets=%d", lineBytes, sets)
-	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	classes, err := reuse.Classes(n)
-	if err != nil {
-		return nil, err
 	}
 
 	plan := &Plan{
@@ -203,9 +210,10 @@ func assign(n *loopir.Nest, lineBytes, sets int) (*Plan, error) {
 // conflicts, then fewer misses; the plan on a tie — with a note when the
 // sequential layout wins. The plan's count stops once its conflicts
 // exceed the sequential layout's, which settles the verdict. It returns
-// the chosen plan and its trace. A plan whose placement is the
-// sequential layout ties by construction and costs nothing; geometries
-// the simulator cannot model keep the plan.
+// the chosen plan and its trace; a losing plan's trace buffer goes back
+// to the pool at once. A plan whose placement is the sequential layout
+// ties by construction and costs nothing; geometries the simulator
+// cannot model keep the plan.
 func guard(ctx context.Context, seq *Sequential, plan *Plan) (*Plan, *trace.Trace, error) {
 	n := seq.nest
 	if isSequential(n, plan.Layout) {
@@ -215,7 +223,7 @@ func guard(ctx context.Context, seq *Sequential, plan *Plan) (*Plan, *trace.Trac
 		}
 		return plan, tr, nil
 	}
-	planTr, err := n.Generate(plan.Layout)
+	planTr, err := seq.planTrace(plan.Layout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -225,10 +233,12 @@ func guard(ctx context.Context, seq *Sequential, plan *Plan) (*Plan, *trace.Trac
 	}
 	seqCounts, err := seq.counts(ctx, g)
 	if err != nil {
+		seq.Release(planTr)
 		return nil, nil, err
 	}
 	counts, complete, err := cachesim.CountDirectMapped(ctx, planTr, g.LineBytes, []int{g.Sets}, seqCounts.ConflictMisses)
 	if err != nil {
+		seq.Release(planTr)
 		return nil, nil, err
 	}
 	planCounts := counts[0]
@@ -241,6 +251,7 @@ func guard(ctx context.Context, seq *Sequential, plan *Plan) (*Plan, *trace.Trac
 	default:
 		return plan, planTr, nil
 	}
+	seq.Release(planTr)
 	seqTr, err := seq.Trace()
 	if err != nil {
 		return nil, nil, err

@@ -5,9 +5,11 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"memexplore/internal/cachesim"
 	"memexplore/internal/loopir"
+	"memexplore/internal/reuse"
 	"memexplore/internal/trace"
 )
 
@@ -22,19 +24,27 @@ func (g Geometry) valid() bool {
 	return cachesim.DefaultConfig(g.Sets*g.LineBytes, g.LineBytes, 1).Validate() == nil
 }
 
-// Sequential is one nest's sequential layout as the guard sees it: the
-// nest's trace under loopir.SequentialLayout(n, 0), and that trace's
-// direct-mapped misses and conflict misses. The trace is generated on
-// first use. The counts of one line size come from one pass over the
-// trace, at every set count the Sequential was built for, the first time
-// a guard asks for that line size. A Sequential is safe for concurrent
-// use: distinct line sizes are counted concurrently, each at most once.
+// Sequential is one nest as the guard sees it, for one tiling: the
+// nest compiled for generation (loopir.Program) and its reuse classes,
+// both made once for every geometry's assignment, and the sequential
+// layout's trace under loopir.SequentialLayout(n, 0) with that trace's
+// direct-mapped misses and conflict misses. The classes are computed
+// and the trace is generated on first use. The counts of one line size
+// come from one pass over the trace, at every set count the Sequential
+// was built for, the first time a guard asks for that line size. A
+// Sequential is safe for concurrent use: distinct line sizes are
+// counted concurrently, each at most once.
 type Sequential struct {
 	nest  *loopir.Nest
+	prog  *loopir.Program
 	lines map[int]*lineCounts // by line size; read-only after NewSequential
 
+	classesOnce sync.Once
+	classes     []reuse.Class // read-only
+	classesErr  error
+
 	traceOnce sync.Once
-	tr        *trace.Trace
+	tr        atomic.Pointer[trace.Trace] // Release reads it outside traceOnce
 	trErr     error
 }
 
@@ -47,10 +57,14 @@ type lineCounts struct {
 }
 
 // NewSequential prepares the sequential layout of n for guards at the
-// given geometries. Geometries the simulator cannot model are skipped;
-// the guard never counts them.
-func NewSequential(n *loopir.Nest, geoms []Geometry) *Sequential {
-	s := &Sequential{nest: n, lines: make(map[int]*lineCounts)}
+// given geometries: it compiles n. Geometries the simulator cannot model
+// are skipped; the guard never counts them.
+func NewSequential(n *loopir.Nest, geoms []Geometry) (*Sequential, error) {
+	prog, err := n.Compile()
+	if err != nil {
+		return nil, err
+	}
+	s := &Sequential{nest: n, prog: prog, lines: make(map[int]*lineCounts)}
 	for _, g := range geoms {
 		if !g.valid() {
 			continue
@@ -67,14 +81,54 @@ func NewSequential(n *loopir.Nest, geoms []Geometry) *Sequential {
 	for _, lc := range s.lines {
 		slices.Sort(lc.sets)
 	}
-	return s
+	return s, nil
+}
+
+// reuseClasses returns the nest's reuse classes, computing them on the
+// first call.
+func (s *Sequential) reuseClasses() ([]reuse.Class, error) {
+	s.classesOnce.Do(func() { s.classes, s.classesErr = reuse.Classes(s.nest) })
+	return s.classes, s.classesErr
 }
 
 // Trace returns the nest's trace under the sequential layout, generating
 // it on the first call. Callers must treat it as read-only.
 func (s *Sequential) Trace() (*trace.Trace, error) {
-	s.traceOnce.Do(func() { s.tr, s.trErr = s.nest.Generate(loopir.SequentialLayout(s.nest, 0)) })
-	return s.tr, s.trErr
+	s.traceOnce.Do(func() {
+		tr, err := s.prog.Generate(loopir.SequentialLayout(s.nest, 0))
+		s.tr.Store(tr)
+		s.trErr = err
+	})
+	return s.tr.Load(), s.trErr
+}
+
+// planBufs recycles the reference buffers of padded plans' traces
+// across guards, sweeps and requests.
+var planBufs sync.Pool // of *[]trace.Ref
+
+// planTrace generates the nest's trace under a plan's layout into a
+// pooled buffer.
+func (s *Sequential) planTrace(l loopir.Layout) (*trace.Trace, error) {
+	var buf []trace.Ref
+	if p, ok := planBufs.Get().(*[]trace.Ref); ok {
+		buf = (*p)[:0]
+	}
+	refs, err := s.prog.AppendTrace(buf, l)
+	if err != nil {
+		return nil, err
+	}
+	return trace.FromRefs(refs), nil
+}
+
+// Release hands a trace that OptimizeTrace returned back for reuse by
+// later plan traces. The sequential trace, which s owns, and nil are
+// ignored. Nothing may touch tr after Release.
+func (s *Sequential) Release(tr *trace.Trace) {
+	if tr == nil || tr == s.tr.Load() {
+		return
+	}
+	refs := tr.Refs()[:0]
+	planBufs.Put(&refs)
 }
 
 // counts returns the sequential trace's direct-mapped counts at g, a

@@ -1,10 +1,6 @@
 package loopir
 
-import (
-	"fmt"
-
-	"memexplore/internal/trace"
-)
+import "memexplore/internal/trace"
 
 // Placement positions one array in off-chip memory: a base byte address
 // and, optionally, padded per-dimension strides. The paper's §4.1
@@ -121,15 +117,11 @@ func (n *Nest) compileExec() ([]cLoop, [][]cExpr) {
 	return loops, body
 }
 
-// visitIndexed executes the compiled nest and calls fn for every body
+// visitIndexed executes a compiled nest and calls fn for every body
 // reference of every innermost iteration with the body index and the
 // evaluated per-dimension indices. The idx slice is reused between
 // calls.
-func (n *Nest) visitIndexed(fn func(bi int, idx []int) error) error {
-	if err := n.Validate(); err != nil {
-		return err
-	}
-	loops, body := n.compileExec()
+func visitIndexed(loops []cLoop, body [][]cExpr, fn func(bi int, idx []int) error) error {
 	maxDims := 0
 	for _, idx := range body {
 		maxDims = max(maxDims, len(idx))
@@ -168,7 +160,11 @@ func (n *Nest) visitIndexed(fn func(bi int, idx []int) error) error {
 // innermost iteration, passing the evaluated per-dimension indices.
 // Execution stops at the first error.
 func (n *Nest) Visit(fn func(r Ref, idx []int) error) error {
-	return n.visitIndexed(func(bi int, idx []int) error {
+	if err := n.Validate(); err != nil {
+		return err
+	}
+	loops, body := n.compileExec()
+	return visitIndexed(loops, body, func(bi int, idx []int) error {
 		return fn(n.Body[bi], idx)
 	})
 }
@@ -178,9 +174,14 @@ func (n *Nest) Iterations() (int64, error) {
 	if err := n.Validate(); err != nil {
 		return 0, err
 	}
-	// Walk the loop structure only — bounds may be affine, so the outer
-	// levels must execute, but the innermost trip count is closed-form.
 	loops, _ := n.compileExec()
+	return iterations(loops), nil
+}
+
+// iterations walks the loop structure only — bounds may be affine, so
+// the outer levels must execute, but the innermost trip count is
+// closed-form.
+func iterations(loops []cLoop) int64 {
 	env := make([]int, len(loops))
 	var iters int64
 	var run func(depth int)
@@ -199,7 +200,7 @@ func (n *Nest) Iterations() (int64, error) {
 		}
 	}
 	run(0)
-	return iters, nil
+	return iters
 }
 
 // References counts the total memory references the nest issues — the
@@ -213,92 +214,13 @@ func (n *Nest) References() (int64, error) {
 }
 
 // Generate executes the nest under the given layout and returns the
-// reference trace. Every reference is bounds-checked against its array
-// declaration; an out-of-range index is an error (it means the kernel
-// definition is wrong).
+// reference trace: Compile, then Program.Generate. Every index is
+// within its array's extent; an out-of-range index is an error (it
+// means the kernel definition is wrong).
 func (n *Nest) Generate(layout Layout) (*trace.Trace, error) {
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	type compiledArray struct {
-		base    uint64
-		dims    []int
-		strides []int
-		elem    int
-	}
-	arrays := make(map[string]compiledArray, len(n.Arrays))
-	for _, a := range n.Arrays {
-		p, ok := layout[a.Name]
-		if !ok {
-			return nil, fmt.Errorf("loopir: layout for nest %q is missing array %q", n.Name, a.Name)
-		}
-		strides := a.RowStrides()
-		elem := a.ElementBytes()
-		byteStrides := make([]int, len(strides))
-		for d := range strides {
-			byteStrides[d] = strides[d] * elem
-		}
-		if p.StrideBytes != nil {
-			if len(p.StrideBytes) != len(a.Dims) {
-				return nil, fmt.Errorf("loopir: placement of %q has %d strides, array has %d dims",
-					a.Name, len(p.StrideBytes), len(a.Dims))
-			}
-			// Strides must not make distinct elements overlap: from the
-			// innermost dimension outward, each stride must cover the
-			// whole (possibly padded) extent of the next inner dimension.
-			minStride := elem
-			for d := len(a.Dims) - 1; d >= 0; d-- {
-				s := p.StrideBytes[d]
-				if s < minStride {
-					return nil, fmt.Errorf("loopir: placement of %q: stride %d of dimension %d is below the minimum %d (elements would overlap)",
-						a.Name, s, d, minStride)
-				}
-				byteStrides[d] = s
-				minStride = s * a.Dims[d]
-			}
-		}
-		arrays[a.Name] = compiledArray{
-			base:    p.Base,
-			dims:    a.Dims,
-			strides: byteStrides,
-			elem:    elem,
-		}
-	}
-	// Resolve each body reference's array once, so the per-reference work
-	// below is pure integer arithmetic.
-	bodyArrays := make([]compiledArray, len(n.Body))
-	bodyKinds := make([]trace.Kind, len(n.Body))
-	for bi, r := range n.Body {
-		bodyArrays[bi] = arrays[r.Array]
-		bodyKinds[bi] = trace.Read
-		if r.Write {
-			bodyKinds[bi] = trace.Write
-		}
-	}
-	refs, err := n.References()
+	p, err := n.Compile()
 	if err != nil {
 		return nil, err
 	}
-	tr := trace.New(int(refs))
-	err = n.visitIndexed(func(bi int, idx []int) error {
-		ca := &bodyArrays[bi]
-		off := 0
-		for d, v := range idx {
-			if v < 0 || v >= ca.dims[d] {
-				return fmt.Errorf("loopir: nest %q ref %s: index %d out of range [0,%d) in dimension %d",
-					n.Name, n.Body[bi], v, ca.dims[d], d)
-			}
-			off += v * ca.strides[d]
-		}
-		tr.Append(trace.Ref{
-			Addr: ca.base + uint64(off),
-			Kind: bodyKinds[bi],
-			Size: uint8(ca.elem),
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return p.Generate(layout)
 }

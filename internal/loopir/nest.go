@@ -155,10 +155,14 @@ func (n *Nest) Array(name string) (Array, bool) {
 // Depth returns the number of loop levels.
 func (n *Nest) Depth() int { return len(n.Loops) }
 
+// maxElemBytes is the widest element a nest may declare: a trace
+// reference records its width in one byte (trace.Ref.Size).
+const maxElemBytes = 255
+
 // Validate checks structural well-formedness: non-empty loops and body,
 // unique array and loop-variable names, positive steps, declared arrays
 // with matching dimensionality, bounds referring only to outer variables,
-// and positive array extents.
+// positive array extents and element sizes of at most maxElemBytes.
 func (n *Nest) Validate() error {
 	if n.Name == "" {
 		return fmt.Errorf("loopir: nest has no name")
@@ -187,6 +191,10 @@ func (n *Nest) Validate() error {
 		}
 		if a.ElemBytes < 0 {
 			return fmt.Errorf("loopir: array %q has negative element size", a.Name)
+		}
+		if a.ElemBytes > maxElemBytes {
+			return fmt.Errorf("loopir: array %q has %d-byte elements, above the %d-byte maximum of a trace reference",
+				a.Name, a.ElemBytes, maxElemBytes)
 		}
 		arrays[a.Name] = a
 	}

@@ -84,6 +84,7 @@ func TestValidateRejections(t *testing.T) {
 		{"no dims", func(n *Nest) { n.Arrays[0].Dims = nil }},
 		{"zero extent", func(n *Nest) { n.Arrays[0].Dims[0] = 0 }},
 		{"negative elem", func(n *Nest) { n.Arrays[0].ElemBytes = -1 }},
+		{"elem wider than a trace reference", func(n *Nest) { n.Arrays[0].ElemBytes = 256 }},
 		{"unnamed loop", func(n *Nest) { n.Loops[0].Var = "" }},
 		{"dup loop var", func(n *Nest) { n.Loops[1].Var = "i" }},
 		{"zero step", func(n *Nest) { n.Loops[0].Step = 0 }},

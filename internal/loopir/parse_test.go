@@ -155,6 +155,7 @@ func TestParseErrors(t *testing.T) {
 	}{
 		{"bad array", "int8 a\nfor i = 0, 3\na[i]\n"},
 		{"bad width", "intx a[4]\nfor i = 0, 3\na[i]\n"},
+		{"width above int2040", "int2048 a[4]\nfor i = 0, 3\na[i]\n"},
 		{"bad dim", "int8 a[x]\nfor i = 0, 3\na[i]\n"},
 		{"no equals", "int8 a[4]\nfor i 0, 3\na[i]\n"},
 		{"one bound", "int8 a[4]\nfor i = 0\na[i]\n"},

@@ -90,6 +90,8 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 		{"explore malformed body", shared, "POST", "/v1/explore", jsonHdr, `{`, 400, CodeInvalidRequest},
 		{"explore no kernel", shared, "POST", "/v1/explore", jsonHdr, `{}`, 400, CodeInvalidRequest},
 		{"explore bad source", shared, "POST", "/v1/explore", jsonHdr, `{"source":"for {"}`, 400, CodeInvalidKernel},
+		{"explore element wider than a trace reference", shared, "POST", "/v1/explore", jsonHdr,
+			`{"source":"int2048 a[4]\nfor i = 0, 3\na[i]\n"}`, 400, CodeInvalidKernel},
 		{"explore unknown kernel", shared, "POST", "/v1/explore", jsonHdr, `{"kernel":"nope"}`, 404, CodeUnknownKernel},
 		{"explore bad options", shared, "POST", "/v1/explore", jsonHdr, `{"kernel":"matadd","options":{"tilings":[0]}}`, 400, CodeInvalidOptions},
 		{"explore wrong kind", shared, "POST", "/v1/explore", jsonHdr, `{"kind":"explore-trace","kernel":"matadd"}`, 400, CodeInvalidRequest},

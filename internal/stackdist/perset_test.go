@@ -2,6 +2,7 @@ package stackdist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,5 +159,101 @@ func TestQuickPerSetInclusionAndExactness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bruteLRU is an independent per-set LRU model: one list per set, most
+// recent line first, with a dirty bit per line. bound 0 keeps every line
+// (stack distances); bound A models an A-way write-back, write-allocate
+// cache and counts the dirty lines it evicts.
+type bruteLRU struct {
+	bound      int
+	sets       [][]bruteLine
+	writebacks uint64
+}
+
+type bruteLine struct {
+	tag   uint64
+	dirty bool
+}
+
+// touch returns the line's depth in its set's list before the touch, or
+// -1 when the list did not hold it.
+func (m *bruteLRU) touch(line uint64, write bool) int {
+	set := &m.sets[line%uint64(len(m.sets))]
+	d := -1
+	for i, l := range *set {
+		if l.tag == line {
+			d = i
+			break
+		}
+	}
+	e := bruteLine{tag: line, dirty: write}
+	if d >= 0 {
+		e.dirty = e.dirty || (*set)[d].dirty
+		*set = append((*set)[:d], (*set)[d+1:]...)
+	}
+	*set = append([]bruteLine{e}, *set...)
+	if m.bound > 0 && len(*set) > m.bound {
+		if (*set)[m.bound].dirty {
+			m.writebacks++
+		}
+		*set = (*set)[:m.bound]
+	}
+	return d
+}
+
+// TestComputePerSetMatchesBruteForce checks ComputePerSet against the
+// brute-force per-set LRU lists above, which share nothing with the
+// simulator's stack core: the distance histogram, Cold and Total, and the
+// write-back counts of small associativities and of those at and past
+// the deepest distance, on seeded random traces with writes.
+func TestComputePerSetMatchesBruteForce(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lineBytes := 1 << rng.Intn(4)
+		sets := 1 << rng.Intn(4)
+		span := 64 + rng.Intn(512)
+		tr := trace.New(800)
+		for i := 0; i < 800; i++ {
+			kind := trace.Read
+			if rng.Intn(3) == 0 {
+				kind = trace.Write
+			}
+			tr.Append(trace.Ref{Addr: uint64(rng.Intn(span)), Kind: kind})
+		}
+		h, err := ComputePerSet(tr, lineBytes, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack := &bruteLRU{sets: make([][]bruteLine, sets)}
+		var counts []uint64
+		var cold uint64
+		for _, r := range tr.Refs() {
+			d := stack.touch(r.Addr/uint64(lineBytes), r.Kind == trace.Write)
+			if d < 0 {
+				cold++
+				continue
+			}
+			for len(counts) <= d {
+				counts = append(counts, 0)
+			}
+			counts[d]++
+		}
+		if !slices.Equal(h.Counts, counts) || h.Cold != cold || h.Total != uint64(tr.Len()) {
+			t.Fatalf("seed %d (L%d, %d sets): histogram %v cold %d total %d, brute force %v cold %d total %d",
+				seed, lineBytes, sets, h.Counts, h.Cold, h.Total, counts, cold, tr.Len())
+		}
+		assocs := []int{1, 2, 3, 4, 6, 8, len(counts), len(counts) + 1, len(counts) + 2}
+		for _, assoc := range assocs {
+			cache := &bruteLRU{bound: assoc, sets: make([][]bruteLine, sets)}
+			for _, r := range tr.Refs() {
+				cache.touch(r.Addr/uint64(lineBytes), r.Kind == trace.Write)
+			}
+			if got := h.Writebacks(assoc); got != cache.writebacks {
+				t.Errorf("seed %d (L%d, %d sets) A=%d: %d write-backs, brute force %d",
+					seed, lineBytes, sets, assoc, got, cache.writebacks)
+			}
+		}
 	}
 }
