@@ -66,9 +66,8 @@ bench-sweep:
 
 # The external-trace ingestion pipeline: din text → streaming sweep at
 # workers = 1 / 2 / NumCPU, plus the billion-record levers (columnar mxt
-# v2 decode, SHARDS sampling at R=0.01, dominant-block prefiltering)
-# against the exact din baseline; the raw runs land in BENCH_trace.out
-# for curation into BENCH_trace.json.
+# v2 decode, SHARDS sampling at R=0.01) against the exact din baseline;
+# the raw runs land in BENCH_trace.out for curation into BENCH_trace.json.
 bench-trace:
 	$(GO) test -run '^$$' -bench 'BenchmarkExploreDinTrace|BenchmarkExploreTraceSampled' -benchmem -count 5 . | tee BENCH_trace.out
 

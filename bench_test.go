@@ -296,7 +296,6 @@ func BenchmarkExploreDinTrace(b *testing.B) {
 //   - din/exact        — text parse + exact sweep (the baseline)
 //   - v2/exact         — columnar mxt v2 decode + exact sweep (bit-identical metrics)
 //   - v2/sample=0.01   — SHARDS block sampling at R=0.01 (the ≥10x target)
-//   - v2/dominant=0.05 — two-pass dominant-block prefilter at eps=0.05
 func BenchmarkExploreTraceSampled(b *testing.B) {
 	n := kernels.Compress()
 	tiled, err := loopir.TileAll(n, 1)
@@ -358,9 +357,6 @@ func BenchmarkExploreTraceSampled(b *testing.B) {
 	b.Run("v2/exact", func(b *testing.B) { run(b, v2.Bytes(), nil) })
 	b.Run("v2/sample=0.01", func(b *testing.B) {
 		run(b, v2.Bytes(), func(o *core.Options) { o.SampleRate, o.SampleSeed = 0.01, 1 })
-	})
-	b.Run("v2/dominant=0.05", func(b *testing.B) {
-		run(b, v2.Bytes(), func(o *core.Options) { o.DominantEps = 0.05 })
 	})
 }
 

@@ -9,7 +9,7 @@
 //	memexplore -kernel matmul -unoptimized -pareto
 //	memexplore -trace app.din.gz
 //	memexplore -trace app.din.gz -convert app.mxt.gz
-//	memexplore -trace app.mxt.gz -sample-rate 0.01 -dominant-eps 0.05
+//	memexplore -trace app.mxt.gz -sample-rate 0.01 -sample-seed 7
 //	memexplore -search -budget-evals 2000 -seed 7 -sizes 16,32,...,1048576
 //	memexplore -list
 //	memexplore -server http://localhost:8080 -kernel compress -wait
@@ -74,7 +74,6 @@ func main() {
 		maxRecords  = flag.Int64("max-records", 0, "with -trace, fail after this many records (0 = unlimited)")
 		sampleRate  = flag.Float64("sample-rate", 0, "with -trace, simulate only this fraction of cache blocks (SHARDS spatial sampling; 0 or 1 = exact); with -convert, bake the sample into the artifact")
 		sampleSeed  = flag.Uint64("sample-seed", 0, "with -trace, hash seed selecting which blocks -sample-rate keeps")
-		dominantEps = flag.Float64("dominant-eps", 0, "with -trace, skip blocks outside the dominant set covering 1-eps of transitions (needs a seekable file; 0 = off)")
 		convertPath = flag.String("convert", "", "with -trace, transcode the trace to columnar mxt v2 at this path instead of sweeping ('-' for stdout, .gz compresses)")
 		workers     = flag.Int("workers", 0, "goroutines per sweep, for kernel, -program, -search and -trace runs: LRU sweeps split the trace into time ranges, other policies fan each chunk across pass-unit shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		searchMode  = flag.Bool("search", false, "run a budgeted NSGA-II search over the configuration space instead of an exhaustive sweep")
@@ -112,7 +111,6 @@ func main() {
 	opts.Workers = *workers
 	opts.SampleRate = *sampleRate
 	opts.SampleSeed = *sampleSeed
-	opts.DominantEps = *dominantEps
 
 	if *serverURL != "" || *jobID != "" {
 		if *serverURL == "" {
@@ -387,7 +385,7 @@ func runTrace(path string, opts memexplore.Options, ing memexplore.TraceIngestOp
 		fmt.Printf("stored sample: artifact keeps rate %g (seed %d) of %d source records\n",
 			st.StoredSampleRate, st.StoredSampleSeed, st.StoredSourceRecords)
 	}
-	if len(ms) > 0 && (ms[0].SampleRate > 0 || ms[0].SampledRecords > 0) {
+	if len(ms) > 0 && ms[0].SampleRate > 0 {
 		maxCI := 0.0
 		for _, m := range ms {
 			if m.MissRateCI > maxCI {
@@ -398,13 +396,8 @@ func runTrace(path string, opts memexplore.Options, ing memexplore.TraceIngestOp
 		if st.StoredSampleRate > 0 {
 			seed = st.StoredSampleSeed
 		}
-		fmt.Printf("sampled: %d of %d records simulated", ms[0].SampledRecords, st.Records)
-		if ms[0].SampleRate > 0 {
-			fmt.Printf(" (rate %g, seed %d)", ms[0].SampleRate, seed)
-		}
-		if ms[0].SkippedShare > 0 {
-			fmt.Printf(", %.1f%% skipped as dominant-filter cold", 100*ms[0].SkippedShare)
-		}
+		fmt.Printf("sampled: %d of %d records simulated (rate %g, seed %d)",
+			ms[0].SampledRecords, st.Records, ms[0].SampleRate, seed)
 		if maxCI > 0 {
 			fmt.Printf(", miss-rate 95%% CI ≤ ±%.4f", maxCI)
 		}

@@ -19,8 +19,8 @@ import (
 // with cold 1KB windows at fresh 1MiB-aligned bases, each visited in
 // long runs of slowly moving addresses. The phase locality is the point:
 // whole mxt v2 chunks (4096 records) sit inside a handful of 64-byte
-// granules, so index-guided skipping has real work to do under both the
-// sampling hash and the dominant-block filter.
+// granules, so index-guided skipping has real work to do under the
+// sampling hash.
 func synthPhaseLocalRefs(seed int64, n int) []memexplore.TraceRef {
 	rng := rand.New(rand.NewSource(seed))
 	refs := make([]memexplore.TraceRef, 0, n)
@@ -84,35 +84,23 @@ func normalizeSkipStats(st *memexplore.TraceIngestStats) {
 }
 
 // TestIndexSkipBitIdentical is the contract of index-guided chunk
-// skipping: for any combination of sampling rate, dominant-block epsilon
-// and worker count, sweeping an indexed artifact (where the reader seeks
-// past chunks the MXTI01 summary proves dead) agrees with a full decode
-// of the same records (an index-less encoding, which cannot skip
-// anything). Sampling-only legs are bit-identical — the sampling hash is
-// a pure address function, so both runs drop the same records. Dominant
-// legs are tolerance legs: an indexed artifact builds its hot set from
-// the MXTI01 per-chunk granule summaries (presence, a coarser criterion
-// than the bare artifact's decode-prepass transition counts — see
-// core.dominantFromIndex), so the two runs skip different cold sets. The
-// filter's estimation contract bounds each run's miss rate within ~eps
-// of the exact sweep's, so the two stay within 2·eps of each other while
-// the exact fields (Accesses, and the whole IngestStats after chunk-fold
-// normalization) remain bit-identical.
+// skipping: for any sampling rate and worker count, sweeping an indexed
+// artifact (where the reader seeks past chunks the MXTI01 summary proves
+// dead) is bit-identical to a full decode of the same records (an
+// index-less encoding, which cannot skip anything) — the sampling hash is
+// a pure address function, so both runs drop the same records.
 func TestIndexSkipBitIdentical(t *testing.T) {
 	refs := synthPhaseLocalRefs(42, 100_000)
 	indexed := encodeV2(t, refs, extrace.V2WriterOptions{})
 	bare := encodeV2(t, refs, extrace.V2WriterOptions{NoIndex: true})
 
 	cases := []struct {
-		name        string
-		sampleRate  float64
-		dominantEps float64
-		wantSkips   bool // engineered so the indexed run must skip chunks
+		name       string
+		sampleRate float64
+		wantSkips  bool // engineered so the indexed run must skip chunks
 	}{
-		{"sample=0.02", 0.02, 0, true},
-		{"sample=0.25", 0.25, 0, false},
-		{"dominant=0.10", 0, 0.10, true},
-		{"sample=0.02_dominant=0.10", 0.02, 0.10, true},
+		{"sample=0.02", 0.02, true},
+		{"sample=0.25", 0.25, false},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3} {
@@ -120,7 +108,6 @@ func TestIndexSkipBitIdentical(t *testing.T) {
 				opts := traceTestOptions()
 				opts.SampleRate = tc.sampleRate
 				opts.SampleSeed = 7
-				opts.DominantEps = tc.dominantEps
 				opts.Workers = workers
 
 				msIdx, stIdx, err := memexplore.ExploreTrace(bytes.NewReader(indexed), opts, memexplore.TraceIngestOptions{})
@@ -137,23 +124,7 @@ func TestIndexSkipBitIdentical(t *testing.T) {
 				if tc.wantSkips && stIdx.ChunksSkipped == 0 {
 					t.Errorf("indexed run skipped no chunks; the property test is vacuous for %s", tc.name)
 				}
-				if tc.dominantEps > 0 {
-					// Different hot-set criteria (index presence vs decoded
-					// transitions): exact fields identical, estimated miss
-					// rates within the stacked 2·eps envelope.
-					if len(msIdx) != len(msFull) {
-						t.Fatalf("point counts diverge: %d vs %d", len(msIdx), len(msFull))
-					}
-					for i := range msIdx {
-						if msIdx[i].Accesses != msFull[i].Accesses {
-							t.Errorf("point %d: Accesses %d != %d", i, msIdx[i].Accesses, msFull[i].Accesses)
-						}
-						if d := msIdx[i].MissRate - msFull[i].MissRate; d > 2*tc.dominantEps || d < -2*tc.dominantEps {
-							t.Errorf("point %d: miss rates %.4f vs %.4f differ beyond 2·eps=%.2f",
-								i, msIdx[i].MissRate, msFull[i].MissRate, 2*tc.dominantEps)
-						}
-					}
-				} else if !reflect.DeepEqual(msIdx, msFull) {
+				if !reflect.DeepEqual(msIdx, msFull) {
 					t.Errorf("Metrics diverge between indexed-skip and full decode\nindexed: %+v\nfull:    %+v", msIdx[0], msFull[0])
 				}
 				normalizeSkipStats(&stIdx)

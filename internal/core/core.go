@@ -63,19 +63,16 @@ type Metrics struct {
 	// AddBS is the measured Gray-code address-bus switching per access.
 	AddBS float64 `json:"add_bs"`
 
-	// SampleRate, SampledRecords, MissRateCI and SkippedShare form the
-	// estimation envelope of a sampled external-trace sweep (see
-	// Options.SampleRate and Options.DominantEps): the configured spatial
-	// sampling rate, the records actually simulated, the half-width of
-	// the 95% confidence interval on MissRate due to sampling, and the
-	// share of the sampled stream skipped as dominant-filter cold (each
-	// skipped reference counted as a hit). All four are zero — and absent
-	// from the JSON form — for exact sweeps, so exact results are
-	// byte-identical to previous releases.
+	// SampleRate, SampledRecords and MissRateCI form the estimation
+	// envelope of a sampled external-trace sweep (see
+	// Options.SampleRate): the configured spatial sampling rate, the
+	// records actually simulated, and the half-width of the 95%
+	// confidence interval on MissRate due to sampling. All three are
+	// zero — and absent from the JSON form — for exact sweeps, so exact
+	// results are byte-identical to previous releases.
 	SampleRate     float64 `json:"sample_rate,omitempty"`
 	SampledRecords int64   `json:"sampled_records,omitempty"`
 	MissRateCI     float64 `json:"miss_rate_ci,omitempty"`
-	SkippedShare   float64 `json:"skipped_share,omitempty"`
 }
 
 // EnergyBreakdown splits the total energy into the §2.3 components, in
@@ -173,14 +170,6 @@ type Options struct {
 	// SampleSeed seeds the sampling hash; distinct seeds draw distinct
 	// spatial samples. Meaningful only with SampleRate set.
 	SampleSeed uint64 `json:"sample_seed,omitempty"`
-	// DominantEps, when in (0, 0.5], turns on dominant-block
-	// prefiltering for external-trace sweeps: a cheap first pass finds
-	// the block granules carrying ≥ (1−ε) of the stream's granule
-	// transitions, and the sweep skips (counts as hits) references
-	// outside them, trading ≤ ~ε of the miss mass for speed. Needs a
-	// seekable trace source. Like SampleRate it is part of the wire form
-	// and the cache key.
-	DominantEps float64 `json:"dominant_eps,omitempty"`
 	// Workers is the worker goroutine count of every sweep: 0 means
 	// GOMAXPROCS, 1 runs sequentially. A kernel sweep runs its workload
 	// groups in parallel, or, with more workers than groups, splits each
@@ -257,9 +246,6 @@ func (o Options) Validate() error {
 	if o.SampleRate < 0 || o.SampleRate > 1 || (o.SampleRate != o.SampleRate) {
 		return invalidOptions("sample_rate", "sampling rate %g must be in [0, 1]", o.SampleRate)
 	}
-	if o.DominantEps < 0 || o.DominantEps > 0.5 || (o.DominantEps != o.DominantEps) {
-		return invalidOptions("dominant_eps", "dominant-block epsilon %g must be in [0, 0.5]", o.DominantEps)
-	}
 	if err := o.Energy.Validate(); err != nil {
 		return invalidOptions("energy", "%v", err)
 	}
@@ -309,14 +295,11 @@ func (o Options) Normalize() Options {
 	return o
 }
 
-// rejectSampling refuses the trace-only thinning knobs for kernel
-// sweeps, whose traces are generated and therefore cheap to run exactly.
+// rejectSampling refuses trace sampling for kernel sweeps, whose traces
+// are generated and therefore cheap to run exactly.
 func (o Options) rejectSampling() error {
 	if o.SampleRate != 0 {
 		return invalidOptions("sample_rate", "trace sampling applies only to external-trace sweeps")
-	}
-	if o.DominantEps != 0 {
-		return invalidOptions("dominant_eps", "dominant-block prefiltering applies only to external-trace sweeps")
 	}
 	return nil
 }
@@ -325,11 +308,15 @@ func (o Options) rejectSampling() error {
 // traces (and their measured bus activity) across a sweep. A trace depends
 // only on the tiling and the layout; sequential layouts are shared across
 // all cache geometries, while optimized layouts are keyed by (L, sets).
+// Each tiling's nest is tiled and compiled once, into one
+// layout.Sequential built for that tiling's geometries in the sweep
+// space, which generates and counts the sequential trace once for every
+// geometry's §4.1 guard.
 type Explorer struct {
 	nest *loopir.Nest
 	opts Options
 
-	tiled  map[int]*loopir.Nest
+	seqs   map[int]*layout.Sequential
 	traces map[traceKey]*tracedWorkload
 }
 
@@ -356,7 +343,7 @@ func NewExplorer(n *loopir.Nest, opts Options) (*Explorer, error) {
 	return &Explorer{
 		nest:   n,
 		opts:   opts,
-		tiled:  map[int]*loopir.Nest{},
+		seqs:   map[int]*layout.Sequential{},
 		traces: map[traceKey]*tracedWorkload{},
 	}, nil
 }
@@ -364,16 +351,32 @@ func NewExplorer(n *loopir.Nest, opts Options) (*Explorer, error) {
 // Nest returns the kernel being explored.
 func (e *Explorer) Nest() *loopir.Nest { return e.nest }
 
-func (e *Explorer) tiledNest(b int) (*loopir.Nest, error) {
-	if n, ok := e.tiled[b]; ok {
-		return n, nil
+// sequential returns tiling b's sequential layout, tiling the nest on
+// first use. Under OptimizeLayout it is built for the direct-mapped
+// geometries (L, T/L) of the tiling's points in the sweep space; a
+// geometry outside the space is still guarded, counted on its own.
+func (e *Explorer) sequential(b int) (*layout.Sequential, error) {
+	if s, ok := e.seqs[b]; ok {
+		return s, nil
 	}
 	n, err := loopir.TileAll(e.nest, b)
 	if err != nil {
 		return nil, err
 	}
-	e.tiled[b] = n
-	return n, nil
+	var geoms []layout.Geometry
+	if e.opts.OptimizeLayout {
+		for _, p := range e.opts.Space() {
+			if p.Tiling == b {
+				geoms = append(geoms, layout.Geometry{LineBytes: p.LineSize, Sets: p.CacheSize / p.LineSize})
+			}
+		}
+	}
+	s, err := layout.NewSequential(n, geoms)
+	if err != nil {
+		return nil, err
+	}
+	e.seqs[b] = s
+	return s, nil
 }
 
 func (e *Explorer) workload(tiling int, cfg cachesim.Config) (*tracedWorkload, error) {
@@ -389,21 +392,19 @@ func (e *Explorer) workload(tiling int, cfg cachesim.Config) (*tracedWorkload, e
 	if w, ok := e.traces[key]; ok {
 		return w, nil
 	}
-	n, err := e.tiledNest(tiling)
+	seq, err := e.sequential(tiling)
 	if err != nil {
 		return nil, err
 	}
-	var lay loopir.Layout
+	// The chosen layout's trace comes back from the guard: the
+	// sequential trace itself, or a padded plan's, which the Explorer
+	// keeps for its lifetime rather than releasing.
+	var tr *trace.Trace
 	if e.opts.OptimizeLayout {
-		plan, err := layout.Optimize(n, cfg.LineBytes, cfg.NumLines())
-		if err != nil {
-			return nil, err
-		}
-		lay = plan.Layout
+		_, tr, err = layout.OptimizeTrace(context.TODO(), seq, cfg.LineBytes, cfg.NumLines())
 	} else {
-		lay = loopir.SequentialLayout(n, 0)
+		tr, err = seq.Trace()
 	}
-	tr, err := n.Generate(lay)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,8 @@ package core
 // inclusion groups, whole fallback caches — cachesim.ShardConfigs), each
 // shard is executed as an ordinary shard-scoped sweep over the same trace
 // bytes, and the per-shard Metrics are interleaved back into Space()
-// order. Because every stream-thinning decision (sampling, dominant
-// filtering, chunk skipping), the Gray-code bus measurement, and the
+// order. Because every stream-thinning decision (sampling and its chunk
+// skipping), the Gray-code bus measurement, and the
 // rescaling shell are functions of (options, trace bytes) alone — never
 // of which points the engine owns — the merged result is bit-identical
 // to the single-process ExploreTraceReader run. The wire between a
@@ -50,7 +50,7 @@ func TraceShardPlan(opts Options, n int) ([][]int, error) {
 // TraceShardPlan(opts, count) over the trace streamed from r, returning
 // one Metrics per owned point — in the shard's own (ascending-point)
 // order — plus the ingest statistics of the pass. The trace is read in
-// full exactly as ExploreTraceReader reads it (same filters, same bus
+// full exactly as ExploreTraceReader reads it (same filter, same bus
 // drive, same ingest accounting), so the returned Metrics are
 // bit-identical to the corresponding entries of the full sweep and the
 // IngestStats match the full run's for the same source kind.

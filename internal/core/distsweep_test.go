@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"memexplore/internal/extrace"
-	"memexplore/internal/trace"
 )
 
 // TestTraceShardPlanCovers: for any shard count the plan is a
@@ -78,27 +75,23 @@ func maxInt(a, b int) int {
 // shard count, running every shard independently over the same trace
 // bytes and merging yields Metrics bit-identical to the single-process
 // sweep — and every shard reports the identical IngestStats, since each
-// ingests the full stream. Swept across the filter variants (exact,
-// sampled, dominant-prefiltered, both) because the filters must be pure
-// functions of (options, bytes), never of shard membership.
+// ingests the full stream. Swept exact and sampled, because the sampling
+// filter must be a pure function of (options, bytes), never of shard
+// membership.
 func TestTraceShardMergeBitIdentical(t *testing.T) {
 	payload := hotColdDin(120, 60)
 
 	variants := []struct {
-		name     string
-		sample   float64
-		dominant float64
+		name   string
+		sample float64
 	}{
-		{"exact", 0, 0},
-		{"sampled", 0.25, 0},
-		{"dominant", 0, 0.10},
-		{"sampled_dominant", 0.25, 0.10},
+		{"exact", 0},
+		{"sampled", 0.25},
 	}
 	for _, v := range variants {
 		opts := traceSweepOptions()
 		opts.SampleRate = v.sample
 		opts.SampleSeed = 7
-		opts.DominantEps = v.dominant
 
 		want, wantStats, err := ExploreTrace(bytes.NewReader(payload), opts, extrace.Options{})
 		if err != nil {
@@ -171,148 +164,5 @@ func TestMergeTraceShardsValidates(t *testing.T) {
 	parts[0] = parts[0][:len(parts[0])-1]
 	if _, err := MergeTraceShards(opts, 3, parts); err == nil {
 		t.Error("merge accepted a short shard part")
-	}
-}
-
-// phaseLocalV2 encodes a deterministic hot/cold phase-local ref stream
-// as mxt v2, indexed or bare. The cold phases sit in fresh 1MiB-aligned
-// windows visited in runs longer than a chunk, so the per-chunk granule
-// summaries are short and decisively cold.
-func phaseLocalV2(t *testing.T, n int, noIndex bool) []byte {
-	t.Helper()
-	rng := rand.New(rand.NewSource(17))
-	refs := make([]trace.Ref, 0, n)
-	const hotBase = uint64(1) << 20
-	coldBase := uint64(16) << 20
-	for len(refs) < n {
-		if rng.Intn(2) == 0 {
-			seg := 2048 + rng.Intn(4096)
-			off := uint64(rng.Intn(64)) * 64
-			for i := 0; i < seg && len(refs) < n; i++ {
-				off = (off + 64) % (4 << 10)
-				refs = append(refs, trace.Ref{Addr: hotBase + off, Kind: trace.Kind(rng.Intn(3))})
-			}
-		} else {
-			coldBase += uint64(1) << 20
-			seg := 6144 + rng.Intn(8192)
-			addr := coldBase
-			for i := 0; i < seg && len(refs) < n; i++ {
-				if rng.Intn(32) == 0 {
-					addr = coldBase + uint64(rng.Intn(16))*64
-				}
-				refs = append(refs, trace.Ref{Addr: addr, Kind: trace.Read})
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if _, err := extrace.WriteBinaryV2Options(&buf, trace.FromRefs(refs).Reader(), extrace.V2WriterOptions{NoIndex: noIndex}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestDominantIndexPrepass pins the index-only dominant hot-set
-// (satellite of the distributed-sweep change): on an indexed artifact
-// the prepass reads no records — it ranks granules by chunk presence
-// from the MXTI01 summaries — and the filtered sweep must stay within
-// the filter's estimation envelope of the exact sweep while the exact
-// fields match bit-for-bit. The criterion is deliberately coarser than
-// the decode prepass's transition counts; this test is the documented
-// tolerance contract (see dominantFromIndex).
-func TestDominantIndexPrepass(t *testing.T) {
-	const eps = 0.10
-	indexed := phaseLocalV2(t, 100_000, false)
-	bare := phaseLocalV2(t, 100_000, true)
-
-	opts := traceSweepOptions()
-	exact, _, err := ExploreTrace(bytes.NewReader(bare), opts, extrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The index alone must produce a usable hot set on this artifact.
-	ix := extrace.ProbeIndex(bytes.NewReader(indexed))
-	if ix == nil {
-		t.Fatal("indexed artifact has no MXTI01 footer")
-	}
-	gshift := uint(5) // any sweep granule ≥ IndexGranule works for the probe
-	for uint64(1)<<gshift < extrace.IndexGranule {
-		gshift++
-	}
-	hot, ok := dominantFromIndex(ix, gshift, eps)
-	if !ok || hot == nil {
-		t.Fatalf("dominantFromIndex: ok=%v hot=%v, want an index-derived hot set", ok, hot != nil)
-	}
-
-	dom := opts
-	dom.DominantEps = eps
-	ms, st, err := ExploreTrace(bytes.NewReader(indexed), dom, extrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms[0].SkippedShare <= 0 {
-		t.Error("index-prefiltered sweep skipped nothing; the test trace is not phase-local enough")
-	}
-	for i := range exact {
-		if ms[i].Accesses != exact[i].Accesses {
-			t.Errorf("point %d: Accesses %d != exact %d", i, ms[i].Accesses, exact[i].Accesses)
-		}
-		if d := math.Abs(ms[i].MissRate - exact[i].MissRate); d > 2*eps {
-			t.Errorf("point %d: filtered miss rate %.4f vs exact %.4f beyond 2·eps", i, ms[i].MissRate, exact[i].MissRate)
-		}
-	}
-	if st.Records != ix.Records {
-		t.Errorf("ingested %d records, index says %d", st.Records, ix.Records)
-	}
-
-	// With any record limit set, the footer is no longer trusted to
-	// describe exactly what will be swept, so the indexed artifact must
-	// fall back to the decode prepass and match the bare artifact
-	// bit-for-bit. (The limit equals the record count: it never trips,
-	// it only flips the gate.)
-	lim := dom
-	limIng := extrace.Options{MaxRecords: ix.Records}
-	msIdx, _, err := ExploreTrace(bytes.NewReader(indexed), lim, limIng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msBare, _, err := ExploreTrace(bytes.NewReader(bare), lim, limIng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(msIdx, msBare) {
-		t.Error("with MaxRecords set, indexed and bare dominant sweeps must both take the decode prepass")
-	}
-}
-
-// TestDominantIndexOverflowedChunk: a chunk that touched more granules
-// than the index records (nil Granules) makes the presence histogram
-// unknowable — dominantFromIndex must refuse so the sweep decodes.
-func TestDominantIndexOverflowedChunk(t *testing.T) {
-	// One chunk's worth of records, each at a fresh granule: > 512
-	// distinct granules, so the writer stores an overflowed summary.
-	refs := make([]trace.Ref, 1200)
-	for i := range refs {
-		refs[i] = trace.Ref{Addr: uint64(i) * extrace.IndexGranule, Kind: trace.Read}
-	}
-	var buf bytes.Buffer
-	if _, err := extrace.WriteBinaryV2(&buf, trace.FromRefs(refs).Reader()); err != nil {
-		t.Fatal(err)
-	}
-	ix := extrace.ProbeIndex(bytes.NewReader(buf.Bytes()))
-	if ix == nil {
-		t.Fatal("no index footer")
-	}
-	overflowed := false
-	for _, c := range ix.Chunks {
-		if len(c.Granules) == 0 {
-			overflowed = true
-		}
-	}
-	if !overflowed {
-		t.Fatal("no chunk overflowed its granule summary; widen the address spread")
-	}
-	if _, ok := dominantFromIndex(ix, 6, 0.1); ok {
-		t.Error("dominantFromIndex accepted an index with an overflowed chunk")
 	}
 }

@@ -80,9 +80,8 @@ func TestPipelinedTraceSweepMatchesSequential(t *testing.T) {
 // random mixed-width bodies of at least three epochs and random
 // sub-spaces, under each write policy and replacement (LRU runs on the
 // range executor, FIFO and random on the pass-unit fan-out) and each
-// filter mode — exact, sampled and
-// dominant-filtered — must match the sequential engine record for
-// record at workers 2–4. Run under -race by make check.
+// filter mode — exact and sampled — must match the sequential engine
+// record for record at workers 2–4. Run under -race by make check.
 func TestPipelinedTraceSweepProperty(t *testing.T) {
 	policies := []struct {
 		repl         cachesim.Replacement
@@ -91,12 +90,10 @@ func TestPipelinedTraceSweepProperty(t *testing.T) {
 	modes := []struct {
 		name    string
 		rate    float64
-		eps     float64
 		minRefs int // body length that keeps ≥ 3 epochs after filtering
 	}{
-		{"exact", 0, 0, 3 * rangeEpochRefs},
-		{"sampled", 0.5, 0, 7 * rangeEpochRefs},
-		{"dominant", 0, 0.05, 4 * rangeEpochRefs},
+		{"exact", 0, 3 * rangeEpochRefs},
+		{"sampled", 0.5, 7 * rangeEpochRefs},
 	}
 	for seed := int64(1); seed <= int64(len(policies)); seed++ {
 		for _, mode := range modes {
@@ -117,7 +114,7 @@ func TestPipelinedTraceSweepProperty(t *testing.T) {
 			opts.Replacement = policies[seed-1].repl
 			opts.WriteThrough = policies[seed-1].writeThrough
 			opts.Energy.CountWriteTraffic = true // write-backs reach the metrics
-			opts.SampleRate, opts.SampleSeed, opts.DominantEps = mode.rate, uint64(seed), mode.eps
+			opts.SampleRate, opts.SampleSeed = mode.rate, uint64(seed)
 
 			opts.Workers = 1
 			wantMS, wantST, err := ExploreTraceReader(context.Background(), bytes.NewReader(encoded), opts, extrace.Options{})
@@ -129,12 +126,8 @@ func TestPipelinedTraceSweepProperty(t *testing.T) {
 			}
 			for workers := 2; workers <= 4; workers++ {
 				opts.Workers = workers
-				// A non-seekable stream, except for the dominant filter's
-				// two reads.
-				var body io.Reader = iotest.HalfReader(bytes.NewReader(encoded))
-				if mode.eps > 0 {
-					body = bytes.NewReader(encoded)
-				}
+				// A non-seekable stream.
+				body := iotest.HalfReader(bytes.NewReader(encoded))
 				ms, st, err := ExploreTraceReader(context.Background(), body, opts, extrace.Options{})
 				if err != nil {
 					t.Fatal(err)

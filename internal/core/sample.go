@@ -1,34 +1,22 @@
 package core
 
-// This file implements the two stream-thinning stages of the external-
-// trace sweep, both applied on the coordinator before the chunk fan-out:
+// This file implements the stream-thinning stage of the external-trace
+// sweep, applied on the coordinator before the chunk fan-out: SHARDS-style
+// spatial sampling (Options.SampleRate). A seeded hash threshold over
+// block addresses keeps a deterministic ~R fraction of the address space.
+// Because the filter is spatial — every reference to a kept block is
+// kept, every reference to a dropped block is dropped — each simulated
+// cache sees an internally consistent reference stream, and the
+// resulting hit/miss counts, rescaled, estimate the full-trace counts.
 //
-//   - SHARDS-style spatial sampling (Options.SampleRate): a seeded
-//     hash threshold over block addresses keeps a deterministic ~R
-//     fraction of the address space. Because the filter is spatial —
-//     every reference to a kept block is kept, every reference to a
-//     dropped block is dropped — each simulated cache sees an internally
-//     consistent reference stream, and the resulting hit/miss counts are
-//     unbiased estimates of the full-trace counts after rescaling.
-//   - dominant-block prefiltering (Options.DominantEps): a cheap first
-//     pass histograms block transitions (a proxy for misses) per granule
-//     and marks the granules that carry ≥ (1−ε) of them as hot; the
-//     sweep then skips references to cold granules, counting them as
-//     hits of their kind — by construction they contribute at most an ε
-//     share of the transitions the misses come from.
-//
-// Both filters hash/bucket at one shared granule — the larger of the
-// sweep's maximum line size and the ingest statistics granule — so every
-// cache configuration of the sweep sees the same spatial subset and
-// results stay deterministic for any worker count.
+// The filter hashes at one shared granule — the larger of the sweep's
+// maximum line size and the ingest statistics granule — so every cache
+// configuration of the sweep sees the same spatial subset and results
+// stay deterministic for any worker count.
 
 import (
-	"context"
-	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
 
 	"memexplore/internal/cachesim"
 	"memexplore/internal/extrace"
@@ -39,11 +27,6 @@ import (
 // confidence interval (95% two-sided).
 const sampleConfidenceZ = 1.96
 
-// maxDominantGranules bounds the prepass histogram; a trace whose
-// footprint exceeds it (at the filter granule) disables prefiltering
-// rather than growing without bound.
-const maxDominantGranules = 1 << 20
-
 // mix64 is the splitmix64 finalizer — a cheap, well-distributed 64-bit
 // hash for the sampling threshold test. It is the one shared definition
 // (extrace.Mix64): transcode-time sampling stores artifacts thinned by
@@ -53,16 +36,14 @@ func mix64(x uint64) uint64 { return extrace.Mix64(x) }
 
 // traceFilter thins the reference stream on the coordinator goroutine.
 // It is not safe for concurrent use; the engines call apply strictly
-// between chunk barriers.
+// between chunk barriers. A sweep over a transcode-sampled artifact runs
+// no live filter and uses a bare traceFilter as its rescaling shell.
 type traceFilter struct {
 	gshift    uint   // log2 of the filter granule in bytes
-	sampling  bool   // hash-threshold sampling enabled
 	threshold uint64 // keep a granule when mix64(g^seed) < threshold
 	seed      uint64
-	hot       map[uint64]struct{} // non-nil: granules the sweep simulates
 
-	simulated int64    // records that survived both filters
-	cold      [3]int64 // sampled records skipped as cold, by trace.Kind
+	simulated int64 // records that survived the filter
 }
 
 // filterGranule returns the shared spatial granule for a sweep: the
@@ -77,52 +58,36 @@ func filterGranule(lineSizes []int) int {
 	return g
 }
 
-// newTraceFilter builds the filter for normalized, validated options
-// with SampleRate > 0 or DominantEps > 0. The dominant-hot set, when
-// requested, is attached separately after the prepass.
+// newTraceFilter builds the sampling filter for normalized, validated
+// options with SampleRate > 0.
 func newTraceFilter(opts Options) *traceFilter {
-	f := &traceFilter{gshift: uint(bits.TrailingZeros(uint(filterGranule(opts.LineSizes))))}
-	if opts.SampleRate > 0 {
-		f.sampling = true
-		f.seed = opts.SampleSeed
+	return &traceFilter{
+		gshift: uint(bits.TrailingZeros(uint(filterGranule(opts.LineSizes)))),
+		seed:   opts.SampleSeed,
 		// threshold/2^64 ≈ SampleRate; a rate so close to 1 that the
 		// product saturates keeps everything.
-		f.threshold = extrace.SampleThreshold(opts.SampleRate)
+		threshold: extrace.SampleThreshold(opts.SampleRate),
 	}
-	return f
 }
 
-// active reports whether the filter actually thins the stream (it can
-// be a bare rescaling shell when sweeping a transcode-sampled artifact
-// with no live filters).
-func (f *traceFilter) active() bool {
-	return f.sampling || f.hot != nil
-}
+// keep reports whether the sample holds filter granule g.
+func (f *traceFilter) keep(g uint64) bool { return mix64(g^f.seed) < f.threshold }
 
-// chunkVerdict is the extrace.ChunkPolicy of this filter: from an index
-// entry's exact granule summary alone, decide whether any record of the
-// chunk can survive filtering. The summary granule (extrace.IndexGranule)
+// skipChunk is the extrace.ChunkPolicy of this filter: from an index
+// entry's exact granule summary alone, it reports whether no record of
+// the chunk survives sampling. The summary granule (extrace.IndexGranule)
 // is at most the filter granule, so each summary granule right-shifts
-// onto the granule the per-record path hashes — the verdict reproduces
-// the decode-then-filter outcome exactly, never approximately:
-//
-//   - every granule fails the sampling hash → no record survives →
-//     skip, dropping the records (ChunkSkipDrop);
-//   - every granule passes the hash but none is hot → every record
-//     would be counted a cold hit → skip, counting the entry's
-//     kind totals as cold (ChunkSkipCold);
-//   - anything mixed (or an overflowed summary) → decode and filter
-//     per record.
-//
-// It runs on the decode goroutine and reads only filter state that is
-// immutable once the stream starts.
-func (f *traceFilter) chunkVerdict(e *extrace.ChunkIndexEntry) extrace.ChunkVerdict {
+// onto the granule the per-record path hashes, and the verdict reproduces
+// the decode-then-filter outcome exactly: a chunk is skipped only when
+// every granule fails the hash, and an overflowed summary is always
+// decoded. It runs on the decode goroutine and reads only filter state
+// that is immutable once the stream starts.
+func (f *traceFilter) skipChunk(e *extrace.ChunkIndexEntry) bool {
 	gs := e.Granules
 	if len(gs) == 0 {
-		return extrace.ChunkDecode
+		return false
 	}
 	shift := f.gshift - uint(bits.TrailingZeros(uint(extrace.IndexGranule)))
-	anyKept, anyCold, anyDropped := false, false, false
 	prev := ^uint64(0)
 	for _, g64 := range gs {
 		sg := g64 >> shift
@@ -130,245 +95,40 @@ func (f *traceFilter) chunkVerdict(e *extrace.ChunkIndexEntry) extrace.ChunkVerd
 			continue // gs is ascending, so equal sweep granules are adjacent
 		}
 		prev = sg
-		if f.sampling && mix64(sg^f.seed) >= f.threshold {
-			anyDropped = true
-			continue
+		if f.keep(sg) {
+			return false
 		}
-		if f.hot != nil {
-			if _, ok := f.hot[sg]; !ok {
-				anyCold = true
-				continue
-			}
-		}
-		anyKept = true
 	}
-	switch {
-	case anyKept:
-		return extrace.ChunkDecode
-	case anyCold && anyDropped:
-		// Per-record outcomes differ (some dropped, some cold hits): the
-		// chunk totals cannot stand in for them.
-		return extrace.ChunkDecode
-	case anyCold:
-		return extrace.ChunkSkipCold
-	case anyDropped:
-		return extrace.ChunkSkipDrop
-	default:
-		return extrace.ChunkDecode
-	}
+	return true
 }
 
-// foldSkips merges the reader's skipped-chunk accounting into the
-// filter after the stream ends: cold-skipped records join the cold
-// totals exactly as the per-record path would have counted them.
-func (f *traceFilter) foldSkips(sum extrace.SkipSummary) {
-	for k := range sum.Cold {
-		f.cold[k] += sum.Cold[k]
-	}
-}
-
-// apply compacts block in place to the records the sweep should
-// simulate, accounting the rest. The backing array is the coordinator's
-// chunk slab, exclusively owned until the chunk barrier completes.
+// apply compacts block in place to the records inside the spatial
+// sample. The backing array is the coordinator's chunk slab, exclusively
+// owned until the chunk barrier completes.
 func (f *traceFilter) apply(block []trace.Ref) []trace.Ref {
 	w := 0
 	for _, r := range block {
-		g := r.Addr >> f.gshift
-		if f.sampling && mix64(g^f.seed) >= f.threshold {
-			continue // outside the spatial sample: dropped entirely
+		if f.keep(r.Addr >> f.gshift) {
+			block[w] = r
+			w++
 		}
-		if f.hot != nil {
-			if _, ok := f.hot[g]; !ok {
-				f.cold[r.Kind]++ // cold granule: assumed hit
-				continue
-			}
-		}
-		block[w] = r
-		w++
 	}
 	f.simulated += int64(w)
 	return block[:w]
 }
 
-// coldSkipped returns the total records skipped as cold.
-func (f *traceFilter) coldSkipped() int64 {
-	return f.cold[0] + f.cold[1] + f.cold[2]
-}
-
-// samplePassed returns the records that passed the hash filter (whether
-// simulated or skipped as cold).
-func (f *traceFilter) samplePassed() int64 {
-	return f.simulated + f.coldSkipped()
-}
-
-// rescale folds the cold-skipped records into sim as hits of their kind
-// and scales the result so its access count estimates the full trace of
+// rescale scales sim so its access count estimates the full trace of
 // total records. The second result is the half-width of the 95%
-// binomial confidence interval on the final miss rate due to sampling
-// (zero when sampling is off — the dominant filter's bias is bounded by
-// ε, not by sampling noise).
+// binomial confidence interval on the miss rate due to sampling (zero
+// when rate is 0).
 func (f *traceFilter) rescale(sim cachesim.Stats, total int64, rate float64) (cachesim.Stats, float64) {
-	cold := f.coldSkipped()
 	var ci float64
 	if rate > 0 && sim.Accesses > 0 {
 		p := float64(sim.Misses) / float64(sim.Accesses)
 		ci = sampleConfidenceZ * math.Sqrt(p*(1-p)/float64(sim.Accesses))
-		// Cold-skipped records enter the final rate as assumed hits,
-		// diluting the sampled estimate and its interval alike.
-		ci *= float64(sim.Accesses) / float64(sim.Accesses+uint64(cold))
 	}
-	sim.Accesses += uint64(cold)
-	sim.Hits += uint64(cold)
-	sim.Reads += uint64(f.cold[trace.Read])
-	sim.ReadHits += uint64(f.cold[trace.Read])
-	sim.Writes += uint64(f.cold[trace.Write])
-	sim.WriteHits += uint64(f.cold[trace.Write])
-	sim.Fetches += uint64(f.cold[trace.Fetch])
-	if passed := f.samplePassed(); passed > 0 && passed != total {
-		sim = sim.Scaled(float64(total) / float64(passed))
+	if f.simulated > 0 && f.simulated != total {
+		sim = sim.Scaled(float64(total) / float64(f.simulated))
 	}
 	return sim, ci
-}
-
-// dominantPrepass streams the whole trace once, histograms granule
-// transitions (consecutive references touching different granules — the
-// stream's upper bound on cold-start and reuse misses), and returns the
-// smallest hot set of granules covering ≥ (1−ε) of them. r must be
-// seekable: the prepass rewinds it to its starting position so the sweep
-// pass reads the same stream. A footprint beyond maxDominantGranules
-// returns a nil hot set (prefiltering disabled) rather than unbounded
-// memory.
-func dominantPrepass(ctx context.Context, r io.Reader, ing extrace.Options, gshift uint, eps float64) (map[uint64]struct{}, error) {
-	seeker, ok := r.(io.Seeker)
-	if !ok {
-		return nil, invalidOptions("dominant_eps", "dominant-block prefiltering needs a seekable trace source (it reads the stream twice)")
-	}
-	start, err := seeker.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil, fmt.Errorf("core: locating trace start for the dominant-block prepass: %w", err)
-	}
-
-	counts := make(map[uint64]int64)
-	var total int64
-	var prev uint64
-	havePrev := false
-	rd := extrace.NewReader(r, ing)
-	chunk := make([]trace.Ref, traceChunkRefs)
-	for {
-		if err := ctx.Err(); err != nil {
-			rd.Close()
-			return nil, canceled(err)
-		}
-		n, rerr := rd.Read(chunk)
-		for _, ref := range chunk[:n] {
-			g := ref.Addr >> gshift
-			if havePrev && g == prev {
-				continue
-			}
-			if _, ok := counts[g]; !ok && len(counts) >= maxDominantGranules {
-				counts = nil // histogram overflow: disable the filter
-				break
-			}
-			counts[g]++
-			total++
-			prev, havePrev = g, true
-		}
-		if counts == nil || rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			rd.Close()
-			return nil, fmt.Errorf("core: dominant-block prepass: %w", rerr)
-		}
-	}
-	rd.Close()
-	if _, err := seeker.Seek(start, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("core: rewinding trace after the dominant-block prepass: %w", err)
-	}
-	if counts == nil || total == 0 {
-		return nil, nil
-	}
-	return hotSetFrom(counts, total, eps), nil
-}
-
-// hotSetFrom selects the smallest hot set covering ≥ (1−ε) of the
-// histogram weight: granules by descending count, ties by ascending
-// granule, for determinism. Shared by the decode prepass (transition
-// counts) and the index prepass (chunk-presence counts).
-func hotSetFrom(counts map[uint64]int64, total int64, eps float64) map[uint64]struct{} {
-	type gc struct {
-		g uint64
-		c int64
-	}
-	all := make([]gc, 0, len(counts))
-	for g, c := range counts {
-		all = append(all, gc{g, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].g < all[j].g
-	})
-	need := int64(math.Ceil((1 - eps) * float64(total)))
-	hot := make(map[uint64]struct{})
-	var covered int64
-	for _, e := range all {
-		if covered >= need {
-			break
-		}
-		hot[e.g] = struct{}{}
-		covered += e.c
-	}
-	return hot
-}
-
-// dominantFromIndex builds the dominant hot set from an MXTI01 footer's
-// per-chunk granule summaries alone — no decode pass, so `-dominant-eps`
-// on an indexed artifact costs one footer read. The criterion is
-// EXPLICITLY COARSER than dominantPrepass's: the footer records which
-// granules each chunk touches (presence), not the transitions between
-// them, so a granule's score here is the number of chunks it appears in
-// rather than its share of the stream's block transitions. A granule hot
-// by transitions is touched by the chunks carrying those transitions, so
-// the two criteria agree on strongly dominant working sets, but the ε
-// bound holds against chunk-presence mass, not transition mass — results
-// under this prepass are equal to the exact sweep only within the usual
-// ε tolerance, not bit-identical to the decode-prepass filter (pinned by
-// TestDominantIndexPrepass). ok is false when the index cannot support
-// the computation — no index, or a chunk whose summary overflowed — and
-// the caller must fall back to the decode prepass. A hot==nil, ok==true
-// result means the footprint overflowed maxDominantGranules and the
-// filter is disabled, exactly as the decode prepass disables it.
-func dominantFromIndex(ix *extrace.TraceIndex, gshift uint, eps float64) (hot map[uint64]struct{}, ok bool) {
-	if ix == nil || len(ix.Chunks) == 0 {
-		return nil, false
-	}
-	for i := range ix.Chunks {
-		if len(ix.Chunks[i].Granules) == 0 {
-			return nil, false // overflowed summary: the chunk's granules are unknown
-		}
-	}
-	shift := gshift - uint(bits.TrailingZeros(uint(extrace.IndexGranule)))
-	counts := make(map[uint64]int64)
-	var total int64
-	for i := range ix.Chunks {
-		prev := ^uint64(0)
-		for _, g64 := range ix.Chunks[i].Granules {
-			sg := g64 >> shift
-			if sg == prev {
-				continue // ascending list: equal sweep granules are adjacent
-			}
-			prev = sg
-			if _, ok := counts[sg]; !ok && len(counts) >= maxDominantGranules {
-				return nil, true // footprint overflow: disable the filter
-			}
-			counts[sg]++
-			total++
-		}
-	}
-	if total == 0 {
-		return nil, true
-	}
-	return hotSetFrom(counts, total, eps), true
 }

@@ -38,7 +38,7 @@ func TestSampleRateOneIsExact(t *testing.T) {
 			t.Fatalf("point %d differs under SampleRate=1:\n  got : %+v\n  want: %+v", i, got[i], want[i])
 		}
 	}
-	if want[0].SampleRate != 0 || want[0].SampledRecords != 0 || want[0].MissRateCI != 0 || want[0].SkippedShare != 0 {
+	if want[0].SampleRate != 0 || want[0].SampledRecords != 0 || want[0].MissRateCI != 0 {
 		t.Errorf("exact sweep carries a sampling envelope: %+v", want[0])
 	}
 }
@@ -154,93 +154,6 @@ func hotColdDin(hotLoops, coldTouches int) []byte {
 	return b.Bytes()
 }
 
-// TestDominantPrefilter: with a hot/cold trace, the prefilter skips the
-// cold excursions (counting them as hits), keeps the access count, and
-// stays close to the exact miss rate.
-func TestDominantPrefilter(t *testing.T) {
-	payload := hotColdDin(400, 200)
-	exact, st, err := ExploreTrace(bytes.NewReader(payload), traceSweepOptions(), extrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := traceSweepOptions()
-	opts.DominantEps = 0.1
-	got, _, err := ExploreTrace(bytes.NewReader(payload), opts, extrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := got[0]
-	if m.SkippedShare <= 0 {
-		t.Fatalf("SkippedShare = %g, want > 0 (cold excursions must be skipped); metrics %+v", m.SkippedShare, m)
-	}
-	if m.SampledRecords <= 0 || m.SampledRecords >= st.Records {
-		t.Errorf("SampledRecords = %d, want a proper subset of %d", m.SampledRecords, st.Records)
-	}
-	if m.SampleRate != 0 || m.MissRateCI != 0 {
-		t.Errorf("no sampling: rate/CI should be 0, got %g/%g", m.SampleRate, m.MissRateCI)
-	}
-	for i := range exact {
-		if got[i].Accesses != exact[i].Accesses {
-			t.Errorf("point %d: accesses %d != exact %d (cold skips count as hits)", i, got[i].Accesses, exact[i].Accesses)
-		}
-		diff := math.Abs(got[i].MissRate - exact[i].MissRate)
-		if diff > opts.DominantEps+0.02 {
-			t.Errorf("point %d (%s): prefiltered miss rate %.4f vs exact %.4f (diff %.4f)",
-				i, exact[i].Label(), got[i].MissRate, exact[i].MissRate, diff)
-		}
-	}
-
-	// Determinism across worker counts, with the prepass in the loop.
-	wide := opts
-	wide.Workers = 4
-	again, _, err := ExploreTrace(bytes.NewReader(payload), wide, extrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if again[i] != got[i] {
-			t.Fatalf("point %d differs across worker counts under DominantEps", i)
-		}
-	}
-}
-
-// TestDominantPrefilterNeedsSeeker: the two-pass prefilter refuses a
-// stream it cannot rewind.
-func TestDominantPrefilterNeedsSeeker(t *testing.T) {
-	opts := traceSweepOptions()
-	opts.DominantEps = 0.1
-	var inv *ErrInvalidOptions
-	_, _, err := ExploreTrace(&dinGenerator{records: 100}, opts, extrace.Options{})
-	if !errors.As(err, &inv) || inv.Field != "dominant_eps" {
-		t.Fatalf("err = %v, want ErrInvalidOptions{dominant_eps}", err)
-	}
-}
-
-// TestSamplingCombinesWithDominant: both stages together still produce a
-// deterministic, enveloped result.
-func TestSamplingCombinesWithDominant(t *testing.T) {
-	payload := hotColdDin(400, 200)
-	opts := traceSweepOptions()
-	opts.SampleRate = 0.5
-	opts.DominantEps = 0.1
-	a, _, err := ExploreTrace(bytes.NewReader(payload), opts, extrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := ExploreTrace(bytes.NewReader(payload), opts, extrace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("point %d not deterministic with both filters", i)
-		}
-	}
-	if a[0].SampleRate != 0.5 || a[0].SampledRecords == 0 {
-		t.Errorf("envelope missing: %+v", a[0])
-	}
-}
-
 // TestSamplingKeepsNothing: an absurdly small rate that filters out
 // every record fails like an empty trace rather than scoring nothing.
 func TestSamplingKeepsNothing(t *testing.T) {
@@ -256,7 +169,7 @@ func TestSamplingKeepsNothing(t *testing.T) {
 }
 
 // TestKernelSweepRejectsSampling: generated-trace sweeps are exact by
-// construction and refuse the thinning knobs.
+// construction and refuse sampling.
 func TestKernelSweepRejectsSampling(t *testing.T) {
 	n := kernels.MatAdd()
 	var inv *ErrInvalidOptions
@@ -265,11 +178,6 @@ func TestKernelSweepRejectsSampling(t *testing.T) {
 	opts.SampleRate = 0.5
 	if _, err := Explore(n, opts); !errors.As(err, &inv) || inv.Field != "sample_rate" {
 		t.Errorf("Explore: err = %v, want ErrInvalidOptions{sample_rate}", err)
-	}
-	opts = traceSweepOptions()
-	opts.DominantEps = 0.1
-	if _, err := Explore(n, opts); !errors.As(err, &inv) || inv.Field != "dominant_eps" {
-		t.Errorf("Explore: err = %v, want ErrInvalidOptions{dominant_eps}", err)
 	}
 	opts = traceSweepOptions()
 	opts.SampleRate = 0.5
@@ -288,9 +196,6 @@ func TestSamplingOptionsValidateNormalize(t *testing.T) {
 		{"sample_rate", func(o *Options) { o.SampleRate = -0.1 }},
 		{"sample_rate", func(o *Options) { o.SampleRate = 1.5 }},
 		{"sample_rate", func(o *Options) { o.SampleRate = math.NaN() }},
-		{"dominant_eps", func(o *Options) { o.DominantEps = -0.01 }},
-		{"dominant_eps", func(o *Options) { o.DominantEps = 0.6 }},
-		{"dominant_eps", func(o *Options) { o.DominantEps = math.NaN() }},
 	} {
 		opts := DefaultOptions()
 		tc.mut(&opts)

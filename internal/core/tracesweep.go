@@ -76,8 +76,8 @@ func ExploreTraceReader(ctx context.Context, r io.Reader, opts Options, ing extr
 
 // exploreTraceSubset is ExploreTraceReader restricted to a subset of the
 // sweep's configuration points (nil means all of them): the engine it
-// builds owns only the subset's pass units, but the stream-thinning
-// filters, the bus counter, and every rescaling decision are functions
+// builds owns only the subset's pass units, but the sampling filter,
+// the bus counter, and every rescaling decision are functions
 // of (options, trace bytes) alone — identical for any subset — so the
 // Metrics it returns are bit-for-bit the values the full sweep computes
 // for those points. That property is what distributed shard execution
@@ -133,43 +133,19 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		return nil, extrace.IngestStats{}, err
 	}
 
-	// Stream-thinning stages (exact sweeps leave filter nil and are
-	// bit-identical to previous releases): the dominant-block prepass
-	// reads the stream once and rewinds it, then the filter rides the
-	// coordinator of either engine.
+	// Spatial sampling rides the coordinator of either engine; exact
+	// sweeps leave filter nil and are bit-identical to previous releases.
 	var filter *traceFilter
-	if opts.SampleRate > 0 || opts.DominantEps > 0 {
-		filter = newTraceFilter(opts)
-		if opts.DominantEps > 0 {
-			// Index-guided prepass first: an MXTI01 footer with exact
-			// per-chunk granule summaries yields the hot set from the
-			// footer alone (coarser presence criterion, same ε tolerance —
-			// see dominantFromIndex). MaxRecords truncation must fall back:
-			// the footer summarizes the whole artifact, not the prefix.
-			hot, fromIndex := map[uint64]struct{}(nil), false
-			if ing.MaxRecords == 0 {
-				hot, fromIndex = dominantFromIndex(storedIdx, filter.gshift, opts.DominantEps)
-			}
-			if !fromIndex {
-				hot, err = dominantPrepass(ctx, r, ing, filter.gshift, opts.DominantEps)
-				if err != nil {
-					return nil, extrace.IngestStats{}, err
-				}
-			}
-			filter.hot = hot
-		}
-	}
-
 	rd := extrace.NewReader(r, ing)
 	defer rd.Close()
-	if filter != nil && filter.active() {
+	if opts.SampleRate > 0 {
+		filter = newTraceFilter(opts)
 		// Index-guided chunk skipping: when the MXTI01 index proves no
-		// record of a chunk survives the filters, the reader seeks past
+		// record of a chunk survives the sample, the reader seeks past
 		// the chunk without decoding it. The verdict reproduces the
-		// decode-then-filter outcome exactly (see chunkVerdict), and the
-		// skipped records are folded back below, so Metrics stay
-		// bit-identical to the full decode at any worker count.
-		rd.SetChunkPolicy(filter.chunkVerdict)
+		// decode-then-filter outcome exactly (see skipChunk), so Metrics
+		// stay bit-identical to the full decode at any worker count.
+		rd.SetChunkPolicy(filter.skipChunk)
 	}
 	ctr := bus.NewSwitchCounter(bus.Gray)
 	if workers := opts.effectiveWorkers(); workers > 1 && (sweep.Forkable() || sweep.PassUnits() > 1) {
@@ -192,9 +168,6 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		}
 		storedIdx = rd.Index()
 	}
-	if filter != nil {
-		filter.foldSkips(rd.SkipSummary())
-	}
 
 	// A transcode-sampled artifact rescales against the pre-sampling
 	// source: the stored records ARE the sample, so the filter reduces
@@ -203,8 +176,7 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 	if storedIdx != nil && storedIdx.Sampled {
 		total, rate = storedIdx.SourceRecords, storedIdx.SampleRate
 		if filter == nil {
-			filter = newTraceFilter(opts)
-			filter.simulated = st.Records
+			filter = &traceFilter{simulated: st.Records}
 		}
 	}
 	if filter != nil && filter.simulated == 0 {
@@ -229,9 +201,6 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 			m.SampleRate = rate
 			m.SampledRecords = filter.simulated
 			m.MissRateCI = ci
-			if passed := filter.samplePassed(); passed > 0 {
-				m.SkippedShare = float64(filter.coldSkipped()) / float64(passed)
-			}
 		}
 		out[i] = m
 	}

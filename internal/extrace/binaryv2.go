@@ -95,11 +95,10 @@ type binV2Decoder struct {
 	// seekable sources, or discovered when the streaming decoder reaches
 	// the footer. policy, when non-nil, is consulted per indexed chunk
 	// before any byte of it is read; chunk tracks the entry matching the
-	// stream position. skip accounts the chunks stepped over.
+	// stream position.
 	idx    *TraceIndex
 	policy ChunkPolicy
 	chunk  int
-	skip   SkipSummary
 
 	// pend holds records decoded from a chunk larger than the caller's
 	// buffer; they drain across readChunk calls before the next chunk is
@@ -132,23 +131,13 @@ func (d *binV2Decoder) readChunk(buf []trace.Ref) (int, error) {
 				// damaged chunk was stepped over in skip mode): stop
 				// trusting it and decode everything from here on.
 				d.policy = nil
-			} else if v := d.policy(e); v != ChunkDecode {
+			} else if d.policy(e) {
 				if err := d.in.skip(e.Bytes); err != nil {
 					return 0, &ParseError{Format: "binaryv2", Offset: d.off,
 						Reason: fmt.Sprintf("truncated indexed chunk (%d bytes): %v", e.Bytes, err)}
 				}
 				d.off += e.Bytes
 				d.chunk++
-				d.skip.Chunks++
-				d.skip.Records += e.Records
-				d.skip.Bytes += e.Bytes
-				if v == ChunkSkipDrop {
-					d.skip.Dropped += e.Records
-				} else {
-					d.skip.Cold[trace.Read] += e.Reads
-					d.skip.Cold[trace.Write] += e.Writes
-					d.skip.Cold[trace.Fetch] += e.Fetches()
-				}
 				d.acc.skipChunk(e)
 				continue
 			}

@@ -464,12 +464,7 @@ func skipLastChunk(t *testing.T, src []byte) ChunkPolicy {
 		t.Fatal("stream has no index to skip by")
 	}
 	last := ix.Chunks[len(ix.Chunks)-1].Offset
-	return func(e *ChunkIndexEntry) ChunkVerdict {
-		if e.Offset == last {
-			return ChunkSkipDrop
-		}
-		return ChunkDecode
-	}
+	return func(e *ChunkIndexEntry) bool { return e.Offset == last }
 }
 
 // dinLine renders one record as a din line.

@@ -25,9 +25,10 @@ func fallbackRefs() []trace.Ref {
 	return refs
 }
 
-// skipNothing is a chunk policy that never skips; attaching it proves
-// whether the policy machinery was armed at all on a given transport.
-func skipEverything(e *ChunkIndexEntry) ChunkVerdict { return ChunkSkipDrop }
+// skipEverything is a chunk policy that skips every chunk; attaching it
+// proves whether the policy machinery was armed at all on a given
+// transport.
+func skipEverything(e *ChunkIndexEntry) bool { return true }
 
 // TestMmapFallbackGzip: a gzipped v2 artifact opened as *os.File (whose
 // bytes are not the v2 stream) must stream-decode through the gzip

@@ -143,39 +143,12 @@ type TraceIndex struct {
 	Profile    IndexProfile
 }
 
-// ChunkVerdict is a sweep filter's decision about one indexed chunk.
-type ChunkVerdict uint8
-
-const (
-	// ChunkDecode: decode the chunk and filter per record.
-	ChunkDecode ChunkVerdict = iota
-	// ChunkSkipDrop: no record survives the spatial sample — skip the
-	// chunk; its records leave no trace in the sweep.
-	ChunkSkipDrop
-	// ChunkSkipCold: every record passes the sample but lands on a
-	// cold granule — skip the chunk and count its records as hits of
-	// their kind, exactly as the decode-then-filter path would.
-	ChunkSkipCold
-)
-
-// ChunkPolicy decides, from the index entry alone, whether a chunk
-// needs decoding. It runs on the decode goroutine and must be pure:
-// read-only over state that does not change during the stream.
-type ChunkPolicy func(*ChunkIndexEntry) ChunkVerdict
-
-// SkipSummary accounts the chunks a Reader stepped over under a
-// ChunkPolicy. Kind-partitioned cold counts let the sweep fold skipped
-// records into its cold-hit totals exactly as if it had decoded and
-// filtered them.
-type SkipSummary struct {
-	Chunks  int64
-	Records int64
-	Bytes   int64
-	// Dropped counts records of ChunkSkipDrop chunks; Cold partitions
-	// the records of ChunkSkipCold chunks by trace.Kind.
-	Dropped int64
-	Cold    [3]int64
-}
+// ChunkPolicy decides, from the index entry alone, whether a chunk can
+// be skipped: true means no record of it survives the sweep's filter, so
+// the reader steps over its frame without decoding it. It runs on the
+// decode goroutine and must be pure: read-only over state that does not
+// change during the stream.
+type ChunkPolicy func(*ChunkIndexEntry) bool
 
 // --- encoding ----------------------------------------------------------
 

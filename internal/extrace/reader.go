@@ -197,16 +197,6 @@ func (r *Reader) Index() *TraceIndex {
 	return nil
 }
 
-// SkipSummary reports the chunks stepped over under the chunk policy so
-// far. Callers that fan decoding out to a producer goroutine must read
-// it only after joining the producer.
-func (r *Reader) SkipSummary() SkipSummary {
-	if d, ok := r.cdec.(*binV2Decoder); ok {
-		return d.skip
-	}
-	return SkipSummary{}
-}
-
 // Read fills buf with the next records of the trace and reports how many
 // it read. Like io.Reader, it may return n > 0 together with a non-nil
 // error (including io.EOF at the end of the trace): callers must process
@@ -302,7 +292,7 @@ func (r *Reader) Stats() IngestStats {
 		st = r.replayStats()
 	default:
 		st = r.acc.snapshot()
-		if d != nil && r.err == io.EOF && d.skip.Chunks > 0 && st.Rejects == 0 && d.idx != nil && d.idx.HasProfile {
+		if d != nil && r.err == io.EOF && st.ChunksSkipped > 0 && st.Rejects == 0 && d.idx != nil && d.idx.HasProfile {
 			d.idx.applyProfile(&st)
 		}
 	}

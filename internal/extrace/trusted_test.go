@@ -96,12 +96,7 @@ func skipOddChunks(ix *TraceIndex) ChunkPolicy {
 	for i := 1; i < len(ix.Chunks); i += 2 {
 		odd[ix.Chunks[i].Offset] = true
 	}
-	return func(e *ChunkIndexEntry) ChunkVerdict {
-		if odd[e.Offset] {
-			return ChunkSkipDrop
-		}
-		return ChunkDecode
-	}
+	return func(e *ChunkIndexEntry) bool { return odd[e.Offset] }
 }
 
 // sameRead reports how two reads of the same bytes differ: in the

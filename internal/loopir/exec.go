@@ -1,6 +1,22 @@
 package loopir
 
-import "memexplore/internal/trace"
+import (
+	"fmt"
+	"math"
+
+	"memexplore/internal/trace"
+)
+
+// RunError reports a nest that validates but cannot run: it issues more
+// than math.MaxInt64 references, a tiled bound overflows, or a body
+// index leaves its array's extent. The fault lies in the nest itself,
+// not in a layout or the caller's options.
+type RunError struct {
+	Nest   string
+	Reason string
+}
+
+func (e *RunError) Error() string { return fmt.Sprintf("loopir: nest %q %s", e.Nest, e.Reason) }
 
 // Placement positions one array in off-chip memory: a base byte address
 // and, optionally, padded per-dimension strides. The paper's §4.1
@@ -117,10 +133,27 @@ func (n *Nest) compileExec() ([]cLoop, [][]cExpr) {
 	return loops, body
 }
 
+// tripCount returns how many times a loop from lo to hi by step (≥ 1)
+// runs: 0 when hi < lo, counted exactly in uint64, and false when the
+// count exceeds math.MaxInt64. Every loop walk runs its trip count
+// rather than stepping until it passes hi, so no walk can wrap around
+// the int range.
+func tripCount(lo, hi, step int) (int64, bool) {
+	if hi < lo {
+		return 0, true
+	}
+	q := (uint64(hi) - uint64(lo)) / uint64(step)
+	if q >= math.MaxInt64 {
+		return 0, false
+	}
+	return int64(q) + 1, true
+}
+
 // visitIndexed executes a compiled nest and calls fn for every body
 // reference of every innermost iteration with the body index and the
 // evaluated per-dimension indices. The idx slice is reused between
-// calls.
+// calls. The nest must have been counted (countRefs), so every trip
+// count fits an int64.
 func visitIndexed(loops []cLoop, body [][]cExpr, fn func(bi int, idx []int) error) error {
 	maxDims := 0
 	for _, idx := range body {
@@ -144,8 +177,9 @@ func visitIndexed(loops []cLoop, body [][]cExpr, fn func(bi int, idx []int) erro
 			return nil
 		}
 		l := &loops[depth]
-		lo, hi := l.lo.eval(env), l.hi.eval(env)
-		for v := lo; v <= hi; v += l.step {
+		lo := l.lo.eval(env)
+		trip, _ := tripCount(lo, l.hi.eval(env), l.step)
+		for k, v := int64(0), lo; k < trip; k, v = k+1, v+l.step {
 			env[depth] = v
 			if err := run(depth + 1); err != nil {
 				return err
@@ -164,58 +198,85 @@ func (n *Nest) Visit(fn func(r Ref, idx []int) error) error {
 		return err
 	}
 	loops, body := n.compileExec()
+	if _, err := n.countRefs(loops); err != nil {
+		return err
+	}
 	return visitIndexed(loops, body, func(bi int, idx []int) error {
 		return fn(n.Body[bi], idx)
 	})
 }
 
-// Iterations counts the innermost iterations the nest executes.
+// Iterations counts the innermost iterations the nest executes. A count
+// beyond math.MaxInt64 is a *RunError.
 func (n *Nest) Iterations() (int64, error) {
 	if err := n.Validate(); err != nil {
 		return 0, err
 	}
 	loops, _ := n.compileExec()
-	return iterations(loops), nil
+	iters, ok := iterations(loops)
+	if !ok {
+		return 0, &RunError{Nest: n.Name, Reason: fmt.Sprintf("runs more than %d iterations", int64(math.MaxInt64))}
+	}
+	return iters, nil
 }
 
-// iterations walks the loop structure only — bounds may be affine, so
-// the outer levels must execute, but the innermost trip count is
-// closed-form.
-func iterations(loops []cLoop) int64 {
+// iterations counts the innermost iterations of a compiled nest. Bounds
+// may be affine, so the outer levels must execute, but each level's
+// trip count is closed-form. ok is false when a trip count or the total
+// exceeds math.MaxInt64.
+func iterations(loops []cLoop) (iters int64, ok bool) {
 	env := make([]int, len(loops))
-	var iters int64
-	var run func(depth int)
-	run = func(depth int) {
+	var run func(depth int) bool
+	run = func(depth int) bool {
 		l := &loops[depth]
-		lo, hi := l.lo.eval(env), l.hi.eval(env)
+		lo := l.lo.eval(env)
+		trip, ok := tripCount(lo, l.hi.eval(env), l.step)
+		if !ok {
+			return false
+		}
 		if depth == len(loops)-1 {
-			if hi >= lo {
-				iters += int64((hi-lo)/l.step) + 1
+			if trip > math.MaxInt64-iters {
+				return false
 			}
-			return
+			iters += trip
+			return true
 		}
-		for v := lo; v <= hi; v += l.step {
+		for k, v := int64(0), lo; k < trip; k, v = k+1, v+l.step {
 			env[depth] = v
-			run(depth + 1)
+			if !run(depth + 1) {
+				return false
+			}
 		}
+		return true
 	}
-	run(0)
-	return iters
+	ok = run(0)
+	return iters, ok
+}
+
+// countRefs counts the references the compiled nest issues, failing
+// with a *RunError when the count exceeds math.MaxInt64.
+func (n *Nest) countRefs(loops []cLoop) (int64, error) {
+	iters, ok := iterations(loops)
+	if b := int64(len(n.Body)); ok && iters <= math.MaxInt64/b {
+		return iters * b, nil
+	}
+	return 0, &RunError{Nest: n.Name, Reason: fmt.Sprintf("issues more than %d references", int64(math.MaxInt64))}
 }
 
 // References counts the total memory references the nest issues — the
-// trip_count of the paper's formulas under per-reference accounting.
+// trip_count of the paper's formulas under per-reference accounting. A
+// count beyond math.MaxInt64 is a *RunError.
 func (n *Nest) References() (int64, error) {
-	iters, err := n.Iterations()
-	if err != nil {
+	if err := n.Validate(); err != nil {
 		return 0, err
 	}
-	return iters * int64(len(n.Body)), nil
+	loops, _ := n.compileExec()
+	return n.countRefs(loops)
 }
 
 // Generate executes the nest under the given layout and returns the
 // reference trace: Compile, then Program.Generate. Every index is
-// within its array's extent; an out-of-range index is an error (it
+// within its array's extent; an out-of-range index is a *RunError (it
 // means the kernel definition is wrong).
 func (n *Nest) Generate(layout Layout) (*trace.Trace, error) {
 	p, err := n.Compile()

@@ -1,10 +1,6 @@
 package loopir
 
-import (
-	"math"
-
-	"memexplore/internal/trace"
-)
+import "memexplore/internal/trace"
 
 // Nest returns the compiled nest.
 func (p *Program) Nest() *Nest { return p.nest }
@@ -36,21 +32,16 @@ func CountReferences(n *Nest, limit int64) (int64, bool) {
 	var run func(depth int) bool
 	run = func(depth int) bool {
 		l := &loops[depth]
-		lo, hi := l.lo.eval(env), l.hi.eval(env)
+		lo := l.lo.eval(env)
+		trip, ok := tripCount(lo, l.hi.eval(env), l.step)
+		if !ok || trip > limit {
+			return false
+		}
 		if depth == len(loops)-1 {
-			if hi > math.MaxInt-l.step {
-				return false // the evaluator's loop would wrap and never end
-			}
-			if hi >= lo {
-				trip := int64((hi-lo)/l.step) + 1
-				if trip <= 0 || trip > limit {
-					return false
-				}
-				refs += trip * int64(len(body))
-			}
+			refs += trip * int64(len(body))
 			return refs <= limit
 		}
-		for v := lo; v <= hi; v += l.step {
+		for k, v := int64(0), lo; k < trip; k, v = k+1, v+l.step {
 			if walked++; walked > limit {
 				return false
 			}

@@ -1,6 +1,7 @@
 package loopir
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,47 @@ func TestIterationsAndReferences(t *testing.T) {
 	}
 }
 
+// TestCountsAtTheIntLimits: trip counts are exact over the whole int
+// range, a nest issuing more than 2^63-1 references is a *RunError from
+// References and Compile rather than a negative count, and no loop walk
+// wraps past the largest int.
+func TestCountsAtTheIntLimits(t *testing.T) {
+	cases := []struct {
+		name, src string
+		refs      int64 // 0: more than math.MaxInt64
+	}{
+		{"trip count wrapping", "int8 a[1]\nfor i = -9223372036854775807 - 1, 4611686018427387903, step 4611686018427387904\na[0]\n", 3},
+		{"full int range", "int8 a[1]\nfor i = -9223372036854775807 - 1, 9223372036854775807\na[0]\n", 0},
+		{"references overflow", "int8 a[1]\nfor i = 0, 9223372036854775806\na[0], a[0]\n", 0},
+		{"iterations overflow", "int8 a[1]\nfor i = 0, 3\nfor j = 0, 4611686018427387903\na[0]\n", 0},
+		{"outer loop ending at the largest int", "int8 a[1]\nfor i = 9223372036854775806, 9223372036854775807\nfor j = 0, 0\na[0]\n", 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, err := Parse(c.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs, err := n.References()
+			_, cerr := n.Compile()
+			if c.refs == 0 {
+				var re *RunError
+				if !errors.As(err, &re) || !errors.As(cerr, &re) {
+					t.Fatalf("References = %d, %v; Compile: %v; want *RunError from both", refs, err, cerr)
+				}
+				return
+			}
+			if err != nil || cerr != nil || refs != c.refs {
+				t.Fatalf("References = %d, %v; Compile: %v; want %d", refs, err, cerr, c.refs)
+			}
+			tr, err := n.Generate(SequentialLayout(n, 0))
+			if err != nil || int64(tr.Len()) != c.refs {
+				t.Fatalf("Generate: %v, %d references, want %d", err, tr.Len(), c.refs)
+			}
+		})
+	}
+}
+
 func TestGenerateCompressAddresses(t *testing.T) {
 	n := compressNest()
 	tr, err := n.Generate(SequentialLayout(n, 0))
@@ -185,10 +227,9 @@ func TestGenerateMissingLayout(t *testing.T) {
 func TestGenerateOutOfBounds(t *testing.T) {
 	n := compressNest()
 	n.Loops[0] = ConstLoop("i", 0, 31) // a[i-1] underflows at i=0
-	if _, err := n.Generate(SequentialLayout(n, 0)); err == nil {
-		t.Error("out-of-bounds reference should fail")
-	} else if !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("unexpected error: %v", err)
+	var re *RunError
+	if _, err := n.Generate(SequentialLayout(n, 0)); !errors.As(err, &re) || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("out-of-bounds reference: err = %v, want a *RunError", err)
 	}
 }
 

@@ -31,8 +31,9 @@ type Program struct {
 	proven bool
 }
 
-// Compile validates n and compiles it for generation. The program
-// keeps n, which must not change afterwards.
+// Compile validates n and compiles it for generation. A nest issuing
+// more than math.MaxInt64 references is a *RunError. The program keeps
+// n, which must not change afterwards.
 func (n *Nest) Compile() (*Program, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -44,7 +45,11 @@ func (n *Nest) Compile() (*Program, error) {
 			p.kinds[bi] = trace.Write
 		}
 	}
-	p.refs = iterations(loops) * int64(len(body))
+	refs, err := n.countRefs(loops)
+	if err != nil {
+		return nil, err
+	}
+	p.refs = refs
 	p.proven = p.prove()
 	return p, nil
 }
@@ -79,19 +84,16 @@ func (p *Program) prove() bool {
 
 // loopRanges returns the interval each loop variable ranges over: from
 // its lower bound's least to its upper bound's greatest value, min caps
-// included. ok is false when a bound, a trip count or the step past a
-// loop's last iteration can overflow; the ranges are nil when some level
-// can never run.
+// included. ok is false when a bound can overflow; the ranges are nil
+// when some level can never run. Trip counts need no proof: every walk
+// runs its loop's exact trip count (tripCount).
 func loopRanges(loops []cLoop) (ranges []interval, ok bool) {
 	ranges = make([]interval, len(loops))
 	for d := range loops {
 		l := &loops[d]
 		lo, okLo := l.lo.interval(ranges)
 		hi, okHi := l.hi.interval(ranges)
-		if !okLo || !okHi || hi.hi > math.MaxInt-l.step {
-			return nil, false
-		}
-		if _, ok := subInt(hi.hi, lo.lo); !ok {
+		if !okLo || !okHi {
 			return nil, false
 		}
 		if lo.lo > hi.hi {
@@ -130,11 +132,6 @@ func (e *cExpr) interval(ranges []interval) (interval, bool) {
 func addInt(a, b int) (int, bool) {
 	c := a + b
 	return c, (c > a) == (b > 0)
-}
-
-func subInt(a, b int) (int, bool) {
-	c := a - b
-	return c, (c < a) == (b > 0)
 }
 
 func mulInt(a, b int) (int, bool) {
@@ -232,8 +229,8 @@ func (p *Program) appendChecked(dst []trace.Ref, arrs []placedArray) ([]trace.Re
 		off := 0
 		for d, v := range idx {
 			if v < 0 || v >= ca.dims[d] {
-				return fmt.Errorf("loopir: nest %q ref %s: index %d out of range [0,%d) in dimension %d",
-					p.nest.Name, p.nest.Body[bi], v, ca.dims[d], d)
+				return &RunError{Nest: p.nest.Name, Reason: fmt.Sprintf("ref %s: index %d out of range [0,%d) in dimension %d",
+					p.nest.Body[bi], v, ca.dims[d], d)}
 			}
 			off += v * ca.strides[d]
 		}
@@ -297,8 +294,9 @@ func (p *Program) appendFolded(dst []trace.Ref, arrs []placedArray) []trace.Ref 
 // level advances each address by that constant delta as it emits.
 func (g *folded) run(l int) {
 	lp := &g.loops[l]
-	lo, hi := lp.lo.eval(g.env), lp.hi.eval(g.env)
-	if hi < lo {
+	lo := lp.lo.eval(g.env)
+	trip, _ := tripCount(lo, lp.hi.eval(g.env), lp.step)
+	if trip == 0 {
 		return
 	}
 	nb, step := g.nb, uint64(lp.step)
@@ -310,7 +308,7 @@ func (g *folded) run(l int) {
 	if l == len(g.loops)-1 {
 		// The innermost loop: out holds the first iteration's addresses.
 		n0 := len(g.dst)
-		g.dst = g.dst[:n0+((hi-lo)/lp.step+1)*nb]
+		g.dst = g.dst[:n0+int(trip)*nb]
 		seg := g.dst[n0:]
 		for bi, r := range g.tmpl {
 			addr, d := out[bi], coef[bi]*step
@@ -322,7 +320,7 @@ func (g *folded) run(l int) {
 		}
 		return
 	}
-	for v := lo; v <= hi; v += lp.step {
+	for k, v := int64(0), lo; k < trip; k, v = k+1, v+lp.step {
 		g.env[l] = v
 		g.run(l + 1)
 		for bi := range out {

@@ -127,12 +127,11 @@ var proofCases = []struct {
 	// 2^63-1 + 1 to a negative upper end.
 	{"term wrapping into range", "int8 a[5]\nfor j = 0, 4\na[4611686018427387905j]\n", false},
 	{"sum wrapping into range", "int8 a[4]\nfor j = 0, 1\na[j + 9223372036854775807]\n", false},
-	// The step past i = 2^63-1 wraps, so the loop runs on into an
-	// out-of-range index.
-	{"loop ending at the largest int", "int8 a[2]\nfor i = 9223372036854775806, 9223372036854775807\na[i - 9223372036854775806]\n", false},
-	// hi - lo wraps, so the closed-form trip count reads 0 for a loop of
-	// three iterations.
-	{"trip count wrapping", "int8 a[1]\nfor i = -9223372036854775807 - 1, 4611686018427387903, step 4611686018427387904\na[0]\n", false},
+	// The step past i = 2^63-1 would wrap; the walk stops at the trip
+	// count instead.
+	{"loop ending at the largest int", "int8 a[2]\nfor i = 9223372036854775806, 9223372036854775807\na[i - 9223372036854775806]\n", true},
+	// hi - lo overflows int; the trip count, taken in uint64, is 3.
+	{"trip count wrapping", "int8 a[1]\nfor i = -9223372036854775807 - 1, 4611686018427387903, step 4611686018427387904\na[0]\n", true},
 }
 
 // TestProgramProof covers the interval proof's edges: each nest's

@@ -1,6 +1,9 @@
 package loopir
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tile applies rectangular loop tiling (§4.2, the paper's Example 3(b)) to
 // the given loop levels of the nest with the given tile size B. For each
@@ -15,7 +18,8 @@ import "fmt"
 //	    for i = ti, min(ti+B-1, hi)
 //
 // Only levels with constant bounds can be tiled (the paper never tiles a
-// triangular nest). Tiling with size ≤ 0 is an error; size 1 is legal and
+// triangular nest), and a level whose tile bound ti+B-1 could overflow
+// is a *RunError. Tiling with size ≤ 0 is an error; size 1 is legal and
 // degenerates to the original iteration order with extra (empty) control
 // structure, so callers usually special-case B == 1 themselves.
 //
@@ -45,6 +49,9 @@ func Tile(n *Nest, size int, levels ...int) (*Nest, error) {
 		}
 		if l.Step != 1 {
 			return nil, fmt.Errorf("loopir: cannot tile loop %q with step %d", l.Var, l.Step)
+		}
+		if l.Hi.Expr.Const > math.MaxInt-(size-1) {
+			return nil, &RunError{Nest: n.Name, Reason: fmt.Sprintf("cannot be tiled by %d: loop %q's tile bound overflows", size, l.Var)}
 		}
 	}
 

@@ -1,6 +1,8 @@
 package loopir
 
 import (
+	"errors"
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -171,6 +173,14 @@ func TestTileErrors(t *testing.T) {
 	}
 	if _, err := Tile(tiled, 2, 2); err == nil {
 		t.Error("tiling a non-constant-bound loop should fail")
+	}
+	// A tile bound ti+B-1 past the largest int would wrap and lose
+	// iterations.
+	edge := transposeNest(8)
+	edge.Loops[0] = ConstLoop("i", math.MaxInt-2, math.MaxInt-1)
+	var re *RunError
+	if _, err := TileAll(edge, 4); !errors.As(err, &re) {
+		t.Errorf("tiling up to the largest int: err = %v, want a *RunError", err)
 	}
 }
 

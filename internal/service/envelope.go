@@ -21,6 +21,7 @@ import (
 	"memexplore/internal/extrace"
 	"memexplore/internal/jobs"
 	"memexplore/internal/kernels"
+	"memexplore/internal/loopir"
 	"memexplore/internal/search"
 )
 
@@ -28,7 +29,7 @@ import (
 // docs/SERVICE.md; tests assert every failure path emits one of these.
 const (
 	CodeInvalidRequest  = "invalid_request"   // 400: malformed body or missing/contradictory fields
-	CodeInvalidKernel   = "invalid_kernel"    // 400: inline source does not parse or validate
+	CodeInvalidKernel   = "invalid_kernel"    // 400: inline source does not parse, validate or run
 	CodeUnknownKernel   = "unknown_kernel"    // 404: kernel name not in the registry
 	CodeInvalidOptions  = "invalid_options"   // 400: options fail validation (field set)
 	CodeInvalidSearch   = "invalid_search"    // 400: search options or budget fail validation (field set)
@@ -81,6 +82,7 @@ func errorDetail(err error) (int, ErrorDetail) {
 		sinv   *search.InvalidError
 		tooBig *http.MaxBytesError
 		perr   *extrace.ParseError
+		run    *loopir.RunError
 	)
 	switch {
 	case errors.As(err, &re):
@@ -89,6 +91,8 @@ func errorDetail(err error) (int, ErrorDetail) {
 		return http.StatusRequestEntityTooLarge, ErrorDetail{Code: CodeBodyTooLarge, Message: err.Error()}
 	case errors.As(err, &perr):
 		return http.StatusBadRequest, ErrorDetail{Code: CodeInvalidTrace, Message: perr.Error()}
+	case errors.As(err, &run):
+		return http.StatusBadRequest, ErrorDetail{Code: CodeInvalidKernel, Message: run.Error()}
 	case errors.Is(err, extrace.ErrRecordLimit):
 		return http.StatusBadRequest, ErrorDetail{Code: CodeRecordLimit, Message: err.Error()}
 	case errors.Is(err, core.ErrEmptyTrace):
@@ -125,7 +129,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // ResultMeta is the success-envelope header every sweep response
 // embeds: whether the result was recalled from a cache tier, which
 // engine executed ("per-point", "inclusion" or "batched"), the sweep plan that was (or would be) run, and — for
-// sampled or prefiltered trace sweeps only — the estimation envelope.
+// sampled trace sweeps only — the estimation envelope.
 type ResultMeta struct {
 	Cached bool        `json:"cached"`
 	Engine string      `json:"engine"`
@@ -134,18 +138,14 @@ type ResultMeta struct {
 }
 
 // SampleInfo summarizes the estimation envelope of a sampled trace
-// sweep (see core.Options.SampleRate / DominantEps). Absent for exact
-// sweeps, so exact responses are byte-identical to previous releases.
+// sweep (see core.Options.SampleRate). Absent for exact sweeps, so exact
+// responses are byte-identical to previous releases.
 type SampleInfo struct {
-	// Rate and Seed echo the requested spatial sampling parameters (Rate
-	// 0 when only dominant-block prefiltering ran).
+	// Rate and Seed echo the requested spatial sampling parameters.
 	Rate float64 `json:"rate,omitempty"`
 	Seed uint64  `json:"seed,omitempty"`
 	// SampledRecords is how many records were actually simulated.
 	SampledRecords int64 `json:"sampled_records"`
-	// SkippedShare is the fraction of the (sampled) stream skipped as
-	// dominant-filter cold, each skipped reference counted as a hit.
-	SkippedShare float64 `json:"skipped_share,omitempty"`
 	// MissRateCIMax is the largest per-point 95% confidence half-width
 	// on MissRate across the sweep — a single worst-case error bound.
 	MissRateCIMax float64 `json:"miss_rate_ci_max,omitempty"`
@@ -154,8 +154,8 @@ type SampleInfo struct {
 	// parameters recorded in its MXTI01 footer rather than the request.
 	Stored bool `json:"stored,omitempty"`
 	// ChunksSkipped counts the mxt v2 chunks the reader stepped over via
-	// the MXTI01 index instead of decoding — records the filters were
-	// going to drop (or count as cold hits) wholesale.
+	// the MXTI01 index instead of decoding — records the sample was
+	// going to drop wholesale.
 	ChunksSkipped int64 `json:"chunks_skipped,omitempty"`
 }
 

@@ -528,6 +528,11 @@ func resolveNest(kernel, source string) (*loopir.Nest, error) {
 		if err := nest.Validate(); err != nil {
 			return nil, httpError(http.StatusBadRequest, CodeInvalidKernel, err.Error(), "")
 		}
+		// A nest issuing more references than an int64 counts is refused
+		// here: counting a tiled copy would first walk every tile.
+		if _, err := nest.References(); err != nil {
+			return nil, httpError(http.StatusBadRequest, CodeInvalidKernel, err.Error(), "")
+		}
 		return nest, nil
 	default:
 		return nil, httpError(http.StatusBadRequest, CodeInvalidRequest, "set one of kernel (registered name) or source (inline loop nest)", "")

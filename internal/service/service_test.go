@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"memexplore/internal/jobs"
 )
 
 // tinyOptionsJSON keeps test sweeps fast: 8 legal config points.
@@ -138,6 +140,64 @@ func TestExploreInlineSourceAndParseError(t *testing.T) {
 	}
 }
 
+// TestExploreSourceCannotRun: a kernel source whose loop arithmetic
+// leaves the int64 range, or whose index leaves its array, is a 400
+// invalid_kernel, synchronously and as a job — never a panic in a sweep
+// worker or a loop walk that wraps and spins — and the server answers
+// the next request after each.
+func TestExploreSourceCannotRun(t *testing.T) {
+	s := MustNew(Config{MaxConcurrentSweeps: 2, SweepWorkers: 2, CacheEntries: 8})
+	sweep := func(src, opts string) string {
+		return `{"source":` + mustJSON(src) + `,"options":` + opts + `}`
+	}
+	expectKernelError := func(what string, w *httptest.ResponseRecorder) {
+		t.Helper()
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (body %s)", what, w.Code, w.Body)
+		}
+		if e := decodeError(t, w); e.Code != CodeInvalidKernel {
+			t.Errorf("%s: error = %+v, want %s", what, e, CodeInvalidKernel)
+		}
+	}
+	nextRequestServed := func(what string) {
+		t.Helper()
+		if w := postJSON(t, s, "/v1/explore", `{"kernel":"compress","options":`+tinyOptionsJSON+`}`); w.Code != http.StatusOK {
+			t.Fatalf("after %s: next request = %d %s", what, w.Code, w.Body)
+		}
+	}
+
+	// 2^63-1 iterations of two references: the count overflows int64.
+	overflow := sweep("int8 a[1]\nfor i = 0, 9223372036854775806\n  a[0], a[0]\n", `{}`)
+	expectKernelError("overflowing count", postJSON(t, s, "/v1/explore", overflow))
+	nextRequestServed("overflowing count")
+	expectKernelError("overflowing count job", doJSON(t, s, "POST", "/v1/jobs", nil, []byte(overflow)))
+	nextRequestServed("overflowing count job")
+
+	// An outer loop ending at the largest int: its walk stops there
+	// rather than wrapping, so the untiled sweep runs; a tiling would
+	// push the tile bound past the largest int.
+	edge := "int8 a[1]\nfor i = 9223372036854775806, 9223372036854775807\n  for j = 0, 0\n    a[0]\n"
+	if w := postJSON(t, s, "/v1/explore", sweep(edge, `{"tilings":[1]}`)); w.Code != http.StatusOK {
+		t.Fatalf("loop ending at the largest int: %d %s", w.Code, w.Body)
+	} else if resp := decodeExplore(t, w); resp.Metrics[0].Accesses != 2 {
+		t.Errorf("loop ending at the largest int: %d accesses, want 2", resp.Metrics[0].Accesses)
+	}
+	expectKernelError("tile bound overflow", postJSON(t, s, "/v1/explore", sweep(edge, `{"tilings":[1,4]}`)))
+	nextRequestServed("tile bound overflow")
+
+	// An index outside its array fails the sweep, and the job with it.
+	outside := sweep("int8 a[4]\nfor i = 0, 4\n  a[i]\n", `{"tilings":[1]}`)
+	expectKernelError("index out of range", postJSON(t, s, "/v1/explore", outside))
+	w := doJSON(t, s, "POST", "/v1/jobs", nil, []byte(outside))
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("index out of range job: submit = %d %s", w.Code, w.Body)
+	}
+	if rec := awaitJob(t, s, decodeRecord(t, w).ID); rec.State != jobs.StateFailed || rec.Error == nil || rec.Error.Code != CodeInvalidKernel {
+		t.Errorf("index out of range job: state %s, error %+v, want failed with %s", rec.State, rec.Error, CodeInvalidKernel)
+	}
+	nextRequestServed("index out of range")
+}
+
 func TestExploreRequestValidation(t *testing.T) {
 	s := newTestServer(t)
 	cases := []struct {
@@ -153,6 +213,7 @@ func TestExploreRequestValidation(t *testing.T) {
 		{"unknown field", `{"kernel":"compress","bogus":1}`, http.StatusBadRequest, "invalid_request", ""},
 		{"bad line size", `{"kernel":"compress","options":{"line_sizes":[3]}}`, http.StatusBadRequest, "invalid_options", "line_sizes"},
 		{"bad tiling", `{"kernel":"compress","options":{"tilings":[0]}}`, http.StatusBadRequest, "invalid_options", "tilings"},
+		{"retired dominant_eps", `{"kernel":"compress","options":{"dominant_eps":0.05}}`, http.StatusBadRequest, "invalid_options", ""},
 	}
 	for _, c := range cases {
 		w := postJSON(t, s, "/v1/explore", c.body)

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -269,7 +268,7 @@ func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery) (*
 		}
 		meta = resultMeta(false, tq.opts, plan, 1)
 	}
-	if len(ms) > 0 && (ms[0].SampleRate > 0 || ms[0].SampledRecords > 0) {
+	if len(ms) > 0 && ms[0].SampleRate > 0 {
 		var maxCI float64
 		for _, m := range ms {
 			if m.MissRateCI > maxCI {
@@ -280,7 +279,6 @@ func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery) (*
 			Rate:           ms[0].SampleRate,
 			Seed:           tq.opts.SampleSeed,
 			SampledRecords: ms[0].SampledRecords,
-			SkippedShare:   ms[0].SkippedShare,
 			MissRateCIMax:  maxCI,
 			ChunksSkipped:  st.ChunksSkipped,
 		}
@@ -321,28 +319,6 @@ func (s *Server) traceSweep(ctx context.Context, body io.Reader, tq traceQuery) 
 
 // sweepTraceBody is traceSweep's work, run while holding the slot.
 func sweepTraceBody(ctx context.Context, body io.Reader, tq traceQuery) ([]core.Metrics, extrace.IngestStats, error) {
-	// Dominant-block prefiltering reads the stream twice; an HTTP body
-	// cannot rewind, so spool it to a temp file first. Job bodies arrive
-	// as bytes.Readers and skip the spool.
-	if tq.opts.DominantEps > 0 {
-		if _, ok := body.(io.Seeker); !ok {
-			f, err := os.CreateTemp("", "memexplore-trace-*")
-			if err != nil {
-				return nil, extrace.IngestStats{}, fmt.Errorf("service: spooling trace for the dominant-block prepass: %w", err)
-			}
-			defer os.Remove(f.Name())
-			defer f.Close()
-			if _, err := io.Copy(f, body); err != nil {
-				// A MaxBytesError from the HTTP body limit propagates here.
-				return nil, extrace.IngestStats{}, err
-			}
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				return nil, extrace.IngestStats{}, fmt.Errorf("service: rewinding spooled trace: %w", err)
-			}
-			body = f
-		}
-	}
-
 	var (
 		ms  []core.Metrics
 		st  extrace.IngestStats
@@ -350,7 +326,7 @@ func sweepTraceBody(ctx context.Context, body io.Reader, tq traceQuery) ([]core.
 	)
 	if tq.shard != nil {
 		// Shard execution (the peer side of a distributed sweep): same
-		// stream, same filters, but the engine owns only the shard's pass
+		// stream, same filter, but the engine owns only the shard's pass
 		// units. Metrics come back in the shard's own point order.
 		ms, st, err = core.ExploreTraceShard(ctx, body, tq.opts, tq.ing, tq.shard.Index, tq.shard.Count)
 	} else {

@@ -184,6 +184,7 @@ func TestExploreTraceErrorCases(t *testing.T) {
 		{"bad list", `{"options":{"cache_sizes":"big"}}`, "0 10\n", "invalid_options"},
 		{"classify unsupported via unknown key", `{"classify":true}`, "0 10\n", "invalid_options"},
 		{"invalid space", `{"options":{"cache_sizes":[16],"line_sizes":[16]}}`, "0 10\n", "invalid_options"},
+		{"retired dominant_eps", traceHeader(`"dominant_eps":0.05`, ""), "0 10\n", "invalid_options"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,31 +351,31 @@ func TestExploreTraceSamplingHeader(t *testing.T) {
 	}
 }
 
-// TestExploreTraceDominantEps: an HTTP body is not seekable, so the
-// two-pass prefilter must spool it and still succeed.
+// TestExploreTraceDominantEps: the retired dominant-block prefilter
+// option is an unknown options field, so a client that still sends it
+// fails loudly — 400 invalid_options naming the field, on the sync
+// endpoint and on a trace job submission alike — instead of getting an
+// exact sweep it did not ask for.
 func TestExploreTraceDominantEps(t *testing.T) {
 	s := newTestServer(t)
-	din := kernelDin(t)
-	w := postTrace(t, s, traceHeader(`"dominant_eps":0.1`, ""), din)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", w.Code, w.Body)
-	}
-	resp := decodeTrace(t, w)
-	if resp.Sample == nil || resp.Sample.Rate != 0 || resp.Sample.SampledRecords <= 0 {
-		t.Fatalf("prefiltered response envelope = %+v", resp.Sample)
-	}
-	// Cold skips count as hits, so the access totals still match the
-	// stream.
-	if m := resp.Metrics[0]; int64(m.Accesses) != resp.Ingest.Records {
-		t.Errorf("accesses = %d, want %d", m.Accesses, resp.Ingest.Records)
+	header := `{"kind":"explore-trace","options":{"dominant_eps":0.05}}`
+	for _, w := range []*httptest.ResponseRecorder{
+		postTrace(t, s, header, kernelDin(t)),
+		doJSON(t, s, "POST", "/v1/jobs", http.Header{OptionsHeader: {header}}, kernelDin(t)),
+	} {
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400 (body %s)", w.Code, w.Body)
+		}
+		if e := decodeError(t, w); e.Code != CodeInvalidOptions || !strings.Contains(e.Message, "dominant_eps") {
+			t.Errorf("error = %+v, want %s naming dominant_eps", e, CodeInvalidOptions)
+		}
 	}
 }
 
 // TestExploreTraceSamplingValidation rejects out-of-range knobs.
 func TestExploreTraceSamplingValidation(t *testing.T) {
 	s := newTestServer(t)
-	for _, q := range []string{`"sample_rate":1.5`, `"sample_rate":-1`, `"sample_rate":"abc"`,
-		`"dominant_eps":0.9`, `"dominant_eps":"x"`, `"sample_seed":-1`} {
+	for _, q := range []string{`"sample_rate":1.5`, `"sample_rate":-1`, `"sample_rate":"abc"`, `"sample_seed":-1`} {
 		w := postTrace(t, s, traceHeader(q, ""), []byte("0 10\n"))
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", q, w.Code)
