@@ -9,10 +9,11 @@
 //	cachesim -size 64 -line 8 -assoc 2 -trace refs.din
 //	cachesim -size 64 -line 8 -kernel compress -optimized
 //	cachesim -kernel sor -tiling 4 -dump-trace sor.din
+//	cachesim -kernel sor -dump-trace - | traceinfo -trace -
 package main
 
 import (
-	"context"
+	"compress/gzip"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func main() {
 		nestFile  = flag.String("file", "", "generate the trace of a kernel parsed from this nest file")
 		tiling    = flag.Int("tiling", 1, "tile the kernel's loops with this size")
 		optimized = flag.Bool("optimized", false, "apply the §4.1 off-chip assignment to the kernel")
-		dump      = flag.String("dump-trace", "", "write the generated trace to this din file and exit")
+		dump      = flag.String("dump-trace", "", "write the trace to this din file and exit ('-' for stdout, .gz compresses)")
 		sweep     = flag.String("sweep-sizes", "", "simulate several cache sizes in one pass (comma-separated bytes) and print a table")
 	)
 	flag.Parse()
@@ -49,21 +50,9 @@ func main() {
 		fatal(err)
 	}
 	if *dump != "" {
-		f, err := os.Create(*dump)
-		if err != nil {
+		if err := dumpTrace(tr, *dump); err != nil {
 			fatal(err)
 		}
-		writeFn := tr.WriteDin
-		if strings.HasSuffix(*dump, ".gz") {
-			writeFn = tr.WriteDinGz
-		}
-		if err := writeFn(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d references to %s\n", tr.Len(), *dump)
 		return
 	}
 
@@ -102,6 +91,41 @@ func main() {
 	fmt.Printf("lines fetched   %d\n", st.LinesFetched)
 	fmt.Printf("write-backs     %d\n", st.WriteBacks)
 	fmt.Printf("write-throughs  %d\n", st.WriteThroughs)
+}
+
+// dumpTrace writes tr in din format, size field included, to path —
+// gzip-compressed when it ends in .gz, stdout for "-" — and reports the
+// record count on stderr.
+func dumpTrace(tr *trace.Trace, path string) error {
+	var out io.Writer = os.Stdout
+	var file *os.File
+	if path != "-" {
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		file = f
+		out = f
+	}
+	var zw *gzip.Writer
+	if strings.HasSuffix(path, ".gz") {
+		zw = gzip.NewWriter(out)
+		out = zw
+	}
+	n, err := extrace.WriteDin(out, tr.Reader())
+	if err == nil && zw != nil {
+		err = zw.Close()
+	}
+	if file != nil {
+		if cerr := file.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d references to %s\n", n, path)
+	return nil
 }
 
 // readTrace collects an external trace into memory for the simulator.
@@ -221,10 +245,8 @@ func runSweep(base cachesim.Config, tr *trace.Trace, sizesCSV string) error {
 	if err != nil {
 		return err
 	}
-	stats, err := sweep.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		return err
-	}
+	sweep.AccessBlock(tr.Refs())
+	stats := sweep.Stats()
 	fmt.Printf("%-18s %10s %10s %10s\n", "configuration", "hits", "misses", "missrate")
 	for i, cfg := range cfgs {
 		fmt.Printf("%-18s %10d %10d %10.4f\n", cfg.String(), stats[i].Hits, stats[i].Misses, stats[i].MissRate())

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"memexplore/internal/cachesim"
+	"memexplore/internal/trace"
 )
 
 func TestLoadTraceKernel(t *testing.T) {
@@ -94,4 +98,77 @@ func TestRunSweepValidation(t *testing.T) {
 	if err := runSweep(base, tr, "48"); err == nil {
 		t.Error("non-power-of-two size should fail")
 	}
+}
+
+// TestDumpTraceRoundTrip dumps a nest whose int32 elements straddle
+// 4-byte lines (the int8 array ahead of them misaligns them) and
+// re-simulates the dump: the din size field must survive, so the dump
+// reads back to the very statistics of the generated trace, as a plain
+// file, a .gz file and on stdout ("-").
+func TestDumpTraceRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	nest := filepath.Join(dir, "wide.nest")
+	src := "int8 a[3]\nint32 b[8]\nfor p = 0, 3\n  for i = 0, 7\n    b[i]\n"
+	if err := os.WriteFile(nest, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := loadTrace("", "", nest, 1, false, 4, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cachesim.DefaultConfig(32, 4, 1)
+	want, err := cachesim.RunTrace(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Misses != 14 || want.LinesFetched != 15 {
+		t.Fatalf("generated trace: %d misses, %d lines fetched, want 14 and 15", want.Misses, want.LinesFetched)
+	}
+	check := func(name string, back *trace.Trace) {
+		t.Helper()
+		got, err := cachesim.RunTrace(cfg, back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: re-simulated dump %+v, want %+v", name, got, want)
+		}
+	}
+	for _, name := range []string{"wide.din", "wide.din.gz"} {
+		path := filepath.Join(dir, name)
+		if err := dumpTrace(tr, path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := loadTrace(path, "", "", 1, false, 4, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, back)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = dumpTrace(tr, "-")
+	os.Stdout = stdout
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat("-"); err == nil {
+		os.Remove("-")
+		t.Error(`-dump-trace - created a file named "-"`)
+	}
+	back, err := readTrace(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("stdout", back)
 }

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,10 +41,8 @@ func TestBatchMatchesIndividual(t *testing.T) {
 	if len(s.caches) != len(cfgs) || len(s.levels) != 0 {
 		t.Fatalf("sweep formed %d levels / %d fallbacks, want 0 / %d", len(s.levels), len(s.caches), len(cfgs))
 	}
-	batch, err := s.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AccessBlock(tr.Refs())
+	batch := s.Stats()
 	for i, cfg := range cfgs {
 		solo, err := RunTraceFast(cfg, tr)
 		if err != nil {

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -73,9 +72,8 @@ func BenchmarkBatch8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.RunTraceContext(context.Background(), tr, nil); err != nil {
-			b.Fatal(err)
-		}
+		s.AccessBlock(tr.Refs())
+		s.Stats()
 		s.Release()
 	}
 }

@@ -1,8 +1,6 @@
 package cachesim
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -75,7 +73,10 @@ func TestAccessBlockMatchesAccess(t *testing.T) {
 	}
 }
 
-func TestRunTraceContextMatchesRun(t *testing.T) {
+// TestSweepMatchesRun checks a mixed sweep — stack levels and a FIFO
+// fallback cache — fed in CancelCheckInterval blocks, as a trace pass
+// feeds it, against each configuration's own Cache.Run.
+func TestSweepMatchesRun(t *testing.T) {
 	tr := blockTestTrace()
 	fifo := DefaultConfig(512, 8, 4)
 	fifo.Replacement = FIFO
@@ -89,14 +90,11 @@ func TestRunTraceContextMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var observed int
-	got, err := s.RunTraceContext(context.Background(), tr, func(trace.Ref) { observed++ })
-	if err != nil {
-		t.Fatal(err)
+	refs := tr.Refs()
+	for start := 0; start < len(refs); start += CancelCheckInterval {
+		s.AccessBlock(refs[start:min(start+CancelCheckInterval, len(refs))])
 	}
-	if observed != tr.Len() {
-		t.Errorf("observe saw %d refs, want %d", observed, tr.Len())
-	}
+	got := s.Stats()
 	for i, cfg := range cfgs {
 		c, err := NewFast(cfg)
 		if err != nil {
@@ -107,45 +105,7 @@ func TestRunTraceContextMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got[i] != want {
-			t.Errorf("config %d: RunTraceContext %+v != Run %+v", i, got[i], want)
+			t.Errorf("config %d: sweep %+v != Run %+v", i, got[i], want)
 		}
-	}
-}
-
-func TestRunTraceContextCancel(t *testing.T) {
-	// A long synthetic trace, canceled from the observe callback: the pass
-	// must stop within one CancelCheckInterval of the cancellation point.
-	var tr trace.Trace
-	for i := 0; i < 3*CancelCheckInterval; i++ {
-		tr.Append(trace.Ref{Addr: uint64(i % 4096)})
-	}
-	b, err := NewSweep([]Config{DefaultConfig(64, 8, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	processed := 0
-	_, err = b.RunTraceContext(ctx, &tr, func(trace.Ref) {
-		processed++
-		if processed == 10 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if processed > 10+CancelCheckInterval {
-		t.Errorf("processed %d refs after canceling at 10; want within one interval (%d)", processed, CancelCheckInterval)
-	}
-
-	// A pre-canceled context returns before touching any reference.
-	pre, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	touched := 0
-	if _, err := b.RunTraceContext(pre, &tr, func(trace.Ref) { touched++ }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled err = %v, want context.Canceled", err)
-	}
-	if touched != 0 {
-		t.Errorf("pre-canceled pass touched %d refs, want 0", touched)
 	}
 }

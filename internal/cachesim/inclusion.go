@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -260,9 +259,9 @@ func (w *lineWalk) markDirty(from int, la uint64) {
 	}
 }
 
-// CancelCheckInterval is how many references Sweep.RunTraceContext
-// processes between context checks: a canceled context stops a running
-// sweep within one interval.
+// CancelCheckInterval is how many references a trace pass feeds to a
+// sweep between context checks: a canceled context stops a running pass
+// within one interval.
 const CancelCheckInterval = 8192
 
 // Sweep simulates many cache configurations in a single pass over a
@@ -337,33 +336,6 @@ func (s *Sweep) PassUnits() int { return len(s.levels) + len(s.caches) }
 // for streaming callers; statistics are identical in any chunking.
 func (s *Sweep) AccessBlock(block []trace.Ref) {
 	s.whole.AccessBlock(block)
-}
-
-// RunTraceContext drives an in-memory trace through the sweep in one
-// pass, in CancelCheckInterval-sized blocks: the context is checked
-// before every block (a canceled context stops the pass within one
-// interval and returns ctx.Err()), and observe, when non-nil, sees every
-// reference in the same traversal, which lets callers fuse per-trace
-// measurements (e.g. address-bus switching) into the simulation pass.
-func (s *Sweep) RunTraceContext(ctx context.Context, tr *trace.Trace, observe func(trace.Ref)) ([]Stats, error) {
-	refs := tr.Refs()
-	for start := 0; ; start += CancelCheckInterval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if start >= len(refs) {
-			break
-		}
-		end := min(start+CancelCheckInterval, len(refs))
-		block := refs[start:end]
-		if observe != nil {
-			for _, r := range block {
-				observe(r)
-			}
-		}
-		s.AccessBlock(block)
-	}
-	return s.Stats(), nil
 }
 
 // Stats returns the per-configuration statistics in input order.

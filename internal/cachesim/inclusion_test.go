@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -91,10 +90,8 @@ func TestSweepMatchesIndividualCaches(t *testing.T) {
 				if len(s.levels) == 0 {
 					t.Fatal("configuration set formed no inclusion groups")
 				}
-				got, err := s.RunTraceContext(context.Background(), tr, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				s.AccessBlock(tr.Refs())
+				got := s.Stats()
 				for i, cfg := range cfgs {
 					want, err := RunTraceFast(cfg, tr)
 					if err != nil {
@@ -131,10 +128,8 @@ func TestSweepMixedWritePolicies(t *testing.T) {
 	if got := len(s.levels); got != 1 {
 		t.Fatalf("InclusionGroups = %d, want 1 (same geometry throughout)", got)
 	}
-	got, err := s.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AccessBlock(tr.Refs())
+	got := s.Stats()
 	for i, cfg := range cfgs {
 		want, err := RunTraceFast(cfg, tr)
 		if err != nil {
@@ -188,33 +183,15 @@ func TestSweepReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AccessBlock(tr.Refs())
+	first := s.Stats()
 	s.Reset()
-	second, err := s.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AccessBlock(tr.Refs())
+	second := s.Stats()
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("config %v: run after Reset diverges", cfgs[i])
 		}
-	}
-}
-
-// TestSweepCancel checks the chunk-boundary context contract.
-func TestSweepCancel(t *testing.T) {
-	tr := trace.Sequential(0, 3*CancelCheckInterval, 4)
-	s, err := NewSweep(sweepConfigs(true, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RunTraceContext(ctx, tr, nil); err == nil {
-		t.Fatal("canceled context did not stop the sweep")
 	}
 }
 
@@ -255,10 +232,8 @@ func TestBatchReleaseReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.RunTraceContext(context.Background(), tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s.AccessBlock(tr.Refs())
+		st := s.Stats()
 		puts := PoolPuts()
 		s.Release()
 		if PoolPuts() != puts+1 {

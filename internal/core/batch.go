@@ -178,7 +178,7 @@ func appendGroupConfigs(dst []cachesim.Config, opts Options, points []ConfigPoin
 // group: on its own over a padded plan's trace, otherwise in its
 // tiling's pass over the sequential trace, which this call runs when the
 // group is the tiling's last to settle. workers > 1 splits each trace
-// across that many goroutines (see runSweepTrace); results are
+// across that many goroutines (see pass.run); results are
 // bit-identical at any value.
 func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, points []ConfigPoint, g workloadGroup, out []Metrics, workers int) error {
 	b := g.key.tiling
@@ -238,13 +238,12 @@ func (c *workloadCache) runSweep(ctx context.Context, opts Options, points []Con
 	if err != nil {
 		return fmt.Errorf("core: building sweep for %s/B%d: %w", c.nest.Name, b, err)
 	}
+	defer sweep.Release()
 	ctr := bus.NewSwitchCounter(bus.Gray)
-	stats, err := runSweepTrace(ctx, sweep, tr, func(r trace.Ref) { ctr.Drive(r.Addr) }, workers)
-	if err != nil {
-		// The only error source for an in-memory trace is the context.
-		return canceled(err)
+	if err := (pass{sweep: sweep, ctr: ctr, workers: workers, mem: tr.Refs()}).run(ctx); err != nil {
+		return err
 	}
-	addBS := ctr.PerDrive()
+	stats, addBS := sweep.Stats(), ctr.PerDrive()
 	for i, pi := range indices {
 		m, err := scoreStats(cfgs[i], b, opts.Energy, stats[i], addBS)
 		if err != nil {
@@ -258,7 +257,6 @@ func (c *workloadCache) runSweep(ctx context.Context, opts Options, points []Con
 		// that a job's completed units reach its planned total.
 		progress(ProgressEvent{Points: int64(len(indices)), PassUnits: int64(units)})
 	}
-	sweep.Release()
 	return nil
 }
 
@@ -267,7 +265,7 @@ func (c *workloadCache) runSweep(ctx context.Context, opts Options, points []Con
 // workers > 1 parallelizes across workload groups over a shared trace
 // cache. With more workers than groups — the one-giant-group shape every
 // external-trace-like sweep has — the groups run one after another and
-// each splits its trace across every worker (runSweepTrace: time ranges
+// each splits its trace across every worker (pass.run: time ranges
 // for stack sweeps, the pass-unit fan-out for sweeps with fallback
 // caches). The returned metrics are bit-identical to the per-point
 // reference engine, in Space() order.

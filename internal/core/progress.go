@@ -1,11 +1,11 @@
 package core
 
-// Per-sweep progress reporting. Unlike PipelineObserver — a process-wide
-// hook meant for gauges — progress callbacks are carried on the context,
-// so concurrent sweeps (the service's async jobs) each see only their
-// own events. The engines emit deltas at natural completion boundaries:
-// one event per retired trace chunk on the streaming engines, one event
-// per completed workload group (or config point) on the kernel engines.
+// Per-sweep progress reporting, the engine's only hook. Progress
+// callbacks are carried on the context, so concurrent sweeps (the
+// service's async jobs) each see only their own events. The engines emit
+// deltas at natural completion boundaries: one event per trace chunk
+// read by a stream pass, one event per completed workload group (or
+// config point) on the kernel engines.
 
 import "context"
 

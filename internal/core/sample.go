@@ -34,10 +34,10 @@ const sampleConfidenceZ = 1.96
 // at the same rate/seed/granule keep the same granules.
 func mix64(x uint64) uint64 { return extrace.Mix64(x) }
 
-// traceFilter thins the reference stream on the coordinator goroutine.
-// It is not safe for concurrent use; the engines call apply strictly
-// between chunk barriers. A sweep over a transcode-sampled artifact runs
-// no live filter and uses a bare traceFilter as its rescaling shell.
+// traceFilter thins the reference stream on the pass's coordinator
+// goroutine. It is not safe for concurrent use. A sweep over a
+// transcode-sampled artifact runs no live filter and uses a bare
+// traceFilter as its rescaling shell.
 type traceFilter struct {
 	gshift    uint   // log2 of the filter granule in bytes
 	threshold uint64 // keep a granule when mix64(g^seed) < threshold
@@ -80,7 +80,7 @@ func (f *traceFilter) keep(g uint64) bool { return mix64(g^f.seed) < f.threshold
 // onto the granule the per-record path hashes, and the verdict reproduces
 // the decode-then-filter outcome exactly: a chunk is skipped only when
 // every granule fails the hash, and an overflowed summary is always
-// decoded. It runs on the decode goroutine and reads only filter state
+// decoded. It runs inside the reader's Read and reads only filter state
 // that is immutable once the stream starts.
 func (f *traceFilter) skipChunk(e *extrace.ChunkIndexEntry) bool {
 	gs := e.Granules
@@ -103,8 +103,8 @@ func (f *traceFilter) skipChunk(e *extrace.ChunkIndexEntry) bool {
 }
 
 // apply compacts block in place to the records inside the spatial
-// sample. The backing array is the coordinator's chunk slab, exclusively
-// owned until the chunk barrier completes.
+// sample. The backing array is the pass's read buffer, which the
+// coordinator owns between reads.
 func (f *traceFilter) apply(block []trace.Ref) []trace.Ref {
 	w := 0
 	for _, r := range block {

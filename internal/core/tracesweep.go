@@ -17,14 +17,7 @@ import (
 	"memexplore/internal/bus"
 	"memexplore/internal/cachesim"
 	"memexplore/internal/extrace"
-	"memexplore/internal/trace"
 )
-
-// traceChunkRefs is the streaming chunk size: the reader fills a chunk,
-// the bus counter and every pass unit of the sweep consume it, and the
-// context is checked before the next chunk. It matches the kernel
-// sweep's cancellation granularity.
-const traceChunkRefs = cachesim.CancelCheckInterval
 
 // traceSpace restricts sweep options to what an external trace can vary.
 // Tiling and the §4.1 layout are code/data transformations applied while
@@ -133,8 +126,8 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		return nil, extrace.IngestStats{}, err
 	}
 
-	// Spatial sampling rides the coordinator of either engine; exact
-	// sweeps leave filter nil and are bit-identical to previous releases.
+	// Spatial sampling rides the pass's coordinator; exact sweeps leave
+	// filter nil and are bit-identical to previous releases.
 	var filter *traceFilter
 	rd := extrace.NewReader(r, ing)
 	defer rd.Close()
@@ -148,12 +141,7 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		rd.SetChunkPolicy(filter.skipChunk)
 	}
 	ctr := bus.NewSwitchCounter(bus.Gray)
-	if workers := opts.effectiveWorkers(); workers > 1 && (sweep.Forkable() || sweep.PassUnits() > 1) {
-		err = runTracePipeline(ctx, rd, sweep, ctr.Drive, workers, filter)
-	} else {
-		obsWorkers(1)
-		err = runTraceSequential(ctx, rd, sweep, ctr.Drive, filter)
-	}
+	err = pass{sweep: sweep, ctr: ctr, workers: opts.effectiveWorkers(), rd: rd, filter: filter}.run(ctx)
 	if err != nil {
 		return nil, rd.Stats(), err
 	}
@@ -205,44 +193,6 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		out[i] = m
 	}
 	return out, st, nil
-}
-
-// runTraceSequential is the exact single-goroutine engine (the
-// workers=1 path): read a chunk, drive the bus counter, feed every pass
-// unit, check the context, repeat. The pipelined engine is pinned
-// bit-identical to this loop by the equivalence tests.
-func runTraceSequential(ctx context.Context, rd *extrace.Reader, sweep *cachesim.Sweep, drive func(uint64), filter *traceFilter) error {
-	progress := progressFrom(ctx)
-	chunk := make([]trace.Ref, traceChunkRefs)
-	for {
-		if err := ctx.Err(); err != nil {
-			return canceled(err)
-		}
-		n, rerr := rd.Read(chunk)
-		if n > 0 {
-			block := chunk[:n]
-			if filter != nil {
-				block = filter.apply(block)
-			}
-			if len(block) > 0 {
-				for _, ref := range block {
-					drive(ref.Addr)
-				}
-				sweep.AccessBlock(block)
-			}
-			if progress != nil {
-				// Progress counts the records read, not the (thinned)
-				// records simulated, so percent-done tracks the stream.
-				progress(ProgressEvent{Records: int64(n), Chunks: 1})
-			}
-		}
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			return fmt.Errorf("core: ingesting trace: %w", rerr)
-		}
-	}
 }
 
 // ExploreTrace is ExploreTraceReader with a background context.

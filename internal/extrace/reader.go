@@ -180,9 +180,9 @@ func (r *Reader) attachPolicy(dec *binV2Decoder) {
 // SetChunkPolicy installs the per-chunk skip policy consulted against
 // the MXTI01 index. It must be called before the first Read; it has no
 // effect on non-v2 formats, index-less streams, or readers with a
-// record limit. The policy runs on the decoding goroutine (the
-// pipeline's producer): it must be pure and must not touch state that
-// changes during the stream.
+// record limit. The policy runs inside Read, on the goroutine that
+// calls it: it must be pure and must not touch state that changes
+// during the stream.
 func (r *Reader) SetChunkPolicy(p ChunkPolicy) {
 	r.policy = p
 }

@@ -4,9 +4,6 @@ import (
 	"expvar"
 	"fmt"
 	"sync/atomic"
-	"time"
-
-	"memexplore/internal/core"
 )
 
 // Service counters, published once per process under the "memexplored"
@@ -42,17 +39,6 @@ type counters struct {
 	// completed sweeps.
 	inclusionGroups expvar.Int
 	latency         latencyHist
-	// Trace-pipeline observability (see core.PipelineObserver).
-	// traceWorkers is the simulation worker count of the most recently
-	// started trace sweep — range workers for stack sweeps, pass-unit
-	// shards for fallback sweeps, 1 on the sequential path — a gauge. chunksInflight is the
-	// number of decoded chunks currently sitting in pipeline rings — a
-	// gauge summed across concurrent sweeps. chunkStall histograms how
-	// long the simulation coordinator waited for the decode producer per
-	// chunk (sub-millisecond buckets; ~0 means decode keeps up).
-	traceWorkers   expvar.Int
-	chunksInflight expvar.Int
-	chunkStall     latencyHist
 	// lastPointsPerSec is the throughput of the most recently completed
 	// (uncached) sweep — a gauge, not a cumulative counter.
 	lastPointsPerSec expvar.Float
@@ -89,14 +75,7 @@ type counters struct {
 }
 
 var vars = func() *counters {
-	c := &counters{chunkStall: latencyHist{bounds: stallBoundsMS}}
-	core.SetPipelineObserver(&core.PipelineObserver{
-		Workers:        func(n int) { c.traceWorkers.Set(int64(n)) },
-		ChunksInflight: func(delta int) { c.chunksInflight.Add(int64(delta)) },
-		ChunkStall: func(d time.Duration) {
-			c.chunkStall.Observe(float64(d) / float64(time.Millisecond))
-		},
-	})
+	c := &counters{}
 	m := expvar.NewMap("memexplored")
 	m.Set("requests", &c.requests)
 	m.Set("cache_hits", &c.cacheHits)
@@ -117,9 +96,6 @@ var vars = func() *counters {
 	m.Set("latency_ms", &c.latency)
 	m.Set("last_sweep_points_per_sec", &c.lastPointsPerSec)
 	m.Set("configs_per_pass", &c.configsPerPass)
-	m.Set("trace_workers", &c.traceWorkers)
-	m.Set("chunks_inflight", &c.chunksInflight)
-	m.Set("trace_chunk_stall_ms", &c.chunkStall)
 	m.Set("jobs_submitted", &c.jobsSubmitted)
 	m.Set("jobs_completed", &c.jobsCompleted)
 	m.Set("jobs_failed", &c.jobsFailed)
@@ -136,43 +112,23 @@ var vars = func() *counters {
 	return c
 }()
 
-// latencyBoundsMS are the default histogram bucket upper bounds in
+// latencyBoundsMS are the histogram bucket upper bounds in
 // milliseconds; the final implicit bucket is +Inf.
-var latencyBoundsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// stallBoundsMS are the chunk-stall histogram bounds: per-chunk decode
-// waits are sub-millisecond when the pipeline is healthy, so the buckets
-// start at 10µs.
-var stallBoundsMS = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100}
-
-// maxHistBuckets bounds the bucket storage so the zero value stays
-// usable; any bounds slice must have fewer entries.
-const maxHistBuckets = 16
+var latencyBoundsMS = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // latencyHist is a fixed-bucket duration histogram with p50/p99
-// readouts. bounds holds the per-instance bucket upper bounds (nil means
-// latencyBoundsMS, keeping the zero value usable). Quantiles are
-// estimated as the upper bound of the bucket containing the quantile
-// rank — coarse, but monotone and lock-free.
+// readouts; its zero value is ready to use. Quantiles are estimated as
+// the upper bound of the bucket containing the quantile rank — coarse,
+// but monotone and lock-free.
 type latencyHist struct {
-	bounds  []float64
-	buckets [maxHistBuckets]atomic.Int64 // len(bounds)+1 in use, last = overflow
+	buckets [len(latencyBoundsMS) + 1]atomic.Int64 // last = overflow
 	count   atomic.Int64
-}
-
-// bnds returns the instance's bucket bounds.
-func (h *latencyHist) bnds() []float64 {
-	if h.bounds != nil {
-		return h.bounds
-	}
-	return latencyBoundsMS
 }
 
 // Observe records one duration in milliseconds.
 func (h *latencyHist) Observe(ms float64) {
-	bounds := h.bnds()
 	i := 0
-	for i < len(bounds) && ms > bounds[i] {
+	for i < len(latencyBoundsMS) && ms > latencyBoundsMS[i] {
 		i++
 	}
 	h.buckets[i].Add(1)
@@ -182,7 +138,7 @@ func (h *latencyHist) Observe(ms float64) {
 // Quantile returns the upper bound of the bucket containing quantile q
 // (0 < q ≤ 1), or 0 when nothing has been observed.
 func (h *latencyHist) Quantile(q float64) float64 {
-	bounds := h.bnds()
+	bounds := latencyBoundsMS[:]
 	total := h.count.Load()
 	if total == 0 {
 		return 0
@@ -207,15 +163,14 @@ func (h *latencyHist) Quantile(q float64) float64 {
 // String renders the histogram as the expvar JSON value: cumulative
 // counts per bucket plus the derived p50/p99.
 func (h *latencyHist) String() string {
-	bounds := h.bnds()
 	out := `{"count":` + fmt.Sprint(h.count.Load())
 	out += fmt.Sprintf(`,"p50_ms":%g,"p99_ms":%g,"buckets":{`, h.Quantile(0.50), h.Quantile(0.99))
-	for i, b := range bounds {
+	for i, b := range latencyBoundsMS {
 		if i > 0 {
 			out += ","
 		}
 		out += fmt.Sprintf(`"le_%g":%d`, b, h.buckets[i].Load())
 	}
-	out += fmt.Sprintf(`,"le_inf":%d}}`, h.buckets[len(bounds)].Load())
+	out += fmt.Sprintf(`,"le_inf":%d}}`, h.buckets[len(latencyBoundsMS)].Load())
 	return out
 }

@@ -206,8 +206,6 @@ func (s *Server) handleExploreTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		body = bytes.NewReader(data)
 	}
-	// Resolve the worker count here so the engine's observer reports the
-	// actual shard count through the trace_workers gauge.
 	tq.opts.Workers = s.sweepWorkers(tq.workers)
 	resp, err := s.runTrace(r.Context(), body, tq)
 	if err != nil {

@@ -5,9 +5,11 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -233,54 +235,42 @@ func TestExploreTraceDraining(t *testing.T) {
 	}
 }
 
-// TestExploreTraceWorkersParam pins the workers member: the client
-// request is clamped to the server-side cap, the engine reports
-// the actual shard count through the trace_workers gauge, and the
-// pipeline's ring drains back to empty after every request.
+// TestExploreTraceWorkersParam pins the workers member end to end:
+// every worker count, the clamped one included, answers the same.
 func TestExploreTraceWorkersParam(t *testing.T) {
 	s := MustNew(Config{MaxConcurrentSweeps: 2, SweepWorkers: 4, CacheEntries: 8})
 	din := kernelDin(t)
+	post := func(workers int) TraceExploreResponse {
+		w := postTrace(t, s, traceHeader("", fmt.Sprintf(`"workers":%d`, workers)), din)
+		if w.Code != http.StatusOK {
+			t.Fatalf("workers=%d status = %d: %s", workers, w.Code, w.Body)
+		}
+		return decodeTrace(t, w)
+	}
+	r1 := post(1)
+	for _, workers := range []int{2, 4, 100} {
+		if r := post(workers); !reflect.DeepEqual(r1.Metrics, r.Metrics) || r1.Ingest.Records != r.Ingest.Records {
+			t.Errorf("workers=1 and workers=%d responses diverge", workers)
+		}
+	}
+}
 
-	inflightBefore := vars.chunksInflight.Value()
-	stallBefore := vars.chunkStall.count.Load()
-
-	// workers=2 under a cap of 4: two shards run.
-	if w := postTrace(t, s, traceHeader("", `"workers":2`), din); w.Code != http.StatusOK {
-		t.Fatalf("workers=2 status = %d: %s", w.Code, w.Body.String())
-	}
-	if got := vars.traceWorkers.Value(); got != 2 {
-		t.Errorf("trace_workers = %d after workers=2, want 2", got)
-	}
-
-	// workers=100 is clamped to the cap (4); the space has 4 pass units,
-	// so 4 shards run.
-	if w := postTrace(t, s, traceHeader("", `"workers":100`), din); w.Code != http.StatusOK {
-		t.Fatalf("workers=100 status = %d: %s", w.Code, w.Body.String())
-	}
-	if got := vars.traceWorkers.Value(); got != 4 {
-		t.Errorf("trace_workers = %d after capped workers=100, want 4", got)
-	}
-
-	// workers=1 forces the exact sequential engine.
-	if w := postTrace(t, s, traceHeader("", `"workers":1`), din); w.Code != http.StatusOK {
-		t.Fatalf("workers=1 status = %d: %s", w.Code, w.Body.String())
-	}
-	if got := vars.traceWorkers.Value(); got != 1 {
-		t.Errorf("trace_workers = %d after workers=1, want 1", got)
-	}
-
-	if got := vars.chunksInflight.Value(); got != inflightBefore {
-		t.Errorf("chunks_inflight = %d after requests drained, want %d", got, inflightBefore)
-	}
-	if got := vars.chunkStall.count.Load(); got <= stallBefore {
-		t.Error("trace_chunk_stall_ms histogram did not advance on pipelined sweeps")
-	}
-
-	// Equal results at every worker count.
-	r1 := decodeTrace(t, postTrace(t, s, traceHeader("", `"workers":1`), din))
-	r4 := decodeTrace(t, postTrace(t, s, traceHeader("", `"workers":4`), din))
-	if !reflect.DeepEqual(r1.Metrics, r4.Metrics) || r1.Ingest.Records != r4.Ingest.Records {
-		t.Error("workers=1 and workers=4 responses diverge")
+// TestSweepWorkers pins the worker clamp: a request of 0 or above the
+// server cap runs at the cap, a smaller one as asked, and an unset cap
+// is GOMAXPROCS.
+func TestSweepWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		cap, requested, want int
+	}{
+		{4, 0, 4},
+		{4, 100, 4},
+		{4, 2, 2},
+		{0, 0, runtime.GOMAXPROCS(0)},
+	} {
+		s := &Server{cfg: Config{SweepWorkers: tc.cap}}
+		if got := s.sweepWorkers(tc.requested); got != tc.want {
+			t.Errorf("cap %d: sweepWorkers(%d) = %d, want %d", tc.cap, tc.requested, got, tc.want)
+		}
 	}
 }
 

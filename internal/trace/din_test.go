@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"io"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,8 @@ import (
 	"memexplore/internal/trace"
 )
 
-// readDin reads WriteDin/WriteDinGz output back through extrace, the
-// din parser every consumer uses.
+// readDin reads din output back through extrace, the din parser every
+// consumer uses.
 func readDin(r io.Reader) (*trace.Trace, error) {
 	rd := extrace.NewReader(r, extrace.Options{})
 	defer rd.Close()
@@ -38,7 +39,7 @@ func TestDinRoundTrip(t *testing.T) {
 		{Addr: 0x42, Kind: trace.Fetch},
 	})
 	var buf bytes.Buffer
-	if err := tr.WriteDin(&buf); err != nil {
+	if _, err := extrace.WriteDin(&buf, tr.Reader()); err != nil {
 		t.Fatalf("WriteDin: %v", err)
 	}
 	got, err := readDin(&buf)
@@ -67,7 +68,7 @@ func TestQuickDinRoundTrip(t *testing.T) {
 			tr.Append(trace.Ref{Addr: a, Kind: k})
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteDin(&buf); err != nil {
+		if _, err := extrace.WriteDin(&buf, tr.Reader()); err != nil {
 			return false
 		}
 		got, err := readDin(&buf)
@@ -89,7 +90,11 @@ func TestQuickDinRoundTrip(t *testing.T) {
 func TestDinGzRoundTrip(t *testing.T) {
 	tr := trace.Sequential(0, 200, 3)
 	var buf bytes.Buffer
-	if err := tr.WriteDinGz(&buf); err != nil {
+	zw := gzip.NewWriter(&buf)
+	if _, err := extrace.WriteDin(zw, tr.Reader()); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 || buf.Bytes()[0] != 0x1f {

@@ -1,13 +1,11 @@
 // Package trace defines memory-reference traces: the fundamental input of
 // the cache simulator. A trace is a sequence of Ref records (address, access
 // kind, size). The package provides in-memory traces, streaming interfaces,
-// a reader/writer for the classic Dinero "din" text format, and synthetic
-// generators used by tests and benchmarks.
+// the classic Dinero "din" labels, and synthetic generators used by tests
+// and benchmarks; internal/extrace reads and writes the din format.
 package trace
 
 import (
-	"bufio"
-	"compress/gzip"
 	"fmt"
 	"io"
 )
@@ -168,33 +166,4 @@ func (s *sliceSource) Next() (Ref, error) {
 	r := s.refs[s.pos]
 	s.pos++
 	return r, nil
-}
-
-// WriteDin writes the trace in Dinero din format: one "<label> <hexaddr>"
-// pair per line.
-func (t *Trace) WriteDin(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range t.refs {
-		if _, err := fmt.Fprintf(bw, "%d %x\n", r.Kind.DinLabel(), r.Addr); err != nil {
-			return fmt.Errorf("trace: writing din record: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("trace: flushing din output: %w", err)
-	}
-	return nil
-}
-
-// WriteDinGz writes the trace in gzip-compressed din format — useful for
-// large traces; extrace.NewReader detects and decompresses it.
-func (t *Trace) WriteDinGz(w io.Writer) error {
-	gz := gzip.NewWriter(w)
-	if err := t.WriteDin(gz); err != nil {
-		gz.Close()
-		return err
-	}
-	if err := gz.Close(); err != nil {
-		return fmt.Errorf("trace: closing gzip stream: %w", err)
-	}
-	return nil
 }
