@@ -151,7 +151,7 @@ func BenchmarkAblationReplacement(b *testing.B) {
 		for _, pol := range []cachesim.Replacement{cachesim.LRU, cachesim.FIFO, cachesim.Random} {
 			cfg := cachesim.DefaultConfig(64, 8, 4)
 			cfg.Replacement = pol
-			st, err := cachesim.RunTraceFast(cfg, tr)
+			st, err := cachesim.RunTrace(cfg, tr)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -225,6 +225,12 @@ func BenchmarkExploreSweep(b *testing.B) {
 	// space, and matmul at one tiling, where the padded plans mostly win.
 	optimized := core.DefaultOptions()
 	b.Run("optimized", func(b *testing.B) { run(b, core.ExploreContext, optimized, 1) })
+	// The same optimized space classified: one classifying fallback cache
+	// per point in each workload group's pass, alone and at 4 workers.
+	classified := optimized
+	classified.Classify = true
+	b.Run("classified", func(b *testing.B) { run(b, core.ExploreContext, classified, 1) })
+	b.Run("classified-parallel", func(b *testing.B) { run(b, core.ExploreContext, classified, 4) })
 	optimized.Tilings = []int{1}
 	b.Run("optimized-matmul", func(b *testing.B) { runOn(b, kernels.MatMul(), core.ExploreContext, optimized, 1) })
 }
@@ -373,7 +379,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cachesim.RunTraceFast(cfg, tr); err != nil {
+		if _, err := cachesim.RunTrace(cfg, tr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -77,6 +77,7 @@ func main() {
 		return
 	}
 
+	cfg.Classify = true
 	st, err := cachesim.RunTrace(cfg, tr)
 	if err != nil {
 		fatal(err)

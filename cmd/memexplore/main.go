@@ -111,6 +111,8 @@ func main() {
 	opts.Workers = *workers
 	opts.SampleRate = *sampleRate
 	opts.SampleSeed = *sampleSeed
+	ro := reportOpts{top: *top, cycleBound: *cycleBound, energyBound: *energyBound, pareto: *pareto,
+		csvPath: *csvPath, jsonPath: *jsonPath}
 
 	if *serverURL != "" || *jobID != "" {
 		if *serverURL == "" {
@@ -123,7 +125,6 @@ func main() {
 			fatal(fmt.Errorf("-shards distributes a trace sweep; it requires -trace"))
 		}
 		ing := memexplore.TraceIngestOptions{MaxRecords: *maxRecords, SkipMalformed: *skipBad}
-		ro := reportOpts{top: *top, cycleBound: *cycleBound, energyBound: *energyBound, pareto: *pareto}
 		if err := runClient(*serverURL, *jobID, *waitJob, *tracePath,
 			*kernelName, *kernelFile, opts, ing, *shards, *cycleBound, *energyBound, ro); err != nil {
 			fatal(err)
@@ -168,10 +169,7 @@ func main() {
 			budget.MaxEvaluations = 2000
 		}
 		ing := memexplore.TraceIngestOptions{MaxRecords: *maxRecords, SkipMalformed: *skipBad}
-		err := runSearch(*kernelName, *kernelFile, *tracePath, opts, ing, sopts, budget,
-			*csvPath, *jsonPath,
-			reportOpts{top: *top, cycleBound: *cycleBound, energyBound: *energyBound, pareto: *pareto})
-		if err != nil {
+		if err := runSearch(*kernelName, *kernelFile, *tracePath, opts, ing, sopts, budget, ro); err != nil {
 			fatal(err)
 		}
 		return
@@ -179,9 +177,7 @@ func main() {
 
 	if *tracePath != "" {
 		ing := memexplore.TraceIngestOptions{MaxRecords: *maxRecords, SkipMalformed: *skipBad}
-		err := runTrace(*tracePath, opts, ing, *csvPath, *jsonPath,
-			reportOpts{top: *top, cycleBound: *cycleBound, energyBound: *energyBound, pareto: *pareto})
-		if err != nil {
+		if err := runTrace(*tracePath, opts, ing, ro); err != nil {
 			fatal(err)
 		}
 		return
@@ -209,21 +205,7 @@ func main() {
 		fatal(err)
 	}
 
-	if *csvPath != "" {
-		if err := writeCSV(*csvPath, ms); err != nil {
-			fatal(err)
-		}
-	}
-	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, ms); err != nil {
-			fatal(err)
-		}
-	}
-	if *csvPath != "" || *jsonPath != "" {
-		return
-	}
-
-	if !*icacheMode {
+	if !*icacheMode && !ro.writesFiles() {
 		if plan := opts.Plan(); plan.Workloads < len(ms) {
 			fmt.Printf("evaluated %d configurations over %d workload traces (%d trace passes saved by batching)\n",
 				len(ms), plan.Workloads, len(ms)-plan.Workloads)
@@ -235,23 +217,42 @@ func main() {
 		}
 	}
 
-	if err := reportSweep(ms, reportOpts{top: *top, cycleBound: *cycleBound, energyBound: *energyBound, pareto: *pareto}); err != nil {
+	if err := reportSweep(ms, ro); err != nil {
 		fatal(err)
 	}
 }
 
-// reportOpts selects what the sweep report prints.
+// reportOpts selects what the sweep report prints, or the files it
+// writes instead.
 type reportOpts struct {
 	top         int
 	cycleBound  float64
 	energyBound float64
 	pareto      bool
+	csvPath     string
+	jsonPath    string
 }
 
-// reportSweep prints the top-N energy table, the optima and the optional
-// bounded selections and Pareto frontier — shared by the kernel and
-// trace modes.
+// writesFiles reports whether the sweep goes to -csv or -json files
+// rather than to the printed report.
+func (ro reportOpts) writesFiles() bool { return ro.csvPath != "" || ro.jsonPath != "" }
+
+// reportSweep writes the sweep to the -csv and -json files that are set
+// or, when neither is, prints the top-N energy table, the optima and the
+// optional bounded selections and Pareto frontier — shared by the
+// kernel, trace, search and client modes.
 func reportSweep(ms []memexplore.Metrics, ro reportOpts) error {
+	if ro.writesFiles() {
+		if ro.csvPath != "" {
+			if err := writeCSV(ro.csvPath, ms); err != nil {
+				return err
+			}
+		}
+		if ro.jsonPath != "" {
+			return writeJSON(ro.jsonPath, ms)
+		}
+		return nil
+	}
 	byEnergy := append([]memexplore.Metrics(nil), ms...)
 	sort.SliceStable(byEnergy, func(i, j int) bool { return byEnergy[i].EnergyNJ < byEnergy[j].EnergyNJ })
 	if ro.top > 0 && len(byEnergy) > ro.top {
@@ -305,15 +306,13 @@ func reportSweep(ms []memexplore.Metrics, ro reportOpts) error {
 	return nil
 }
 
-// runTrace streams a recorded trace file through the sweep and reports
-// the ingest profile alongside the usual sweep summary.
 // runSearch runs the budgeted NSGA-II search over a kernel or trace
 // workload and reports the evolved Pareto archive with the usual sweep
 // report (the "evaluated" counts in the tables are archive sizes, since
 // only the archive survives the search).
 func runSearch(kernelName, kernelFile, tracePath string, opts memexplore.Options,
 	ing memexplore.TraceIngestOptions, sopts memexplore.SearchOptions,
-	budget memexplore.SearchBudget, csvPath, jsonPath string, ro reportOpts) error {
+	budget memexplore.SearchBudget, ro reportOpts) error {
 	var res memexplore.SearchResult
 	if tracePath != "" {
 		if tracePath == "-" {
@@ -344,25 +343,12 @@ func runSearch(kernelName, kernelFile, tracePath string, opts memexplore.Options
 	fmt.Printf("guided search: evaluated %d of %d configurations in %d generations (%d memo hits), stopped by %s\n",
 		res.Evaluations, res.SpacePoints, res.Generations, res.MemoHits, res.Stopped)
 	fmt.Printf("Pareto archive: %d configurations\n\n", len(res.Archive))
-
-	if csvPath != "" {
-		if err := writeCSV(csvPath, res.Archive); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, res.Archive); err != nil {
-			return err
-		}
-	}
-	if csvPath != "" || jsonPath != "" {
-		return nil
-	}
 	return reportSweep(res.Archive, ro)
 }
 
-func runTrace(path string, opts memexplore.Options, ing memexplore.TraceIngestOptions,
-	csvPath, jsonPath string, ro reportOpts) error {
+// runTrace streams a recorded trace file through the sweep and reports
+// the ingest profile alongside the usual sweep summary.
+func runTrace(path string, opts memexplore.Options, ing memexplore.TraceIngestOptions, ro reportOpts) error {
 	var in io.Reader = os.Stdin
 	if path != "-" {
 		f, err := os.Open(path)
@@ -414,20 +400,6 @@ func runTrace(path string, opts memexplore.Options, ing memexplore.TraceIngestOp
 		}
 	}
 	fmt.Println()
-
-	if csvPath != "" {
-		if err := writeCSV(csvPath, ms); err != nil {
-			return err
-		}
-	}
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, ms); err != nil {
-			return err
-		}
-	}
-	if csvPath != "" || jsonPath != "" {
-		return nil
-	}
 	return reportSweep(ms, ro)
 }
 

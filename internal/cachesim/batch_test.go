@@ -44,7 +44,7 @@ func TestBatchMatchesIndividual(t *testing.T) {
 	s.AccessBlock(tr.Refs())
 	batch := s.Stats()
 	for i, cfg := range cfgs {
-		solo, err := RunTraceFast(cfg, tr)
+		solo, err := RunTrace(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,13 +150,13 @@ func TestVictimBufferCapacity(t *testing.T) {
 	}
 	small := cfg
 	small.VictimLines = 1
-	one, err := RunTraceFast(small, &tr)
+	one, err := RunTrace(small, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := cfg
 	big.VictimLines = 2
-	two, err := RunTraceFast(big, &tr)
+	two, err := RunTrace(big, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestQuickVictimNeverHurts(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := trace.Random(rng, 0, 2048, 600)
 		base := DefaultConfig(128, 8, 1)
-		plain, err := RunTraceFast(base, tr)
+		plain, err := RunTrace(base, tr)
 		if err != nil {
 			return false
 		}
 		vc := base
 		vc.VictimLines = 1 << (vExp % 4) // 1..8
-		withVictim, err := RunTraceFast(vc, tr)
+		withVictim, err := RunTrace(vc, tr)
 		if err != nil {
 			return false
 		}

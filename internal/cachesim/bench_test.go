@@ -22,7 +22,7 @@ func BenchmarkAccessDirectMapped(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunTraceFast(cfg, tr); err != nil {
+		if _, err := RunTrace(cfg, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -35,7 +35,7 @@ func BenchmarkAccess8Way(b *testing.B) {
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunTraceFast(cfg, tr); err != nil {
+		if _, err := RunTrace(cfg, tr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,6 +46,7 @@ func BenchmarkAccess8Way(b *testing.B) {
 func BenchmarkAccessClassified(b *testing.B) {
 	tr := benchTrace()
 	cfg := DefaultConfig(1024, 16, 1)
+	cfg.Classify = true
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -96,7 +96,7 @@ func TestSweepMatchesRun(t *testing.T) {
 	}
 	got := s.Stats()
 	for i, cfg := range cfgs {
-		c, err := NewFast(cfg)
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,8 +39,7 @@ type Cache struct {
 	rngState uint64
 
 	// shadow holds the 3C classification state (see shadow3C); it is nil
-	// for caches built with NewFast, which skip classification to save
-	// time and memory in wide sweeps.
+	// unless Config.Classify is set.
 	shadow *shadow3C
 
 	// victim is the optional victim buffer (Config.VictimLines > 0),
@@ -53,19 +52,9 @@ type victimEntry struct {
 	dirty    bool
 }
 
-// New builds a cache for the given configuration with 3C classification
-// enabled.
+// New builds a cache for the given configuration, classifying its misses
+// when cfg.Classify is set.
 func New(cfg Config) (*Cache, error) {
-	return newCache(cfg, true)
-}
-
-// NewFast builds a cache without 3C miss classification; Stats will report
-// zero for the per-class counters. Useful in large exploration sweeps.
-func NewFast(cfg Config) (*Cache, error) {
-	return newCache(cfg, false)
-}
-
-func newCache(cfg Config, classify bool) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +72,7 @@ func newCache(cfg Config, classify bool) (*Cache, error) {
 	for i := range c.sets {
 		c.sets[i] = c.lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
-	if classify {
+	if cfg.Classify {
 		c.shadow = newShadow3C(cfg.NumLines())
 	}
 	return c, nil
@@ -115,8 +104,8 @@ func (c *Cache) Reset() {
 type AccessResult struct {
 	Hit bool
 	// Class is NotMiss on a hit, otherwise the 3C class of the (first)
-	// missing line. Caches built with NewFast do not classify; their
-	// misses all report Capacity and the per-class Stats counters stay 0.
+	// missing line. A cache without Config.Classify reports every miss
+	// as Capacity.
 	Class MissClass
 	// LinesTouched is how many distinct cache lines the reference spans
 	// (>1 only for references that straddle a line boundary).
@@ -375,7 +364,7 @@ func (c *Cache) accessLine(lineAddr uint64, kind trace.Kind) (bool, MissClass) {
 			class = Capacity
 		}
 	} else {
-		class = Capacity // aggregate-only placeholder; per-class stats stay 0
+		class = Capacity // unclassified: every miss counts as a capacity miss
 	}
 
 	if kind == trace.Write && !c.cfg.WriteAllocate {
@@ -501,19 +490,10 @@ func (c *Cache) Run(src trace.Source) (Stats, error) {
 }
 
 // RunTrace simulates an in-memory trace on a fresh cache of the given
-// configuration and returns the statistics.
+// configuration and returns the statistics, classified when
+// cfg.Classify is set.
 func RunTrace(cfg Config, tr *trace.Trace) (Stats, error) {
 	c, err := New(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	c.AccessBlock(tr.Refs())
-	return c.stats, nil
-}
-
-// RunTraceFast is RunTrace without 3C classification.
-func RunTraceFast(cfg Config, tr *trace.Trace) (Stats, error) {
-	c, err := NewFast(cfg)
 	if err != nil {
 		return Stats{}, err
 	}

@@ -6,8 +6,10 @@ import (
 	"memexplore/internal/trace"
 )
 
+// mustCache builds a classifying cache.
 func mustCache(t *testing.T, cfg Config) *Cache {
 	t.Helper()
+	cfg.Classify = true
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New(%v): %v", cfg, err)
@@ -256,6 +258,7 @@ func TestCapacityMissClassification(t *testing.T) {
 	// Stream over a region 4x the cache: all misses after cold ones are
 	// capacity, not conflict (sequential lines spread over all sets).
 	cfg := DefaultConfig(64, 8, 1)
+	cfg.Classify = true
 	tr := trace.Loop(0, 256, 8, 3) // 32 lines, 3 passes
 	st, err := RunTrace(cfg, tr)
 	if err != nil {
@@ -277,6 +280,7 @@ func TestCapacityMissClassification(t *testing.T) {
 
 func TestFullyAssociativeHasNoConflictMisses(t *testing.T) {
 	cfg := DefaultConfig(64, 8, 8) // fully associative
+	cfg.Classify = true
 	tr := trace.Concat(
 		trace.PingPong(0, 64, 50),
 		trace.Loop(0, 512, 8, 2),
@@ -308,25 +312,30 @@ func TestResetRestoresColdState(t *testing.T) {
 	}
 }
 
-func TestRunTraceFastMatchesAggregate(t *testing.T) {
+// TestUnclassifiedMatchesAggregate checks that a cache without
+// Config.Classify reports the classified cache's statistics, except that
+// every miss counts as a capacity miss.
+func TestUnclassifiedMatchesAggregate(t *testing.T) {
 	cfg := DefaultConfig(128, 16, 2)
 	tr := trace.Concat(
 		trace.Loop(0, 1024, 4, 3),
 		trace.PingPong(0, 2048, 100),
 	)
+	plain, err := RunTrace(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Classify = true
 	full, err := RunTrace(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := RunTraceFast(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
+	if full.CompulsoryMisses == 0 || full.CompulsoryMisses == full.Misses {
+		t.Fatalf("classified run should split its misses: %+v", full)
 	}
-	if full.Hits != fast.Hits || full.Misses != fast.Misses || full.Accesses != fast.Accesses {
-		t.Errorf("fast path diverges: full=%v fast=%v", full, fast)
-	}
-	if fast.CompulsoryMisses != 0 || fast.ConflictMisses != 0 {
-		t.Errorf("fast path should not classify: %+v", fast)
+	full.CompulsoryMisses, full.CapacityMisses, full.ConflictMisses = 0, full.Misses, 0
+	if plain != full {
+		t.Errorf("unclassified run diverges: plain=%+v classified=%+v", plain, full)
 	}
 }
 

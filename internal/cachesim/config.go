@@ -72,6 +72,12 @@ type Config struct {
 	// alternative to the paper's §4.1 software conflict elimination; the
 	// ablation exhibit compares the two.
 	VictimLines int
+	// Classify turns on 3C miss classification: the cache keeps a shadow
+	// of every line it has seen and a fully associative LRU cache of its
+	// capacity, and splits its misses into compulsory, capacity and
+	// conflict. Without it, every miss counts as a capacity miss. It
+	// changes no other statistic.
+	Classify bool
 }
 
 // DefaultConfig returns the paper's baseline policies for a (T, L, S)

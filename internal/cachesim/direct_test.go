@@ -33,7 +33,7 @@ func TestCountDirectMappedMatchesRunTrace(t *testing.T) {
 			t.Fatalf("L=%d: complete %v, err %v", line, complete, err)
 		}
 		for j, s := range sets {
-			st, err := RunTrace(DefaultConfig(s*line, line, 1), tr)
+			st, err := RunTrace(classified(DefaultConfig(s*line, line, 1)), tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestCountDirectMappedSparse(t *testing.T) {
 		t.Errorf("counter allocated %d bytes for 64 distinct lines", alloc)
 	}
 	for j, s := range []int{4, 16, 256} {
-		st, err := RunTrace(DefaultConfig(s*4, 4, 1), tr)
+		st, err := RunTrace(classified(DefaultConfig(s*4, 4, 1)), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,4 +149,10 @@ func TestShadowLevels(t *testing.T) {
 		}
 		seen[la] = true
 	}
+}
+
+// classified returns cfg with 3C classification on.
+func classified(cfg Config) Config {
+	cfg.Classify = true
+	return cfg
 }

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"memexplore/internal/trace"
@@ -15,15 +16,15 @@ import (
 // and random replacement, no-write-allocate, victim buffers) on one
 // fallback Cache each. The levels of one line size are driven by one
 // walk per line touch (lineWalk). The combined results are bit-identical
-// to simulating every configuration individually with NewFast.
+// to simulating every configuration individually with New.
 
 // InclusionEligible reports whether the inclusion engine can simulate the
-// configuration exactly: LRU replacement with write-allocate and no
-// victim buffer (DefaultConfig's policies). Both write-back and
-// write-through caches qualify — the write policy changes traffic
-// accounting, never which lines are resident.
+// configuration exactly: LRU replacement with write-allocate, no victim
+// buffer (DefaultConfig's policies) and no 3C classification. Both
+// write-back and write-through caches qualify — the write policy changes
+// traffic accounting, never which lines are resident.
 func InclusionEligible(cfg Config) bool {
-	return cfg.Replacement == LRU && cfg.WriteAllocate && cfg.VictimLines == 0
+	return cfg.Replacement == LRU && cfg.WriteAllocate && cfg.VictimLines == 0 && !cfg.Classify
 }
 
 // sweepSlot maps one input configuration to where its statistics live:
@@ -109,9 +110,9 @@ func kindClass(k trace.Kind) int {
 }
 
 // statsFor derives the exact Stats of one member from the level's
-// histograms and its walk's totals, matching NewFast semantics field
-// for field (per-class miss counters report the aggregate-only Capacity
-// placeholder, victim and compulsory counters stay zero). wb is the
+// histograms and its walk's totals, matching an unclassified Cache field
+// for field (every miss counts as a capacity miss, victim and
+// compulsory counters stay zero). wb is the
 // settled write-back column (PerSetStacks.Writebacks), needed only for
 // write-back members.
 func (lv *stackLevel) statsFor(m groupMember, wb []uint64) Stats {
@@ -264,61 +265,133 @@ func (w *lineWalk) markDirty(from int, la uint64) {
 // within one interval.
 const CancelCheckInterval = 8192
 
+// Relative per-reference cost weights of the two pass-unit kinds. They
+// only steer shard balance (never correctness): a stack level's touch
+// scans a per-set list of up to maxA entries, a fallback cache probe is
+// an indexed compare plus a bounded way scan.
+const (
+	levelUnitBaseWeight = 4
+	cacheUnitWeight     = 3
+)
+
+// PassUnit is one of the independent simulation state machines a Sweep
+// runs: a stack level, serving every inclusion-eligible configuration of
+// one (LineBytes, NumSets) geometry, or a fallback cache, serving one
+// other configuration.
+type PassUnit struct {
+	// Level reports a stack level; otherwise the unit is a fallback cache.
+	Level bool
+	// Configs are the indices of the configurations the unit serves, in
+	// ascending order.
+	Configs []int
+	// Weight is the unit's estimated per-reference cost: 4 plus the
+	// level's largest associativity, or 3 for a fallback cache.
+	Weight int
+}
+
+// PassUnitsOf lists the pass units NewSweep builds for cfgs, in
+// canonical order: one stack level per (LineBytes, NumSets) geometry of
+// the inclusion-eligible configurations (see InclusionEligible), in order
+// of first appearance, then one fallback cache per other configuration,
+// in configuration order. It validates cfgs and builds no simulator
+// state, so plans and shard partitions are derived from the
+// configurations alone.
+func PassUnitsOf(cfgs []Config) ([]PassUnit, error) {
+	// Options.Plan calls this once per workload group of every request,
+	// so it makes two allocations: units, and buf, which holds level
+	// (each configuration's level, -1 for a fallback cache) and members
+	// (the backing of every unit's Configs: the levels' members in level
+	// order, then one index per fallback cache). geoms, the levels'
+	// geometries, starts on the stack.
+	type geom struct{ lineBytes, sets int }
+	var geomBuf [16]geom
+	geoms := geomBuf[:0]
+	units := make([]PassUnit, 0, len(cfgs))
+	buf := make([]int, 2*len(cfgs))
+	level, members := buf[:len(cfgs)], buf[len(cfgs):len(cfgs)]
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("cachesim: sweep config %d: %w", i, err)
+		}
+		level[i] = -1
+		if !InclusionEligible(cfg) {
+			continue
+		}
+		g := geom{cfg.LineBytes, cfg.NumSets()}
+		li := slices.Index(geoms, g)
+		if li < 0 {
+			li = len(units)
+			geoms = append(geoms, g)
+			units = append(units, PassUnit{Level: true, Weight: levelUnitBaseWeight})
+		}
+		level[i] = li
+		units[li].Weight = max(units[li].Weight, levelUnitBaseWeight+cfg.Assoc)
+	}
+	for li := range units {
+		start := len(members)
+		for i, l := range level {
+			if l == li {
+				members = append(members, i)
+			}
+		}
+		units[li].Configs = members[start:len(members):len(members)]
+	}
+	for i, l := range level {
+		if l < 0 {
+			members = append(members, i)
+			units = append(units, PassUnit{Configs: members[len(members)-1 : len(members) : len(members)], Weight: cacheUnitWeight})
+		}
+	}
+	return units, nil
+}
+
 // Sweep simulates many cache configurations in a single pass over a
 // trace — the Dinero IV trick: the trace is read once and fanned out to
 // every simulator. It collapses the associativity dimension of every
 // inclusion-eligible (LineBytes, NumSets) geometry into one stack level,
 // walks the levels of each line size together, and simulates every other
-// configuration on its own fallback cache. Statistics are bit-identical
-// to per-configuration simulation with NewFast.
+// configuration on its own fallback cache, classifying its misses when
+// its Config.Classify is set. Statistics are bit-identical to
+// per-configuration simulation with New.
 type Sweep struct {
-	levels []*stackLevel // canonical unit order: first encounter in cfgs
-	caches []*Cache      // fallback caches, in configuration order
+	units  []PassUnit    // PassUnitsOf the configurations
+	levels []*stackLevel // the units' stack levels, in unit order
+	caches []*Cache      // the units' fallback caches, in unit order
 	slots  []sweepSlot
 	whole  *SweepShard // every pass unit: the AccessBlock traversal
 }
 
-// NewSweep builds a sweep over the configurations, giving every
-// (LineBytes, NumSets) geometry of inclusion-eligible configs (see
-// InclusionEligible) a stack level and every other configuration a
-// fallback cache.
+// NewSweep builds a sweep over the configurations: one stack level or
+// fallback cache per pass unit (see PassUnitsOf).
 func NewSweep(cfgs []Config) (*Sweep, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cachesim: sweep needs at least one configuration")
 	}
-	for i, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("cachesim: sweep config %d: %w", i, err)
-		}
+	units, err := PassUnitsOf(cfgs)
+	if err != nil {
+		return nil, err
 	}
-	type geom struct{ lineBytes, sets int }
-	s := &Sweep{slots: make([]sweepSlot, len(cfgs))}
-	levelIdx := make(map[geom]int)
-	for i, cfg := range cfgs {
-		if !InclusionEligible(cfg) {
-			c, err := NewFast(cfg)
+	s := &Sweep{units: units, slots: make([]sweepSlot, len(cfgs))}
+	for _, u := range units {
+		first := cfgs[u.Configs[0]]
+		if !u.Level {
+			c, err := New(first)
 			if err != nil {
 				return nil, err
 			}
-			s.slots[i] = sweepSlot{group: -1, member: len(s.caches)}
+			s.slots[u.Configs[0]] = sweepSlot{group: -1, member: len(s.caches)}
 			s.caches = append(s.caches, c)
 			continue
 		}
-		key := geom{cfg.LineBytes, cfg.NumSets()}
-		li, ok := levelIdx[key]
-		if !ok {
-			li = len(s.levels)
-			levelIdx[key] = li
-			s.levels = append(s.levels, &stackLevel{lineBytes: cfg.LineBytes, sets: cfg.NumSets(), offShift: uint(cfg.OffsetBits())})
+		lv := &stackLevel{lineBytes: first.LineBytes, sets: first.NumSets(), offShift: uint(first.OffsetBits())}
+		for _, ci := range u.Configs {
+			s.slots[ci] = sweepSlot{group: len(s.levels), member: len(lv.members)}
+			lv.members = append(lv.members, groupMember{assoc: cfgs[ci].Assoc, writeBack: cfgs[ci].WriteBack})
 		}
-		lv := s.levels[li]
-		s.slots[i] = sweepSlot{group: li, member: len(lv.members)}
-		lv.members = append(lv.members, groupMember{assoc: cfg.Assoc, writeBack: cfg.WriteBack})
-	}
-	for _, lv := range s.levels {
 		if err := lv.init(); err != nil {
 			return nil, err
 		}
+		s.levels = append(s.levels, lv)
 	}
 	s.whole = newSweepShard(s.levels, s.caches)
 	return s, nil
@@ -374,5 +447,5 @@ func (s *Sweep) Release() {
 	for _, c := range s.caches {
 		c.release()
 	}
-	s.levels, s.caches, s.slots, s.whole = nil, nil, nil, nil
+	s.units, s.levels, s.caches, s.slots, s.whole = nil, nil, nil, nil, nil
 }

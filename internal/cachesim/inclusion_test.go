@@ -75,7 +75,7 @@ func sweepConfigs(writeBack, mixIneligible bool) []Config {
 // TestSweepMatchesIndividualCaches is the engine's ground-truth property
 // test: on random mixed traces, every configuration's Stats from the
 // mixed inclusion/fallback Sweep must equal — field for field — a fresh
-// per-configuration NewFast simulation.
+// per-configuration simulation with New.
 func TestSweepMatchesIndividualCaches(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,7 +93,7 @@ func TestSweepMatchesIndividualCaches(t *testing.T) {
 				s.AccessBlock(tr.Refs())
 				got := s.Stats()
 				for i, cfg := range cfgs {
-					want, err := RunTraceFast(cfg, tr)
+					want, err := RunTrace(cfg, tr)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -131,7 +131,7 @@ func TestSweepMixedWritePolicies(t *testing.T) {
 	s.AccessBlock(tr.Refs())
 	got := s.Stats()
 	for i, cfg := range cfgs {
-		want, err := RunTraceFast(cfg, tr)
+		want, err := RunTrace(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -259,6 +259,7 @@ func TestClassifyMatchesReferenceModel(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		tr := classTrace(rand.New(rand.NewSource(seed)), 40000)
 		for _, cfg := range refGeometries {
+			cfg.Classify = true
 			c, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -321,6 +322,7 @@ func TestQuickStatsInvariants(t *testing.T) {
 			assoc = maxAssoc
 		}
 		cfg := DefaultConfig(size, line, assoc)
+		cfg.Classify = true
 		rng := rand.New(rand.NewSource(seed))
 		tr := trace.New(600)
 		for i := 0; i < 600; i++ {
@@ -376,6 +378,7 @@ func TestQuickFullyAssociativeZeroConflicts(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := trace.Random(rng, 0, 2048, 800)
 		cfg := DefaultConfig(128, 8, 16) // fully associative: 16 lines
+		cfg.Classify = true
 		st, err := RunTrace(cfg, tr)
 		if err != nil {
 			return false
@@ -416,7 +419,8 @@ func TestShadowLRU(t *testing.T) {
 // with one to three associativities (so lone geometries are common) and a
 // write-back or write-through policy per configuration, plus one
 // no-write-allocate, two FIFO and two victim-buffer configurations per
-// line size on the fallback path.
+// line size on the fallback path. About a quarter of the configurations
+// classify their misses, which sends them to the fallback path too.
 func oracleConfigs(shape int64) []Config {
 	rng := rand.New(rand.NewSource(shape))
 	var cfgs []Config
@@ -439,6 +443,9 @@ func oracleConfigs(shape int64) []Config {
 			cfgs = append(cfgs, fifo)
 		}
 		cfgs = append(cfgs, victimConfigs(l)...)
+	}
+	for i := range cfgs {
+		cfgs[i].Classify = rng.Intn(4) == 0
 	}
 	rng.Shuffle(len(cfgs), func(i, j int) { cfgs[i], cfgs[j] = cfgs[j], cfgs[i] })
 	return cfgs
@@ -472,11 +479,13 @@ func oracleRefs(data []byte) []trace.Ref {
 
 // FuzzSweepMatchesReferenceModel checks the sweep engine against the
 // naive model, not against another engine: every configuration's hits,
-// misses, lines fetched, write-backs and write-throughs must equal those
-// of one refModel, for the whole sweep, for the sweep driven through
-// Shards(n), n = 1..4, in ragged blocks, and for the sweep of the
-// level-only configurations run as 1–4 time ranges cut at the points in
-// cuts (Fork, ragged blocks, Absorb).
+// misses, compulsory, capacity and conflict misses, lines fetched,
+// write-backs and write-throughs must equal those of one refModel — a
+// classifying one for a configuration with Classify, whose misses an
+// unclassified cache counts as capacity misses — for the whole sweep,
+// for the sweep driven through Shards(n), n = 1..4, in ragged blocks, and
+// for the sweep of the level-only configurations run as 1–4 time ranges
+// cut at the points in cuts (Fork, ragged blocks, Absorb).
 func FuzzSweepMatchesReferenceModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{30, 300, 1500} {
@@ -497,15 +506,32 @@ func FuzzSweepMatchesReferenceModel(f *testing.F) {
 					leg, cfgs[i], got.Hits, got.Misses, got.LinesFetched, got.WriteBacks, got.WriteThroughs,
 					w.Hits, w.Misses, w.LinesFetched, w.WriteBacks, w.WriteThroughs)
 			}
+			if got.CompulsoryMisses != w.CompulsoryMisses || got.CapacityMisses != w.CapacityMisses ||
+				got.ConflictMisses != w.ConflictMisses {
+				t.Fatalf("%s %v classify=%v: sweep 3C (%d, %d, %d), model (%d, %d, %d)", leg, cfgs[i], cfgs[i].Classify,
+					got.CompulsoryMisses, got.CapacityMisses, got.ConflictMisses,
+					w.CompulsoryMisses, w.CapacityMisses, w.ConflictMisses)
+			}
 		}
 		for i, cfg := range cfgs {
 			m := newTrafficModel(cfg)
+			if cfg.Classify {
+				m = newRefModel(cfg)
+			}
 			for _, r := range refs {
-				if hit, _ := m.accessRef(r); hit {
+				hit, class := m.accessRef(r)
+				switch {
+				case hit:
 					want[i].Hits++
-				} else {
-					want[i].Misses++
+					continue
+				case !cfg.Classify || class == Capacity:
+					want[i].CapacityMisses++
+				case class == Compulsory:
+					want[i].CompulsoryMisses++
+				default:
+					want[i].ConflictMisses++
 				}
+				want[i].Misses++
 			}
 			want[i].LinesFetched, want[i].WriteBacks, want[i].WriteThroughs = m.fetched, m.writeBacks, m.writeThroughs
 		}

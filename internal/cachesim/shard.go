@@ -13,15 +13,6 @@ package cachesim
 
 import "memexplore/internal/trace"
 
-// Relative per-reference cost weights of the two pass-unit kinds. They
-// only steer load balance (never correctness): a stack level's touch
-// scans a per-set list of up to maxA entries, a fallback cache probe is
-// an indexed compare plus a bounded way scan.
-const (
-	groupUnitBaseWeight = 4
-	cacheUnitWeight     = 3
-)
-
 // SweepShard is a disjoint subset of a Sweep's pass units. Shards
 // returned by one Shards call cover every unit exactly once, so feeding
 // the same blocks to every shard (in any concurrent interleaving across
@@ -31,18 +22,15 @@ const (
 type SweepShard struct {
 	walks  []*lineWalk
 	caches []*Cache
-	units  int
-	weight int
 	ranged bool // the walks of a Fork: they log what the range cannot resolve
 }
 
 // newSweepShard groups levels into one walk per line size (in order of
 // first appearance) alongside the fallback caches.
 func newSweepShard(levels []*stackLevel, caches []*Cache) *SweepShard {
-	sh := &SweepShard{caches: caches, units: len(levels) + len(caches), weight: len(caches) * cacheUnitWeight}
+	sh := &SweepShard{caches: caches}
 	var byLine [][]*stackLevel
 	for _, lv := range levels {
-		sh.weight += groupUnitBaseWeight + lv.maxA
 		i := 0
 		for i < len(byLine) && byLine[i][0].lineBytes != lv.lineBytes {
 			i++
@@ -72,27 +60,13 @@ func (sh *SweepShard) AccessBlock(block []trace.Ref) {
 	}
 }
 
-// unitWeights returns the estimated cost weight of every pass unit in
-// canonical unit order: stack levels first (level order), then the
-// fallback caches (configuration order).
-func (s *Sweep) unitWeights() []int {
-	w := make([]int, 0, s.PassUnits())
-	for _, lv := range s.levels {
-		w = append(w, groupUnitBaseWeight+lv.maxA)
-	}
-	for range s.caches {
-		w = append(w, cacheUnitWeight)
-	}
-	return w
-}
-
 // Shards partitions the sweep's pass units into at most n cost-balanced
 // shards (fewer when the sweep has fewer units; one when n ≤ 1). The
 // partition is deterministic for a given sweep and n. The shards borrow
 // the sweep's state: use them instead of (never alongside) the parent's
 // AccessBlock, and read Stats from the parent before Release as usual.
 func (s *Sweep) Shards(n int) []*SweepShard {
-	assign := partitionWeights(s.unitWeights(), n)
+	assign := partitionUnits(s.units, n)
 	shards := make([]*SweepShard, len(assign))
 	for i, units := range assign {
 		var levels []*stackLevel
@@ -109,30 +83,30 @@ func (s *Sweep) Shards(n int) []*SweepShard {
 	return shards
 }
 
-// partitionWeights assigns unit indices to at most n shards balancing
+// partitionUnits assigns unit indices to at most n shards balancing
 // total weight — the LPT greedy heuristic: units are placed heaviest
 // first (ties broken by lower index) onto the currently lightest shard
 // (ties broken by lower shard index), so the result is deterministic.
 // Within a shard, units keep their canonical order. Shards that would
 // stay empty (n exceeds the unit count) are dropped.
-func partitionWeights(weights []int, n int) [][]int {
-	if n > len(weights) {
-		n = len(weights)
+func partitionUnits(units []PassUnit, n int) [][]int {
+	if n > len(units) {
+		n = len(units)
 	}
 	if n <= 1 {
-		all := make([]int, len(weights))
-		for i := range weights {
+		all := make([]int, len(units))
+		for i := range units {
 			all[i] = i
 		}
 		return [][]int{all}
 	}
 	// Order unit indices by descending weight, stable in index.
-	order := make([]int, len(weights))
+	order := make([]int, len(units))
 	for i := range order {
 		order[i] = i
 	}
 	for i := 1; i < len(order); i++ { // insertion sort: unit counts are small
-		for j := i; j > 0 && weights[order[j]] > weights[order[j-1]]; j-- {
+		for j := i; j > 0 && units[order[j]].Weight > units[order[j-1]].Weight; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -146,13 +120,13 @@ func partitionWeights(weights []int, n int) [][]int {
 			}
 		}
 		assign[best] = append(assign[best], u)
-		load[best] += weights[u]
+		load[best] += units[u].Weight
 	}
-	for _, units := range assign {
+	for _, own := range assign {
 		// Restore canonical unit order within the shard.
-		for i := 1; i < len(units); i++ {
-			for j := i; j > 0 && units[j] < units[j-1]; j-- {
-				units[j], units[j-1] = units[j-1], units[j]
+		for i := 1; i < len(own); i++ {
+			for j := i; j > 0 && own[j] < own[j-1]; j-- {
+				own[j], own[j-1] = own[j-1], own[j]
 			}
 		}
 	}
@@ -171,16 +145,16 @@ func partitionWeights(weights []int, n int) [][]int {
 // its peers re-derive the same partition from (cfgs, n) alone, so the
 // wire carries only a shard index and count.
 func ShardConfigs(cfgs []Config, n int) ([][]int, error) {
-	weights, units, err := unitConfigsFor(cfgs)
+	units, err := PassUnitsOf(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	assign := partitionWeights(weights, n)
+	assign := partitionUnits(units, n)
 	out := make([][]int, len(assign))
 	for i, us := range assign {
 		var idx []int
 		for _, u := range us {
-			idx = append(idx, units[u]...)
+			idx = append(idx, units[u].Configs...)
 		}
 		// Units keep canonical order, but a fallback unit's configs can
 		// interleave with level configs in Space() order — restore
@@ -193,51 +167,4 @@ func ShardConfigs(cfgs []Config, n int) ([][]int, error) {
 		out[i] = idx
 	}
 	return out, nil
-}
-
-// unitConfigsFor computes, in canonical unit order, the cost weight of
-// every pass unit NewSweep would form for the configurations and the
-// configuration indices each unit covers — stack levels first
-// (first-encounter order), then fallback configurations in
-// configuration order — with none of the construction cost (no stacks,
-// no line arrays). Pinned against the built Sweep by
-// TestShardUnitsMatchBuiltSweep.
-func unitConfigsFor(cfgs []Config) ([]int, [][]int, error) {
-	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return nil, nil, err
-		}
-	}
-	type geom struct{ lineBytes, sets int }
-	levelIdx := make(map[geom]int)
-	var levelMaxA []int
-	var levelCfgs [][]int
-	var fallback []int
-	for ci, cfg := range cfgs {
-		if !InclusionEligible(cfg) {
-			fallback = append(fallback, ci)
-			continue
-		}
-		key := geom{cfg.LineBytes, cfg.NumSets()}
-		li, ok := levelIdx[key]
-		if !ok {
-			li = len(levelMaxA)
-			levelIdx[key] = li
-			levelMaxA = append(levelMaxA, 0)
-			levelCfgs = append(levelCfgs, nil)
-		}
-		levelMaxA[li] = max(levelMaxA[li], cfg.Assoc)
-		levelCfgs[li] = append(levelCfgs[li], ci)
-	}
-	weights := make([]int, 0, len(levelMaxA)+len(fallback))
-	units := make([][]int, 0, len(levelMaxA)+len(fallback))
-	for li, maxA := range levelMaxA {
-		weights = append(weights, groupUnitBaseWeight+maxA)
-		units = append(units, levelCfgs[li])
-	}
-	for _, ci := range fallback {
-		weights = append(weights, cacheUnitWeight)
-		units = append(units, []int{ci})
-	}
-	return weights, units, nil
 }

@@ -50,26 +50,27 @@ func TestShardsCoverAllUnits(t *testing.T) {
 			t.Fatal(err)
 		}
 		shards := s.Shards(n)
-		units, weight := 0, 0
+		seen := make(map[any]bool) // stack level or fallback cache
 		for _, sh := range shards {
-			if sh.units == 0 {
+			own := len(sh.caches)
+			for _, c := range sh.caches {
+				seen[c] = true
+			}
+			for _, w := range sh.walks {
+				own += len(w.levels)
+				for _, lv := range w.levels {
+					seen[lv] = true
+				}
+			}
+			if own == 0 {
 				t.Errorf("n=%d: empty shard", n)
 			}
-			units += sh.units
-			weight += sh.weight
 		}
-		if units != s.PassUnits() {
-			t.Errorf("n=%d: shards cover %d units, sweep has %d", n, units, s.PassUnits())
+		if len(seen) != s.PassUnits() {
+			t.Errorf("n=%d: shards cover %d distinct units, sweep has %d", n, len(seen), s.PassUnits())
 		}
 		if want := len(shards); n < want {
 			t.Errorf("n=%d produced %d shards", n, want)
-		}
-		var wantWeight int
-		for _, w := range s.unitWeights() {
-			wantWeight += w
-		}
-		if weight != wantWeight {
-			t.Errorf("n=%d: shard weights sum to %d, units sum to %d", n, weight, wantWeight)
 		}
 		s.Release()
 	}
@@ -134,12 +135,31 @@ func TestShardUnitsMatchBuiltSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := unitConfigsFor(cfgs)
+			want, err := PassUnitsOf(cfgs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := s.unitWeights(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("unitConfigsFor weights = %v, built sweep has %v", want, got)
+			// The built sweep holds the listed units in order: a level
+			// weighs 4 plus its deepest associativity, a cache 3.
+			var got []PassUnit
+			for li, lv := range s.levels {
+				u := PassUnit{Level: true, Weight: 4 + lv.maxA}
+				for ci, sl := range s.slots {
+					if sl.group == li {
+						u.Configs = append(u.Configs, ci)
+					}
+				}
+				got = append(got, u)
+			}
+			for k := range s.caches {
+				for ci, sl := range s.slots {
+					if sl.group < 0 && sl.member == k {
+						got = append(got, PassUnit{Configs: []int{ci}, Weight: 3})
+					}
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("PassUnitsOf = %+v, built sweep has %+v", want, got)
 			}
 			owner := make(map[any]int) // stack level or fallback cache -> shard
 			shards := s.Shards(n)
@@ -179,8 +199,12 @@ func TestShardUnitsMatchBuiltSweep(t *testing.T) {
 // deterministic, canonical order within shards.
 func TestPartitionWeightsDeterministic(t *testing.T) {
 	weights := []int{12, 4, 4, 7, 3, 3, 3, 9}
-	a := partitionWeights(weights, 3)
-	b := partitionWeights(weights, 3)
+	units := make([]PassUnit, len(weights))
+	for i, w := range weights {
+		units[i].Weight = w
+	}
+	a := partitionUnits(units, 3)
+	b := partitionUnits(units, 3)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("partition not deterministic: %v vs %v", a, b)
 	}

@@ -70,9 +70,9 @@ func groupWorkloads(opts Options, points []ConfigPoint) []workloadGroup {
 }
 
 // Workloads reports how many distinct trace-generation workloads the
-// options' space contains — the number of trace passes the batched
-// engine performs for a non-classified sweep (the per-point reference
-// engine performs one pass per point instead).
+// options' space contains — the number of traces a kernel sweep
+// generates (the per-point reference engine makes one pass per point
+// instead).
 func (o Options) Workloads() int {
 	seen := make(map[traceKey]struct{})
 	for _, p := range o.Space() {
@@ -226,12 +226,8 @@ func (c *workloadCache) runSweep(ctx context.Context, opts Options, points []Con
 	}
 	cfgs := make([]cachesim.Config, 0, n)
 	indices := make([]int, 0, n)
-	units := 0
 	for _, g := range groups {
-		start := len(cfgs)
 		cfgs = appendGroupConfigs(cfgs, opts, points, g)
-		levels, _, fallback := sweepUnits(cfgs[start:])
-		units += levels + fallback
 		indices = append(indices, g.indices...)
 	}
 	sweep, err := cachesim.NewSweep(cfgs)
@@ -254,14 +250,21 @@ func (c *workloadCache) runSweep(ctx context.Context, opts Options, points []Con
 	}
 	if progress := progressFrom(ctx); progress != nil {
 		// Report the pass units the plan counts for these groups, so
-		// that a job's completed units reach its planned total.
+		// that a job's completed units reach its planned total. NewSweep
+		// has accepted every configuration.
+		units, start := 0, 0
+		for _, g := range groups {
+			gu, _ := cachesim.PassUnitsOf(cfgs[start : start+len(g.indices)])
+			units += len(gu)
+			start += len(g.indices)
+		}
 		progress(ProgressEvent{Points: int64(len(indices)), PassUnits: int64(units)})
 	}
 	return nil
 }
 
-// exploreBatched is the workload-grouped engine behind ExploreContext
-// for non-classified sweeps. With at least as many groups as workers,
+// exploreBatched is the workload-grouped engine behind ExploreContext.
+// With at least as many groups as workers,
 // workers > 1 parallelizes across workload groups over a shared trace
 // cache. With more workers than groups — the one-giant-group shape every
 // external-trace-like sweep has — the groups run one after another and

@@ -194,32 +194,55 @@ func reportFirstDiff(t *testing.T, got, want []Metrics) {
 	}
 }
 
-// TestBatchedMatchesPerPointClassify checks the classified sweep too:
-// Classify routes ExploreContext through the per-point engine, its
-// points split across workers, so the results must agree at any worker
-// count — this pins the routing.
+// TestBatchedMatchesPerPointClassify checks the classified sweep: the
+// batched engine gives every point a classifying fallback cache, and its
+// metrics, conflict misses included, must equal the per-point oracle's
+// under sequential and optimized layouts, LRU and FIFO, with and without
+// a victim buffer, at 1, 2 and 4 workers — as many workers as workload
+// groups, and more.
 func TestBatchedMatchesPerPointClassify(t *testing.T) {
 	n := kernels.Compress()
-	opts := DefaultOptions()
-	opts.CacheSizes = []int{16, 64}
-	opts.LineSizes = []int{4, 8}
-	opts.Assocs = []int{1, 2}
-	opts.Tilings = []int{1, 4}
-	opts.OptimizeLayout = false
-	opts.Classify = true
 	ctx := context.Background()
-	want, err := ExplorePerPointContext(ctx, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		opts.Workers = workers
-		got, err := ExploreContext(ctx, n, opts)
+	for _, tc := range []struct {
+		name      string
+		optimized bool
+		repl      cachesim.Replacement
+		victim    int
+	}{
+		{"sequential", false, cachesim.LRU, 0},
+		{"optimized", true, cachesim.LRU, 0},
+		{"fifo", true, cachesim.FIFO, 0},
+		{"victim", false, cachesim.LRU, 2},
+	} {
+		opts := DefaultOptions()
+		opts.CacheSizes = []int{16, 64}
+		opts.LineSizes = []int{4, 8}
+		opts.Assocs = []int{1, 2}
+		opts.Tilings = []int{1, 4}
+		opts.OptimizeLayout = tc.optimized
+		opts.Replacement = tc.repl
+		opts.VictimLines = tc.victim
+		opts.Classify = true
+		want, err := ExplorePerPointContext(ctx, n, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("classified sweep at %d workers differs from reference", workers)
+		var conflicts uint64
+		for _, m := range want {
+			conflicts += m.ConflictMisses
+		}
+		if conflicts == 0 {
+			t.Fatalf("%s: the oracle counts no conflict misses", tc.name)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			opts.Workers = workers
+			got, err := ExploreContext(ctx, n, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: classified sweep at %d workers differs from the per-point oracle", tc.name, workers)
+			}
 		}
 	}
 }

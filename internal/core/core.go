@@ -173,10 +173,9 @@ type Options struct {
 	// Workers is the worker goroutine count of every sweep: 0 means
 	// GOMAXPROCS, 1 runs sequentially. A kernel sweep runs its workload
 	// groups in parallel, or, with more workers than groups, splits each
-	// group's trace across them; a trace sweep splits the stream; a
-	// classified sweep splits its points. Results are bit-identical at
-	// any value, so Workers is not part of the wire form or the cache
-	// key.
+	// group's trace across them; a trace sweep splits the stream. Results
+	// are bit-identical at any value, so Workers is not part of the wire
+	// form or the cache key.
 	Workers int `json:"-"`
 }
 
@@ -188,6 +187,7 @@ func (o Options) cacheConfig(size, line, assoc int) cachesim.Config {
 	cfg.WriteBack = !o.WriteThrough
 	cfg.WriteAllocate = !o.NoWriteAllocate
 	cfg.VictimLines = o.VictimLines
+	cfg.Classify = o.Classify
 	return cfg
 }
 
@@ -238,6 +238,11 @@ func (o Options) Validate() error {
 	for _, b := range o.Tilings {
 		if b < 1 {
 			return invalidOptions("tilings", "tiling size %d must be ≥ 1", b)
+		}
+	}
+	for _, s := range o.Assocs {
+		if s < 1 {
+			return invalidOptions("assocs", "associativity %d must be ≥ 1", s)
 		}
 	}
 	if o.VictimLines < 0 {
@@ -416,7 +421,8 @@ func (e *Explorer) workload(tiling int, cfg cachesim.Config) (*tracedWorkload, e
 	return w, nil
 }
 
-// Evaluate scores one (T, L, S, B) configuration.
+// Evaluate scores one (T, L, S, B) configuration, classifying its
+// misses when the explorer's Options.Classify is set.
 func (e *Explorer) Evaluate(cfg cachesim.Config, tiling int) (Metrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return Metrics{}, err
@@ -425,12 +431,8 @@ func (e *Explorer) Evaluate(cfg cachesim.Config, tiling int) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	var st cachesim.Stats
-	if e.opts.Classify {
-		st, err = cachesim.RunTrace(cfg, w.tr)
-	} else {
-		st, err = cachesim.RunTraceFast(cfg, w.tr)
-	}
+	cfg.Classify = e.opts.Classify
+	st, err := cachesim.RunTrace(cfg, w.tr)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -488,13 +490,13 @@ func scoreStats(cfg cachesim.Config, tiling int, p energy.Params, st cachesim.St
 }
 
 // EvaluateTrace scores an arbitrary pre-generated trace under one cache
-// configuration, with 3C classification when classify is set. It is the
+// configuration, with 3C classification when cfg.Classify is set. It is the
 // building block for compositions the sweep does not cover (e.g. warm
 // multi-kernel pipelines). It re-measures the trace's bus activity on
 // every call; when scoring one trace under many configurations, measure
 // once with TraceAddBS and use EvaluateTraceMeasured instead.
-func EvaluateTrace(tr *trace.Trace, cfg cachesim.Config, tiling int, p energy.Params, classify bool) (Metrics, error) {
-	return EvaluateTraceMeasured(tr, TraceAddBS(tr), cfg, tiling, p, classify)
+func EvaluateTrace(tr *trace.Trace, cfg cachesim.Config, tiling int, p energy.Params) (Metrics, error) {
+	return EvaluateTraceMeasured(tr, TraceAddBS(tr), cfg, tiling, p)
 }
 
 // TraceAddBS measures the Gray-coded address-bus switching per access of
@@ -510,19 +512,8 @@ func TraceAddBS(tr *trace.Trace) float64 {
 // AddBS supplied by the caller (see TraceAddBS), so compositions that
 // score one trace under many configurations — WarmTrace pipelines, the
 // hierarchy sweeps — don't re-scan the trace per configuration.
-func EvaluateTraceMeasured(tr *trace.Trace, addBS float64, cfg cachesim.Config, tiling int, p energy.Params, classify bool) (Metrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	var (
-		st  cachesim.Stats
-		err error
-	)
-	if classify {
-		st, err = cachesim.RunTrace(cfg, tr)
-	} else {
-		st, err = cachesim.RunTraceFast(cfg, tr)
-	}
+func EvaluateTraceMeasured(tr *trace.Trace, addBS float64, cfg cachesim.Config, tiling int, p energy.Params) (Metrics, error) {
+	st, err := cachesim.RunTrace(cfg, tr)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -593,32 +584,27 @@ func Explore(n *loopir.Nest, opts Options) ([]Metrics, error) {
 // ctx.Err(). Options.Workers sets how many goroutines run the sweep;
 // results are identical at any value.
 //
-// Non-classified sweeps run on the workload-grouped engine (see
-// batch.go): each distinct trace is generated and traversed once for all
-// cache configurations that share it, and within a pass the default-
-// policy configurations further collapse into inclusion groups — one
-// per-set LRU stack per (line, sets) geometry yields every associativity
-// at once (see internal/cachesim's inclusion engine). Classified sweeps
-// (Options.Classify) keep the per-point reference path, because 3C
-// classification carries per-cache shadow state that dominates the cost
-// anyway.
+// Every sweep runs on the workload-grouped engine (see batch.go): each
+// distinct trace is generated and traversed once for all cache
+// configurations that share it, and within a pass the default-policy
+// configurations further collapse into inclusion groups — one per-set
+// LRU stack per (line, sets) geometry yields every associativity at once
+// (see internal/cachesim's inclusion engine). A classified sweep
+// (Options.Classify) gives every configuration a classifying cache of
+// its own in the same pass.
 func ExploreContext(ctx context.Context, n *loopir.Nest, opts Options) ([]Metrics, error) {
 	if err := opts.rejectSampling(); err != nil {
 		return nil, err
-	}
-	if opts.Classify {
-		return exploreClassified(ctx, n, opts, opts.effectiveWorkers())
 	}
 	return exploreBatched(ctx, n, opts, opts.effectiveWorkers())
 }
 
 // ExplorePerPointContext is the reference engine: one full
 // trace-simulation pass per configuration point, exactly the paper's §1
-// loop nest, on one goroutine whatever Options.Workers says.
-// ExploreContext routes a classified sweep here when it runs on one
-// goroutine; it also serves as the independent oracle the batched engine is equivalence-
-// tested and benchmarked against. Results are identical to
-// ExploreContext (same points, same deterministic order).
+// loop nest, on one goroutine whatever Options.Workers says. It is the
+// independent oracle the batched engine is equivalence-tested and
+// benchmarked against. Results are identical to ExploreContext (same
+// points, same deterministic order).
 func ExplorePerPointContext(ctx context.Context, n *loopir.Nest, opts Options) ([]Metrics, error) {
 	if err := opts.rejectSampling(); err != nil {
 		return nil, err

@@ -106,8 +106,9 @@ func TestEvaluateTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cachesim.DefaultConfig(64, 8, 1)
+	cfg.Classify = true
 	opts := DefaultOptions()
-	m, err := EvaluateTrace(tr, cfg, 1, opts.Energy, true)
+	m, err := EvaluateTrace(tr, cfg, 1, opts.Energy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +118,11 @@ func TestEvaluateTrace(t *testing.T) {
 	if m.EnergyNJ <= 0 || m.Cycles <= 0 {
 		t.Errorf("degenerate metrics %+v", m)
 	}
-	// Must agree with the unoptimized Explorer path at the same point.
+	// Must agree with the unoptimized, classified Explorer path at the
+	// same point.
 	o := DefaultOptions()
 	o.OptimizeLayout = false
+	o.Classify = true
 	e, err := NewExplorer(n, o)
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +131,11 @@ func TestEvaluateTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Misses != viaExplorer.Misses || math.Abs(m.EnergyNJ-viaExplorer.EnergyNJ) > 1e-9 {
+	if m.Misses != viaExplorer.Misses || m.ConflictMisses != viaExplorer.ConflictMisses ||
+		math.Abs(m.EnergyNJ-viaExplorer.EnergyNJ) > 1e-9 {
 		t.Errorf("EvaluateTrace %+v diverges from Explorer %+v", m, viaExplorer)
 	}
-	if _, err := EvaluateTrace(tr, cachesim.DefaultConfig(60, 8, 1), 1, opts.Energy, false); err == nil {
+	if _, err := EvaluateTrace(tr, cachesim.DefaultConfig(60, 8, 1), 1, opts.Energy); err == nil {
 		t.Error("invalid config should fail")
 	}
 }
@@ -218,7 +222,7 @@ func TestLeakageAndWriteTrafficExtensions(t *testing.T) {
 	cfg := cachesim.DefaultConfig(512, 8, 1)
 	base := DefaultOptions().Energy
 
-	plain, err := EvaluateTrace(tr, cfg, 1, base, false)
+	plain, err := EvaluateTrace(tr, cfg, 1, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +232,7 @@ func TestLeakageAndWriteTrafficExtensions(t *testing.T) {
 
 	leaky := base
 	leaky.LeakNJPerCycleKB = 0.01
-	withLeak, err := EvaluateTrace(tr, cfg, 1, leaky, false)
+	withLeak, err := EvaluateTrace(tr, cfg, 1, leaky)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +249,7 @@ func TestLeakageAndWriteTrafficExtensions(t *testing.T) {
 
 	wt := base
 	wt.CountWriteTraffic = true
-	withWrites, err := EvaluateTrace(tr, cfg, 1, wt, false)
+	withWrites, err := EvaluateTrace(tr, cfg, 1, wt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"memexplore/internal/extrace"
 	"memexplore/internal/kernels"
 	"memexplore/internal/loopir"
+	"memexplore/internal/trace"
 )
 
 // passTestOptions is a small mixed space: stack levels with several
@@ -32,6 +33,12 @@ func passTestOptions() Options {
 	return opts
 }
 
+// writeStream encodes tr as a bare mxt v2 chunk stream, without the
+// index footer, so every reader decodes it chunk by chunk in order.
+func writeStream(w io.Writer, tr *trace.Trace) (int64, error) {
+	return extrace.WriteBinaryV2Options(w, tr.Reader(), extrace.V2WriterOptions{NoIndex: true})
+}
+
 // TestPipelinedTraceSweepMatchesSequential pins the parallel stream
 // pass: at worker counts below, at and far above the pass-unit count it
 // returns bit-identical metrics and ingest statistics to the exact
@@ -41,7 +48,7 @@ func TestPipelinedTraceSweepMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	tr := randomMixedTrace(rng, 40000, 8192) // several chunks of cachesim.CancelCheckInterval
 	var buf bytes.Buffer
-	if _, err := extrace.WriteBinary(&buf, tr.Reader()); err != nil {
+	if _, err := writeStream(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	encoded := buf.Bytes()
@@ -105,7 +112,7 @@ func TestPipelinedTraceSweepProperty(t *testing.T) {
 			// Small spans keep lines resident across epoch boundaries.
 			tr := randomMixedTrace(rng, n, 1<<(9+rng.Intn(3)))
 			var buf bytes.Buffer
-			if _, err := extrace.WriteBinary(&buf, tr.Reader()); err != nil {
+			if _, err := writeStream(&buf, tr); err != nil {
 				t.Fatal(err)
 			}
 			encoded := buf.Bytes()
@@ -164,7 +171,7 @@ func TestExploreTraceReaderReleasesOnError(t *testing.T) {
 	}
 
 	var valid bytes.Buffer
-	if _, err := extrace.WriteBinary(&valid, randomMixedTrace(rand.New(rand.NewSource(5)), 300, 2048).Reader()); err != nil {
+	if _, err := writeStream(&valid, randomMixedTrace(rand.New(rand.NewSource(5)), 300, 2048)); err != nil {
 		t.Fatal(err)
 	}
 	errBoom := errors.New("boom")

@@ -50,48 +50,31 @@ func (p SweepPlan) ConfigsPerPass() float64 {
 	return float64(p.Points) / float64(u)
 }
 
-// Plan computes the sweep's pass partition without running it, mirroring
-// the grouping the engines perform: points group by workload (one trace
-// pass each), and within a workload every (line, sets) geometry of the
-// configurations cachesim.InclusionEligible admits forms one inclusion
-// group; every other configuration falls back to its own simulator.
+// Plan computes the sweep's pass partition without running it: points
+// group by workload (one trace pass each), and each workload's
+// configurations form the pass units cachesim.PassUnitsOf lists — one
+// inclusion group per (line, sets) geometry of the configurations
+// cachesim.InclusionEligible admits, and a fallback simulator for every
+// other configuration, classified ones included. A workload whose
+// configurations the simulator rejects plans no unit: its sweep fails.
 func (o Options) Plan() SweepPlan {
 	points := o.Space()
-	plan := SweepPlan{Points: len(points)}
-	if o.Classify {
-		// The per-point reference engine generates (or re-reads) the
-		// workload trace once per point.
-		plan.Workloads = len(points)
-		plan.FallbackConfigs = len(points)
-		return plan
-	}
 	groups := groupWorkloads(o, points)
-	plan.Workloads = len(groups)
+	plan := SweepPlan{Points: len(points), Workloads: len(groups)}
+	var cfgs []cachesim.Config
 	for _, g := range groups {
-		levels, inclusion, fallback := sweepUnits(appendGroupConfigs(nil, o, points, g))
-		plan.InclusionGroups += levels
-		plan.InclusionConfigs += inclusion
-		plan.FallbackConfigs += fallback
+		cfgs = appendGroupConfigs(cfgs[:0], o, points, g)
+		units, _ := cachesim.PassUnitsOf(cfgs)
+		for _, u := range units {
+			if u.Level {
+				plan.InclusionGroups++
+				plan.InclusionConfigs += len(u.Configs)
+			} else {
+				plan.FallbackConfigs++
+			}
+		}
 	}
 	return plan
-}
-
-// sweepUnits counts how cachesim.NewSweep splits cfgs into pass units:
-// inclusion configurations, those cachesim.InclusionEligible admits,
-// share one stack level per (line, sets) geometry, and each of the
-// fallback others runs on a cache of its own.
-func sweepUnits(cfgs []cachesim.Config) (levels, inclusion, fallback int) {
-	type geom struct{ line, sets int }
-	seen := make(map[geom]bool)
-	for _, cfg := range cfgs {
-		if !cachesim.InclusionEligible(cfg) {
-			fallback++
-			continue
-		}
-		seen[geom{cfg.LineBytes, cfg.NumSets()}] = true
-		inclusion++
-	}
-	return len(seen), inclusion, fallback
 }
 
 // TraceSweepPlan is Plan for an external-trace sweep: the options are

@@ -12,10 +12,13 @@ import (
 // fallback cache per configuration cachesim.InclusionEligible rejects.
 func TestPlanMatchesSweepPartition(t *testing.T) {
 	for _, optimized := range []bool{false, true} {
-		for _, repl := range []cachesim.Replacement{cachesim.LRU, cachesim.FIFO} {
+		for _, pol := range []struct {
+			repl     cachesim.Replacement
+			classify bool
+		}{{cachesim.LRU, false}, {cachesim.FIFO, false}, {cachesim.LRU, true}} {
 			opts := DefaultOptions()
 			opts.OptimizeLayout = optimized
-			opts.Replacement = repl
+			opts.Replacement, opts.Classify = pol.repl, pol.classify
 			points := opts.Space()
 			groups := groupWorkloads(opts, points)
 			var wantGroups, wantIncl, wantFallback int
@@ -40,8 +43,8 @@ func TestPlanMatchesSweepPartition(t *testing.T) {
 			if plan.Points != len(points) || plan.Workloads != len(groups) ||
 				plan.InclusionGroups != wantGroups || plan.InclusionConfigs != wantIncl ||
 				plan.FallbackConfigs != wantFallback {
-				t.Errorf("opt=%v repl=%v: Plan = %+v, engines built %d groups / %d inclusion / %d fallback over %d workloads",
-					optimized, repl, plan, wantGroups, wantIncl, wantFallback, len(groups))
+				t.Errorf("opt=%v policy=%+v: Plan = %+v, engines built %d groups / %d inclusion / %d fallback over %d workloads",
+					optimized, pol, plan, wantGroups, wantIncl, wantFallback, len(groups))
 			}
 			if plan.PassUnits() != wantGroups+wantFallback {
 				t.Errorf("PassUnits = %d, want %d", plan.PassUnits(), wantGroups+wantFallback)
@@ -50,18 +53,24 @@ func TestPlanMatchesSweepPartition(t *testing.T) {
 	}
 }
 
-// TestPlanPerPoint pins the degenerate plan: classified sweeps pay one
-// trace pass per point and share nothing.
-func TestPlanPerPoint(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Classify = true
-	plan := opts.Plan()
-	n := len(opts.Space())
-	if plan.Workloads != n || plan.FallbackConfigs != n || plan.InclusionGroups != 0 {
-		t.Errorf("classified plan = %+v, want %d workloads and fallbacks", plan, n)
-	}
-	if plan.ConfigsPerPass() != 1 {
-		t.Errorf("classified ConfigsPerPass = %g, want 1", plan.ConfigsPerPass())
+// TestPlanClassified pins the classified plan: one trace pass per
+// workload, as for any kernel sweep, but every point on a classifying
+// fallback cache of its own and no stack level.
+func TestPlanClassified(t *testing.T) {
+	for _, optimized := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.OptimizeLayout = optimized
+		opts.Classify = true
+		plan := opts.Plan()
+		n := len(opts.Space())
+		if plan.Points != n || plan.Workloads != opts.Workloads() || plan.FallbackConfigs != n ||
+			plan.InclusionGroups != 0 || plan.InclusionConfigs != 0 {
+			t.Errorf("optimized=%v: classified plan = %+v, want %d workloads and %d fallbacks",
+				optimized, plan, opts.Workloads(), n)
+		}
+		if plan.ConfigsPerPass() != 1 {
+			t.Errorf("optimized=%v: classified ConfigsPerPass = %g, want 1", optimized, plan.ConfigsPerPass())
+		}
 	}
 }
 

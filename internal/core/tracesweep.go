@@ -23,8 +23,9 @@ import (
 // Tiling and the §4.1 layout are code/data transformations applied while
 // generating a trace; an already-recorded trace has them baked in, so the
 // sweep space is (T, L, S) with B pinned to 1 and layout optimization
-// off. 3C classification is rejected: it needs per-point shadow caches,
-// which would break the single-pass constant-memory contract.
+// off. 3C classification is rejected: a classifying cache remembers every
+// line it has seen, so memory would grow with the trace's footprint and
+// break the single-pass constant-memory contract.
 func traceSpace(opts Options) (Options, error) {
 	if opts.Classify {
 		return Options{}, invalidOptions("classify", "3C classification is not supported for external-trace sweeps")

@@ -47,7 +47,7 @@ func TestTraceSweepMatchesPerPointOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tr := randomMixedTrace(rng, 4000, 4096)
 	var buf bytes.Buffer
-	if _, err := extrace.WriteBinary(&buf, tr.Reader()); err != nil {
+	if _, err := extrace.WriteBinaryV2(&buf, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
 	encoded := buf.Bytes()
@@ -85,7 +85,7 @@ func TestTraceSweepMatchesPerPointOracle(t *testing.T) {
 					}
 					for i, p := range points {
 						cfg := topts.cacheConfig(p.CacheSize, p.LineSize, p.Assoc)
-						want, err := EvaluateTraceMeasured(tr, addBS, cfg, p.Tiling, topts.Energy, false)
+						want, err := EvaluateTraceMeasured(tr, addBS, cfg, p.Tiling, topts.Energy)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -82,7 +82,7 @@ func TestExploreTraceRoundTripBitIdentical(t *testing.T) {
 }
 
 // TestExploreTraceBinaryRoundTrip is the same equivalence through the
-// binary format for one kernel.
+// mxt v2 binary format for one kernel.
 func TestExploreTraceBinaryRoundTrip(t *testing.T) {
 	opts := traceSweepOptions()
 	kernelOpts := opts
@@ -94,14 +94,14 @@ func TestExploreTraceBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bin bytes.Buffer
-	if _, err := extrace.WriteBinary(&bin, exportKernelTrace(t, n).Reader()); err != nil {
+	if _, err := extrace.WriteBinaryV2(&bin, exportKernelTrace(t, n).Reader()); err != nil {
 		t.Fatal(err)
 	}
 	got, st, err := ExploreTrace(&bin, opts, extrace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Format != "binary" {
+	if st.Format != "binaryv2" {
 		t.Fatalf("format = %q", st.Format)
 	}
 	for i := range want {

@@ -55,7 +55,7 @@ func (d *binDecoder) next() (trace.Ref, error) {
 		}
 		p := d.buf[:n]
 		if _, err := io.ReadFull(d.br, p); err != nil {
-			return trace.Ref{}, &ParseError{Format: "binary", Offset: recStart,
+			return trace.Ref{}, &ParseError{Format: "binary", Offset: recStart, Err: err,
 				Reason: fmt.Sprintf("truncated record: want %d payload bytes: %v", n, err)}
 		}
 		d.off += int64(n)
@@ -73,43 +73,4 @@ func (d *binDecoder) next() (trace.Ref, error) {
 		}
 		return trace.Ref{Addr: addr, Kind: trace.Kind(p[0]), Size: p[1]}, nil
 	}
-}
-
-// WriteBinary streams src to w in the mxt binary format and returns the
-// record count. Records preserve the Size byte exactly, so binary
-// round-trips reproduce every trace.Ref bit-for-bit.
-func WriteBinary(w io.Writer, src trace.Source) (int64, error) {
-	bw := bufio.NewWriterSize(w, 64*1024)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return 0, fmt.Errorf("extrace: writing binary magic: %w", err)
-	}
-	var written int64
-	var rec [binMaxRecord + 1]byte
-	for {
-		r, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return written, fmt.Errorf("extrace: reading source after %d records: %w", written, err)
-		}
-		addrLen := 0
-		for a := r.Addr; a != 0; a >>= 8 {
-			addrLen++
-		}
-		rec[0] = byte(binMinRecord + addrLen)
-		rec[1] = byte(r.Kind)
-		rec[2] = r.Size
-		for i, a := 0, r.Addr; i < addrLen; i, a = i+1, a>>8 {
-			rec[3+i] = byte(a)
-		}
-		if _, err := bw.Write(rec[:3+addrLen]); err != nil {
-			return written, fmt.Errorf("extrace: writing binary record %d: %w", written, err)
-		}
-		written++
-	}
-	if err := bw.Flush(); err != nil {
-		return written, fmt.Errorf("extrace: flushing binary output: %w", err)
-	}
-	return written, nil
 }

@@ -133,7 +133,7 @@ func (d *binV2Decoder) readChunk(buf []trace.Ref) (int, error) {
 				d.policy = nil
 			} else if d.policy(e) {
 				if err := d.in.skip(e.Bytes); err != nil {
-					return 0, &ParseError{Format: "binaryv2", Offset: d.off,
+					return 0, &ParseError{Format: "binaryv2", Offset: d.off, Err: err,
 						Reason: fmt.Sprintf("truncated indexed chunk (%d bytes): %v", e.Bytes, err)}
 				}
 				d.off += e.Bytes
@@ -153,7 +153,7 @@ func (d *binV2Decoder) readChunk(buf []trace.Ref) (int, error) {
 				// cleanly, so degrade to index-less EOF.
 				return 0, io.EOF
 			}
-			return 0, &ParseError{Format: "binaryv2", Offset: chunkStart,
+			return 0, &ParseError{Format: "binaryv2", Offset: chunkStart, Err: err,
 				Reason: fmt.Sprintf("truncated chunk header: %v", err)}
 		}
 		if string(hdr[:len(indexMagic)]) == indexMagic {
@@ -182,7 +182,7 @@ func (d *binV2Decoder) readChunk(buf []trace.Ref) (int, error) {
 		}
 		p, err := d.in.next(payloadLen)
 		if err != nil {
-			return 0, &ParseError{Format: "binaryv2", Offset: chunkStart,
+			return 0, &ParseError{Format: "binaryv2", Offset: chunkStart, Err: err,
 				Reason: fmt.Sprintf("truncated chunk payload: want %d bytes: %v", payloadLen, err)}
 		}
 		d.off += int64(v2HeaderBytes + payloadLen)
@@ -382,9 +382,9 @@ type V2WriterOptions struct {
 }
 
 // WriteBinaryV2 streams src to w in the mxt v2 columnar chunk format —
-// with the MXTI01 index footer — and returns the record count. Like
-// WriteBinary it preserves every trace.Ref bit-for-bit; unlike it,
-// records land in delta-encoded columns that decode a chunk at a time.
+// with the MXTI01 index footer — and returns the record count. It
+// preserves every trace.Ref bit-for-bit, in delta-encoded columns that
+// decode a chunk at a time.
 func WriteBinaryV2(w io.Writer, src trace.Source) (int64, error) {
 	return WriteBinaryV2Options(w, src, V2WriterOptions{})
 }
@@ -589,7 +589,7 @@ func TranscodeV2Options(w io.Writer, r io.Reader, opts Options, wo V2WriterOptio
 }
 
 // Source adapts the Reader to the one-record-at-a-time trace.Source
-// interface — the shape WriteBinary and WriteBinaryV2 consume — with a
+// interface — the shape WriteDin and WriteBinaryV2 consume — with a
 // chunk buffer in between so the Reader's bulk path still applies.
 func (r *Reader) Source() trace.Source {
 	return &readerSource{rd: r, buf: make([]trace.Ref, v2ChunkRecords)}

@@ -479,6 +479,6 @@ func dinLine(r trace.Ref) string {
 // binRecord renders one record as a framed mxt v1 record.
 func binRecord(r trace.Ref) []byte {
 	var out bytes.Buffer
-	WriteBinary(&out, trace.FromRefs([]trace.Ref{r}).Reader())
+	writeBinaryV1(&out, trace.FromRefs([]trace.Ref{r}).Reader())
 	return out.Bytes()[len(binaryMagic):]
 }

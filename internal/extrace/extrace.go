@@ -9,9 +9,9 @@
 // set), hard resource limits bound record counts and line lengths, and
 // ingest-time statistics (footprint, access mix, stride histogram) are
 // accumulated in the same pass — or, on a seekable mxt v2 file with a
-// profiled index footer, read from the footer. WriteDin and WriteBinary
+// profiled index footer, read from the footer. WriteDin and WriteBinaryV2
 // are the matching encoders, so synthetic kernel traces round-trip
-// through the formats.
+// through the formats; mxt v1 is read but no longer written.
 //
 // See docs/TRACE_FORMAT.md for the byte-level format reference.
 package extrace
@@ -88,7 +88,14 @@ type ParseError struct {
 	Offset int64
 	// Reason says what is wrong with the record.
 	Reason string
+	// Err is the read error that cut a record short, if one did.
+	Err error
 }
+
+// Unwrap returns the read error behind a truncated record, so a failing
+// source (a body over its size limit, a dropped connection) stays
+// visible to errors.Is and errors.As.
+func (e *ParseError) Unwrap() error { return e.Err }
 
 // Error renders the position and reason.
 func (e *ParseError) Error() string {

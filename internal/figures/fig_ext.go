@@ -186,7 +186,7 @@ func ExtWarm() (*Result, error) {
 	// every configuration against it.
 	warmAddBS := core.TraceAddBS(warm)
 	for _, cfg := range cfgs {
-		warmM, err := core.EvaluateTraceMeasured(warm, warmAddBS, cfg, 1, opts.Energy, false)
+		warmM, err := core.EvaluateTraceMeasured(warm, warmAddBS, cfg, 1, opts.Energy)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +198,7 @@ func ExtWarm() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := cachesim.RunTraceFast(cfg, tr)
+			st, err := cachesim.RunTrace(cfg, tr)
 			if err != nil {
 				return nil, err
 			}

@@ -40,19 +40,19 @@ func ExtVictim() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq, err := cachesim.RunTraceFast(cfg, seqTr)
+		seq, err := cachesim.RunTrace(cfg, seqTr)
 		if err != nil {
 			return nil, err
 		}
-		vic, err := cachesim.RunTraceFast(vcfg, seqTr)
+		vic, err := cachesim.RunTrace(vcfg, seqTr)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := cachesim.RunTraceFast(cfg, optTr)
+		opt, err := cachesim.RunTrace(cfg, optTr)
 		if err != nil {
 			return nil, err
 		}
-		both, err := cachesim.RunTraceFast(vcfg, optTr)
+		both, err := cachesim.RunTrace(vcfg, optTr)
 		if err != nil {
 			return nil, err
 		}

@@ -78,16 +78,17 @@ type Sim struct {
 	l2  *cachesim.Cache
 }
 
-// New builds a two-level simulator (no 3C classification, for speed).
+// New builds a two-level simulator. A level classifies its misses only
+// when its Config.Classify is set.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	l1, err := cachesim.NewFast(cfg.L1)
+	l1, err := cachesim.New(cfg.L1)
 	if err != nil {
 		return nil, err
 	}
-	l2, err := cachesim.NewFast(cfg.L2)
+	l2, err := cachesim.New(cfg.L2)
 	if err != nil {
 		return nil, err
 	}

@@ -178,7 +178,7 @@ func Explore(n *loopir.Nest, g CodeGen, opts core.Options) ([]core.Metrics, erro
 		}
 		seen[p] = true
 		cfg := cachesim.DefaultConfig(p.CacheSize, p.LineSize, p.Assoc)
-		st, err := cachesim.RunTraceFast(cfg, tr)
+		st, err := cachesim.RunTrace(cfg, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -83,6 +83,7 @@ func TestLoopCodeIsCacheResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cachesim.DefaultConfig(256, 16, 1) // 256 ≥ code size
+	cfg.Classify = true
 	if code > 256 {
 		t.Fatalf("test assumption broken: code %d bytes", code)
 	}

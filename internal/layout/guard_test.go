@@ -97,11 +97,17 @@ func guardVerdicts(t *testing.T, n *loopir.Nest, b int) {
 
 func runTrace(t *testing.T, cfg cachesim.Config, tr *trace.Trace) cachesim.Stats {
 	t.Helper()
-	st, err := cachesim.RunTrace(cfg, tr)
+	st, err := runClassified(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// runClassified simulates tr on a cache of cfg with 3C classification.
+func runClassified(cfg cachesim.Config, tr *trace.Trace) (cachesim.Stats, error) {
+	cfg.Classify = true
+	return cachesim.RunTrace(cfg, tr)
 }
 
 // TestSequentialConcurrentGuards runs the guards of every geometry of

@@ -119,7 +119,7 @@ func TestOptimizedLayoutEliminatesConflictMisses(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", kern.Name, err)
 			}
-			st, err := cachesim.RunTrace(cfg, tr)
+			st, err := runClassified(cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestOptimizedLayoutEliminatesConflictMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := cachesim.RunTrace(cfg, seqTr)
+			seq, err := runClassified(cfg, seqTr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestOptimizedLayoutExactZeroConflicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := cachesim.RunTrace(c.cfg, tr)
+		st, err := runClassified(c.cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +198,11 @@ func TestOptimizedBeatsSequentialForCompress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := cachesim.RunTrace(cfg, optTr)
+		opt, err := runClassified(cfg, optTr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := cachesim.RunTrace(cfg, seqTr)
+		seq, err := runClassified(cfg, seqTr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,11 +308,11 @@ func TestQuickRandomStencilsNeverWorse(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			opt, err := cachesim.RunTrace(cfg, optTr)
+			opt, err := runClassified(cfg, optTr)
 			if err != nil {
 				return false
 			}
-			seq, err := cachesim.RunTrace(cfg, seqTr)
+			seq, err := runClassified(cfg, seqTr)
 			if err != nil {
 				return false
 			}

@@ -128,8 +128,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 // ResultMeta is the success-envelope header every sweep response
 // embeds: whether the result was recalled from a cache tier, which
-// engine executed ("per-point", "inclusion" or "batched"), the sweep plan that was (or would be) run, and — for
-// sampled trace sweeps only — the estimation envelope.
+// engine executed ("inclusion" or "batched"), the sweep plan that was
+// (or would be) run, and — for sampled trace sweeps only — the
+// estimation envelope.
 type ResultMeta struct {
 	Cached bool        `json:"cached"`
 	Engine string      `json:"engine"`
@@ -186,21 +187,17 @@ func planInfo(plan core.SweepPlan, kernels int) *PlanInfo {
 	}
 }
 
-// engineName reports which engine a sweep with these options and plan
-// executes: per-point for classified sweeps, inclusion when the plan
-// formed at least one stack group, batched otherwise.
-func engineName(opts core.Options, plan core.SweepPlan) string {
-	switch {
-	case opts.Classify:
-		return "per-point"
-	case plan.InclusionGroups > 0:
+// engineName reports which engine a sweep with this plan executes:
+// inclusion when the plan formed at least one stack group, batched
+// otherwise.
+func engineName(plan core.SweepPlan) string {
+	if plan.InclusionGroups > 0 {
 		return "inclusion"
-	default:
-		return "batched"
 	}
+	return "batched"
 }
 
-// resultMeta assembles the success envelope for one sweep.
-func resultMeta(cached bool, opts core.Options, plan core.SweepPlan, kernels int) ResultMeta {
-	return ResultMeta{Cached: cached, Engine: engineName(opts, plan), Plan: planInfo(plan, kernels)}
+// resultMeta assembles the success envelope for one freshly run sweep.
+func resultMeta(plan core.SweepPlan, kernels int) ResultMeta {
+	return ResultMeta{Engine: engineName(plan), Plan: planInfo(plan, kernels)}
 }

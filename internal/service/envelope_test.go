@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"memexplore/internal/core"
 )
 
 // TestTraceOptionsHeaderForm: the options header reaches every sweep
@@ -186,6 +188,40 @@ func keysOf(m map[string]json.RawMessage) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+// TestClassifiedExploreEnvelope: a classified kernel sweep runs on the
+// batched engine — one pass per workload group, a classifying fallback
+// cache per point — and its envelope and counters say so.
+func TestClassifiedExploreEnvelope(t *testing.T) {
+	s := newTestServer(t)
+	const options = `{"cache_sizes":[32,64],"line_sizes":[4,8],"assocs":[1,2],"tilings":[1,2],"classify":true}`
+	opts := core.DefaultOptions()
+	if err := json.Unmarshal([]byte(options), &opts); err != nil {
+		t.Fatal(err)
+	}
+	workloads := opts.Normalize().Workloads()
+	workloads0 := vars.workloads.Value()
+	w := postJSON(t, s, "/v1/explore", `{"kernel":"compress","options":`+options+`}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("explore = %d: %s", w.Code, w.Body)
+	}
+	resp := decodeExplore(t, w)
+	if resp.Engine != "batched" || resp.Plan == nil || resp.Plan.Workloads != workloads ||
+		resp.Plan.FallbackConfigs != resp.Points || resp.Plan.InclusionGroups != 0 {
+		t.Fatalf("classified meta = %+v, plan %+v; want engine batched, %d workloads, %d fallbacks",
+			resp.ResultMeta, resp.Plan, workloads, resp.Points)
+	}
+	if got := vars.workloads.Value() - workloads0; got != int64(workloads) {
+		t.Errorf("workloads_explored delta = %d, want %d", got, workloads)
+	}
+	var conflicts uint64
+	for _, m := range resp.Metrics {
+		conflicts += m.ConflictMisses
+	}
+	if conflicts == 0 {
+		t.Error("classified sweep reports no conflict misses")
+	}
 }
 
 // TestResultMetaOnSuccess: every successful sweep response carries the

@@ -335,6 +335,9 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"malformed body", jsonHdr, `{nope`, http.StatusBadRequest, CodeInvalidRequest},
 		{"unknown kernel", jsonHdr, `{"kernel":"nope"}`, http.StatusNotFound, CodeUnknownKernel},
 		{"bad options", jsonHdr, `{"kernel":"matadd","options":{"tilings":[0]}}`, http.StatusBadRequest, CodeInvalidOptions},
+		// Planned before it ran, a job with a zero associativity used to
+		// divide by zero on its goroutine and take the daemon down.
+		{"zero associativity", jsonHdr, `{"kernel":"matadd","options":{"assocs":[0,1]}}`, http.StatusBadRequest, CodeInvalidOptions},
 		{"trace kind in JSON body", jsonHdr, `{"kind":"explore-trace"}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"alien kind", jsonHdr, `{"kind":"aggregate","kernel":"matadd"}`, http.StatusBadRequest, CodeInvalidRequest},
 		{"bad header options", http.Header{OptionsHeader: {`{"bogus":1}`}}, "0 10\n", http.StatusBadRequest, CodeInvalidOptions},

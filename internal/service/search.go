@@ -148,7 +148,7 @@ func (s *Server) searchBody(ctx context.Context, p searchParams) ([]byte, error)
 	// points == workloads keeps the passes-saved counter honest.
 	recordSweep(sweepStats{points: r.Evaluations, workloads: r.Evaluations}, begin)
 	return marshalResult(&SearchResponse{
-		ResultMeta: ResultMeta{Engine: engineName(p.opts, p.opts.Plan())},
+		ResultMeta: ResultMeta{Engine: engineName(p.opts.Plan())},
 		Kernel:     p.nest.Name,
 		Result:     r,
 		Best:       bestOf(r.Archive, p.req.CycleBound, p.req.EnergyBoundNJ),

@@ -399,7 +399,7 @@ func (s *Server) exploreBody(ctx context.Context, p exploreParams) ([]byte, erro
 	plan := p.opts.Plan()
 	recordSweep(planStats(plan, 1), begin)
 	return marshalResult(&ExploreResponse{
-		ResultMeta: resultMeta(false, p.opts, plan, 1),
+		ResultMeta: resultMeta(plan, 1),
 		Kernel:     p.nest.Name,
 		Points:     len(ms),
 		Metrics:    ms,
@@ -465,7 +465,7 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		plan := opts.Plan()
 		recordSweep(planStats(plan, len(ws)), begin)
 		return marshalResult(AggregateResponse{
-			ResultMeta:    resultMeta(false, opts, plan, len(ws)),
+			ResultMeta:    resultMeta(plan, len(ws)),
 			Points:        len(program),
 			Program:       program,
 			Best:          bestOf(program, req.CycleBound, req.EnergyBoundNJ),
@@ -563,8 +563,8 @@ func resolveOptions(raw json.RawMessage) (core.Options, error) {
 
 // sweepStats is what a completed sweep reports for the expvar counters:
 // how many config points it scored, how many distinct workload traces it
-// generated and traversed to do so (equal to points for per-point
-// sweeps; far fewer on the batched engine), and how those points
+// generated and traversed to do so (far fewer than points on the batched
+// engine), and how those points
 // partitioned into inclusion stack groups versus per-configuration pass
 // units.
 type sweepStats struct {

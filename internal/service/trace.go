@@ -264,7 +264,7 @@ func (s *Server) runTrace(ctx context.Context, body io.Reader, tq traceQuery) (*
 		if u := plan.PassUnits(); u > 0 {
 			vars.configsPerPass.Set(float64(plan.Points) / float64(u))
 		}
-		meta = resultMeta(false, tq.opts, plan, 1)
+		meta = resultMeta(plan, 1)
 	}
 	if len(ms) > 0 && ms[0].SampleRate > 0 {
 		var maxCI float64

@@ -160,14 +160,22 @@ func TestExploreTraceSkipMalformed(t *testing.T) {
 	}
 }
 
+// TestExploreTraceBodyTooLarge: a body over the size limit is 413 in
+// either format, also when the limit cuts an mxt v2 chunk short.
 func TestExploreTraceBodyTooLarge(t *testing.T) {
 	s := MustNew(Config{MaxBodyBytes: 64})
-	w := postTrace(t, s, traceHeader("", ""), bytes.Repeat([]byte("0 10\n"), 100))
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, body %s", w.Code, w.Body)
+	var v2 bytes.Buffer
+	if _, _, err := extrace.TranscodeV2(&v2, bytes.NewReader(kernelDin(t)), extrace.Options{}); err != nil {
+		t.Fatal(err)
 	}
-	if e := decodeError(t, w); e.Code != "body_too_large" {
-		t.Errorf("error = %+v", e)
+	for name, body := range map[string][]byte{"din": bytes.Repeat([]byte("0 10\n"), 100), "mxt v2": v2.Bytes()} {
+		w := postTrace(t, s, traceHeader("", ""), body)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status = %d, body %s", name, w.Code, w.Body)
+		}
+		if e := decodeError(t, w); e.Code != "body_too_large" {
+			t.Errorf("%s: error = %+v", name, e)
+		}
 	}
 }
 

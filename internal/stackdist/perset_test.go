@@ -106,7 +106,7 @@ func TestPerSetWritebacksMatchSimulator(t *testing.T) {
 		}
 		for _, assoc := range []int{1, 2, 4, 8} {
 			cfg := cachesim.DefaultConfig(line*sets*assoc, line, assoc)
-			st, err := cachesim.RunTraceFast(cfg, tr)
+			st, err := cachesim.RunTrace(cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -142,10 +142,10 @@ type ErrInvalidOptions = core.ErrInvalidOptions
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Explore runs the MemExplore sweep (§1 algorithm) for a kernel and
-// returns one Metrics per legal configuration. Non-classified sweeps run
-// on the workload-grouped batched engine: each distinct trace is
-// generated once and simulated for all of its cache configurations in a
-// single pass (results are bit-identical to per-point evaluation).
+// returns one Metrics per legal configuration. Every sweep runs on the
+// workload-grouped batched engine: each distinct trace is generated once
+// and simulated for all of its cache configurations in a single pass
+// (results are bit-identical to per-point evaluation).
 func Explore(n *Nest, opts Options) ([]Metrics, error) { return core.Explore(n, opts) }
 
 // ExploreContext is Explore with cancellation: the context is checked
@@ -237,10 +237,17 @@ func NewCacheConfig(sizeBytes, lineBytes, assoc int) CacheConfig {
 
 // Simulate runs a trace through a cache of the given configuration with
 // 3C miss classification.
-func Simulate(cfg CacheConfig, tr *Trace) (CacheStats, error) { return cachesim.RunTrace(cfg, tr) }
+func Simulate(cfg CacheConfig, tr *Trace) (CacheStats, error) {
+	cfg.Classify = true
+	return cachesim.RunTrace(cfg, tr)
+}
 
-// NewCache builds an incremental cache simulator.
-func NewCache(cfg CacheConfig) (*Cache, error) { return cachesim.New(cfg) }
+// NewCache builds an incremental cache simulator with 3C miss
+// classification.
+func NewCache(cfg CacheConfig) (*Cache, error) {
+	cfg.Classify = true
+	return cachesim.New(cfg)
+}
 
 // MinCacheSize returns the §3 analytical minimum cache size in bytes for
 // the given line size.
@@ -285,9 +292,10 @@ type SweepPlan = core.SweepPlan
 func TraceSweepPlan(opts Options) (SweepPlan, error) { return core.TraceSweepPlan(opts) }
 
 // EvaluateTrace scores an arbitrary pre-generated trace under one cache
-// configuration with the §2.2/§2.3 models.
-func EvaluateTrace(tr *Trace, cfg CacheConfig, tiling int, p EnergyParams, classify bool) (Metrics, error) {
-	return core.EvaluateTrace(tr, cfg, tiling, p, classify)
+// configuration with the §2.2/§2.3 models, filling ConflictMisses when
+// cfg.Classify is set.
+func EvaluateTrace(tr *Trace, cfg CacheConfig, tiling int, p EnergyParams) (Metrics, error) {
+	return core.EvaluateTrace(tr, cfg, tiling, p)
 }
 
 // TraceAddBS measures the Gray-coded address-bus switching per access of
@@ -299,8 +307,8 @@ func TraceAddBS(tr *Trace) float64 { return core.TraceAddBS(tr) }
 // EvaluateTraceMeasured is EvaluateTrace with the trace's AddBS supplied
 // by the caller (see TraceAddBS), avoiding a re-scan of the trace per
 // configuration when one trace is scored under many caches.
-func EvaluateTraceMeasured(tr *Trace, addBS float64, cfg CacheConfig, tiling int, p EnergyParams, classify bool) (Metrics, error) {
-	return core.EvaluateTraceMeasured(tr, addBS, cfg, tiling, p, classify)
+func EvaluateTraceMeasured(tr *Trace, addBS float64, cfg CacheConfig, tiling int, p EnergyParams) (Metrics, error) {
+	return core.EvaluateTraceMeasured(tr, addBS, cfg, tiling, p)
 }
 
 // WarmTrace composes the kernels into one shared-cache pipeline trace
@@ -429,16 +437,10 @@ func WriteDinTrace(w io.Writer, tr *Trace) (int64, error) {
 	return extrace.WriteDin(w, tr.Reader())
 }
 
-// WriteBinaryTrace encodes a trace in the compact mxt binary format; the
-// encoding round-trips every TraceRef bit-exactly through NewTraceReader.
-func WriteBinaryTrace(w io.Writer, tr *Trace) (int64, error) {
-	return extrace.WriteBinary(w, tr.Reader())
-}
-
 // WriteBinaryV2Trace encodes a trace in the columnar mxt v2 format —
 // delta-compressed address column, packed kind stream, per-chunk CRC —
-// the preferred on-disk form for very large traces. Like mxt v1 it
-// round-trips every TraceRef bit-exactly through NewTraceReader.
+// the one mxt form the module writes. It round-trips every TraceRef
+// bit-exactly through NewTraceReader, which also reads mxt v1.
 func WriteBinaryV2Trace(w io.Writer, tr *Trace) (int64, error) {
 	return extrace.WriteBinaryV2(w, tr.Reader())
 }

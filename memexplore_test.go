@@ -208,7 +208,7 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, err := memexplore.EvaluateTrace(warm, memexplore.NewCacheConfig(256, 8, 2), 1, opts.Energy, false)
+	wm, err := memexplore.EvaluateTrace(warm, memexplore.NewCacheConfig(256, 8, 2), 1, opts.Energy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,9 @@ func TestGoldenTraceMatchesKernelSweep(t *testing.T) {
 }
 
 // TestFacadeTraceEncoders exercises the exported encoders: a kernel trace
-// written through WriteDinTrace and WriteBinaryTrace streams back through
-// NewTraceReader with identical record counts, and the binary path
-// round-trips refs bit-exactly.
+// written through WriteDinTrace and WriteBinaryV2Trace streams back
+// through NewTraceReader with identical record counts, and the binary
+// path round-trips refs bit-exactly.
 func TestFacadeTraceEncoders(t *testing.T) {
 	kern, err := memexplore.Kernel("matadd")
 	if err != nil {
@@ -113,8 +113,8 @@ func TestFacadeTraceEncoders(t *testing.T) {
 	if n, err := memexplore.WriteDinTrace(&din, tr); err != nil || n != int64(tr.Len()) {
 		t.Fatalf("WriteDinTrace = (%d, %v), want %d records", n, err, tr.Len())
 	}
-	if n, err := memexplore.WriteBinaryTrace(&bin, tr); err != nil || n != int64(tr.Len()) {
-		t.Fatalf("WriteBinaryTrace = (%d, %v), want %d records", n, err, tr.Len())
+	if n, err := memexplore.WriteBinaryV2Trace(&bin, tr); err != nil || n != int64(tr.Len()) {
+		t.Fatalf("WriteBinaryV2Trace = (%d, %v), want %d records", n, err, tr.Len())
 	}
 
 	rd := memexplore.NewTraceReader(&bin, memexplore.TraceIngestOptions{})
